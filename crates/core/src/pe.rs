@@ -151,6 +151,13 @@ pub struct Pe {
     /// issues nothing new. Always false outside `System::drain_to_idle`,
     /// so snapshots never see it.
     frozen: bool,
+    /// The stall the front end is known to be in — what
+    /// [`issue_state`](Self::issue_state) last returned, if not `Ready`.
+    /// It keeps holding until its own deadline (`StalledUntil`) or until
+    /// something that feeds `issue_state` changes, and every such change
+    /// goes through [`wake`](Self::wake). Derived from the rest of the
+    /// PE: never serialized.
+    stall_memo: Option<IssueState>,
 }
 
 impl Pe {
@@ -178,6 +185,7 @@ impl Pe {
             trace_limit: 0,
             prog_fp: vip_isa::program_fingerprint(&Program::default()),
             frozen: false,
+            stall_memo: None,
         }
     }
 
@@ -237,6 +245,7 @@ impl Pe {
         self.prog_fp = vip_isa::program_fingerprint(&self.program);
         self.pc = 0;
         self.halted = program.is_empty();
+        self.wake();
     }
 
     /// Fingerprint of the loaded program (block-cache key half).
@@ -252,6 +261,7 @@ impl Pe {
     /// Freezes or thaws issue (see the `frozen` field).
     pub(crate) fn set_frozen(&mut self, frozen: bool) {
         self.frozen = frozen;
+        self.wake();
     }
 
     /// The live writeback-fault wiring (the functional tier's
@@ -268,6 +278,7 @@ impl Pe {
 
     /// Splits this PE into the parts the functional executor needs.
     pub(crate) fn func_parts(&mut self) -> FuncParts<'_> {
+        self.wake();
         FuncParts {
             id: self.id,
             pc: &mut self.pc,
@@ -296,6 +307,7 @@ impl Pe {
     /// Sets a scalar register (host initialization).
     pub fn set_reg(&mut self, r: Reg, value: u64) {
         self.regs.write(r, value);
+        self.wake();
     }
 
     /// Reads a scalar register (host inspection).
@@ -316,6 +328,7 @@ impl Pe {
 
     /// Host mutation of the scratchpad (test preloading).
     pub fn scratchpad_mut(&mut self) -> &mut Scratchpad {
+        self.wake();
         &mut self.sp
     }
 
@@ -381,6 +394,7 @@ impl Pe {
     /// in-flight request, or [`SimError::UncorrectableMemory`] if it
     /// carries ECC-poisoned data a load would have consumed.
     pub fn receive(&mut self, resp: &MemResponse) -> Result<(), SimError> {
+        self.wake();
         self.lsu
             .complete(resp, &mut self.sp, &mut self.regs, &mut self.arc)
             .map_err(|e| match e {
@@ -395,11 +409,42 @@ impl Pe {
 
     /// Pulls at most one outbound memory request this cycle.
     pub fn emit_request(&mut self) -> Option<MemRequest> {
-        self.lsu.next_request()
+        let req = self.lsu.next_request();
+        if req.is_some() && !self.lsq_has_room() {
+            // The one input of `issue_state` a stalled PE changes by
+            // itself: the request that fills the LSQ turns an `ArcFull`
+            // stall into `LsqBusy`.
+            self.wake();
+        }
+        req
     }
 
     fn stall(&mut self, reason: StallReason) {
         self.stats.stalls[reason as usize] += 1;
+    }
+
+    /// Forgets the memoised stall: an input of
+    /// [`issue_state`](Self::issue_state) may have changed.
+    fn wake(&mut self) {
+        self.stall_memo = None;
+    }
+
+    /// [`issue_state`](Self::issue_state) at `now`, answered from the
+    /// stall memo while that still holds.
+    fn probe(&self, now: Cycle) -> IssueState {
+        match self.stall_memo {
+            Some(IssueState::StalledUntil(_, until)) if now >= until => self.issue_state(now),
+            Some(memo) => {
+                debug_assert_eq!(
+                    memo,
+                    self.issue_state(now),
+                    "PE {}: stale stall memo",
+                    self.id
+                );
+                memo
+            }
+            None => self.issue_state(now),
+        }
     }
 
     fn regs_ready(&self, inst: &Instruction) -> bool {
@@ -556,7 +601,7 @@ impl Pe {
             next = Some(next.map_or(c, |n: Cycle| n.min(c)));
         };
         if !self.halted && !self.frozen {
-            match self.issue_state(now + 1) {
+            match self.probe(now + 1) {
                 IssueState::Ready => consider(now + 1),
                 IssueState::StalledUntil(_, at) => consider(at),
                 // External-dependency stalls (scalar operand, ARC, LSQ,
@@ -591,7 +636,7 @@ impl Pe {
             // the front end, so no counter should be charged.
             return;
         }
-        match self.issue_state(from + 1) {
+        match self.probe(from + 1) {
             IssueState::Ready => {
                 debug_assert!(false, "fast-forward across a ready-to-issue cycle");
             }
@@ -618,12 +663,11 @@ impl Pe {
         if self.frozen {
             return Ok(());
         }
-        match self.issue_state(now) {
-            IssueState::Ready => {}
-            IssueState::Stalled(reason) | IssueState::StalledUntil(reason, _) => {
-                self.stall(reason);
-                return Ok(());
-            }
+        let state = self.probe(now);
+        self.stall_memo = (state != IssueState::Ready).then_some(state);
+        if let IssueState::Stalled(reason) | IssueState::StalledUntil(reason, _) = state {
+            self.stall(reason);
+            return Ok(());
         }
         let Some(inst) = self.program.get(self.pc).copied() else {
             // Fell off the end of the program: treat as halt.
@@ -1050,6 +1094,7 @@ impl Pe {
         self.program = Program::new(insts);
         self.prog_fp = vip_isa::program_fingerprint(&self.program);
         self.frozen = false;
+        self.wake();
         self.pc = r.usize()?;
         self.halted = r.bool()?;
         self.regs = ScalarRegs::restore(r)?;
@@ -1292,6 +1337,236 @@ mod tests {
             "mov_imm + 64 addi writebacks all flip"
         );
         assert_ne!(faulty.reg(r(1)), clean.reg(r(1)), "corruption is visible");
+    }
+
+    // ---- stall-memo invariants -------------------------------------
+
+    /// Two copies of one PE driven in lockstep: `memo` as production
+    /// runs it, `fresh` with its stall memo dropped before every tick so
+    /// each stalled cycle is re-derived by `issue_state`. Whatever the
+    /// host does to both in between, they must never differ.
+    struct Lockstep {
+        memo: Pe,
+        fresh: Pe,
+        now: Cycle,
+    }
+
+    impl Lockstep {
+        fn new(asm: &Asm) -> Self {
+            let program = asm.assemble().unwrap();
+            let (mut memo, mut fresh) = (pe(), pe());
+            memo.load_program(&program);
+            fresh.load_program(&program);
+            Lockstep {
+                memo,
+                fresh,
+                now: 0,
+            }
+        }
+
+        fn both(&mut self, f: impl Fn(&mut Pe)) {
+            f(&mut self.memo);
+            f(&mut self.fresh);
+        }
+
+        /// One cycle; returns the request the LSU emitted, if any.
+        fn tick(&mut self) -> Option<MemRequest> {
+            self.now += 1;
+            self.fresh.wake();
+            self.memo.tick(self.now).unwrap();
+            self.fresh.tick(self.now).unwrap();
+            assert_eq!(self.memo.stats(), self.fresh.stats(), "cycle {}", self.now);
+            assert_eq!(self.memo.pc(), self.fresh.pc(), "cycle {}", self.now);
+            assert_eq!(
+                self.memo.next_event(self.now),
+                self.fresh.next_event(self.now)
+            );
+            let req = self.memo.emit_request();
+            assert_eq!(req, self.fresh.emit_request());
+            req
+        }
+
+        fn ticks(&mut self, n: u64) {
+            for _ in 0..n {
+                self.tick();
+            }
+        }
+
+        fn run_to_halt(&mut self) {
+            while !self.memo.is_halted() {
+                assert!(self.now < 10_000, "PE did not halt");
+                self.tick();
+            }
+        }
+
+        fn stall(&self) -> Option<StallReason> {
+            self.memo.stall_reason(self.now + 1)
+        }
+    }
+
+    /// vl = 512 i16 (128 beats), operands at 0 / 1024, result at 2048.
+    fn long_vector_setup(asm: &mut Asm) {
+        asm.mov_imm(r(1), 512)
+            .set_vl(r(1))
+            .mov_imm(r(2), 0)
+            .mov_imm(r(3), 1024)
+            .mov_imm(r(4), 2048);
+    }
+
+    #[test]
+    fn a_completion_mid_stall_changes_the_reason() {
+        let mut asm = Asm::new();
+        long_vector_setup(&mut asm);
+        asm.mov_imm(r(6), 64)
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(4), r(2), r(3))
+            .ld_reg(r(2), r(6))
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(4), r(2), r(3))
+            .halt();
+        let mut l = Lockstep::new(&asm);
+        let mut req = None;
+        while req.is_none() {
+            req = l.tick();
+        }
+        let req = req.unwrap();
+        l.ticks(20);
+        assert_eq!(l.stall(), Some(StallReason::ScalarOperand));
+        // The fill lands while the first vector op still streams: the
+        // operand stall turns into a vector-busy stall with a deadline.
+        let resp = MemResponse {
+            id: req.id,
+            kind: req.kind,
+            addr: req.addr,
+            data: 0u64.to_le_bytes().to_vec(),
+            poisoned: false,
+        };
+        l.both(|p| p.receive(&resp).unwrap());
+        assert_eq!(l.stall(), Some(StallReason::VectorBusy));
+        l.run_to_halt();
+        let stats = l.memo.stats();
+        assert!(stats.stalls_for(StallReason::ScalarOperand) >= 20);
+        assert!(stats.stalls_for(StallReason::VectorBusy) > 50);
+    }
+
+    #[test]
+    fn deadline_stalls_lift_exactly_at_their_deadline() {
+        // Branch bubbles, vector-busy and drain stalls all carry a
+        // deadline; the lockstep harness pins the cycle each one lifts.
+        let mut asm = Asm::new();
+        long_vector_setup(&mut asm);
+        asm.mov_imm(r(7), 0)
+            .mov_imm(r(8), 3)
+            .label("again")
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(4), r(2), r(3))
+            .vec_vec(VerticalOp::Mul, ElemType::I16, r(4), r(2), r(3))
+            .v_drain()
+            .addi(r(7), r(7), 1)
+            .blt(r(7), r(8), "again")
+            .halt();
+        let mut l = Lockstep::new(&asm);
+        l.run_to_halt();
+        let stats = l.memo.stats();
+        assert!(stats.stalls_for(StallReason::VectorBusy) >= 3 * 127);
+        assert!(stats.stalls_for(StallReason::Drain) > 0);
+        assert!(stats.stalls_for(StallReason::BranchBubble) > 0);
+
+        // And the simplest deadline by hand: a taken jump at cycle 1
+        // bubbles the front end for exactly `branch_penalty` cycles.
+        let mut asm = Asm::new();
+        asm.jmp("next").label("next").halt();
+        let mut p = pe();
+        p.load_program(&asm.assemble().unwrap());
+        let penalty = SystemConfig::small_test().branch_penalty;
+        for now in 1..=1 + penalty {
+            p.tick(now).unwrap();
+            assert!(!p.is_halted(), "halted early at {now}");
+        }
+        p.tick(2 + penalty).unwrap();
+        assert!(p.is_halted());
+        assert_eq!(p.stats().stalls_for(StallReason::BranchBubble), penalty);
+    }
+
+    #[test]
+    fn filling_the_lsq_turns_arc_full_into_lsq_busy() {
+        // 21 unrolled loads of five requests each, one every three
+        // cycles: the 21st finds the 20-entry ARC full with the LSU
+        // still behind, and while it waits the LSU's own emissions take
+        // the last of the 64 LSQ slots — the one stall a PE changes the
+        // reason of by itself.
+        let mut asm = Asm::new();
+        asm.mov_imm(r(1), 0) // scratchpad cursor
+            .mov_imm(r(2), 1 << 20) // DRAM cursor
+            .mov_imm(r(3), 80); // i16 elements: 160 B
+        for _ in 0..21 {
+            asm.ld_sram(ElemType::I16, r(1), r(2), r(3))
+                .addi(r(1), r(1), 160)
+                .addi(r(2), r(2), 160);
+        }
+        asm.halt();
+        let mut l = Lockstep::new(&asm);
+        while l.stall() != Some(StallReason::ArcFull) {
+            assert!(l.now < 200, "never filled the ARC");
+            l.tick();
+        }
+        l.ticks(20);
+        assert_eq!(l.stall(), Some(StallReason::LsqBusy));
+        let stats = l.memo.stats();
+        assert!(stats.stalls_for(StallReason::ArcFull) > 0);
+        assert!(stats.stalls_for(StallReason::LsqBusy) > 0);
+    }
+
+    #[test]
+    fn freeze_host_writes_and_restore_mid_stall() {
+        let mut asm = Asm::new();
+        long_vector_setup(&mut asm);
+        asm.mov_imm(r(6), 4096) // scratchpad destination of the load
+            .mov_imm(r(9), 32)
+            .ld_sram(ElemType::I16, r(2), r(6), r(9)) // covers [0, 64)
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(4), r(2), r(3))
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(4), r(3), r(3))
+            .halt();
+        let mut l = Lockstep::new(&asm);
+        l.ticks(30);
+        assert_eq!(l.stall(), Some(StallReason::ArcOverlap));
+
+        // Frozen cycles charge nothing; the thaw resumes the same stall.
+        let stalled = l.memo.stats().stalls_for(StallReason::ArcOverlap);
+        l.both(|p| p.set_frozen(true));
+        l.ticks(5);
+        assert_eq!(l.memo.stats().stalls_for(StallReason::ArcOverlap), stalled);
+        l.both(|p| p.set_frozen(false));
+        l.ticks(5);
+        assert_eq!(l.stall(), Some(StallReason::ArcOverlap));
+
+        // Save mid-stall and carry on from the restored copy: the memo
+        // is not in the bytes and comes back by itself.
+        let save = |p: &Pe| {
+            let mut w = Writer::new();
+            p.save_state(&mut w);
+            w.into_bytes()
+        };
+        let (bytes, saved_at) = (save(&l.memo), l.now);
+        assert_eq!(bytes, save(&l.fresh));
+        let mut copy = pe();
+        copy.restore_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(save(&copy), bytes);
+        l.memo = copy;
+        l.ticks(5);
+        assert_eq!(l.stall(), Some(StallReason::ArcOverlap));
+
+        // The host moves the first operand off the loading range: the
+        // overlap is gone on the very next cycle, no completion needed.
+        l.both(|p| p.set_reg(r(2), 1024));
+        l.tick();
+        assert_eq!(l.stall(), Some(StallReason::VectorBusy));
+        assert_eq!(l.memo.stats().vector_instructions, 2, "setvl + first v.v");
+
+        // Rolling both back onto the earlier image (a used PE, holding
+        // a memo of the wrong stall) returns to the overlap stall.
+        l.ticks(3);
+        l.both(|p| p.restore_state(&mut Reader::new(&bytes)).unwrap());
+        l.now = saved_at;
+        l.ticks(5);
+        assert_eq!(l.stall(), Some(StallReason::ArcOverlap));
     }
 
     use vip_isa::Program;

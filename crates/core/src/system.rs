@@ -589,9 +589,7 @@ impl System {
                 }
             }
         }
-        if let Some(c) = self.hmc.next_event() {
-            next = next.min(c.max(floor));
-        }
+        next = next.min(self.hmc.next_event().max(floor));
         if let Some(c) = self.net.next_event() {
             next = next.min(c.max(floor));
         }

@@ -1,7 +1,7 @@
 //! Focused behavioural tests of the system model: fences, hazards,
 //! structural limits, deadlock detection, and address-mapping modes.
 
-use vip_core::{SimError, StallReason, System, SystemConfig};
+use vip_core::{RunOutcome, SimError, StallReason, System, SystemConfig};
 use vip_isa::{assemble, Asm, ElemType, Reg, VerticalOp};
 use vip_mem::AddressMapping;
 
@@ -118,6 +118,74 @@ fn unsatisfied_full_empty_load_hangs_with_a_diagnosis() {
     let text = err.to_string();
     assert!(text.contains("3/4 PEs halted"), "{text}");
     assert!(text.contains("fe.load at 0x800"), "{text}");
+}
+
+#[test]
+fn host_release_of_a_parked_pe_is_engine_independent() {
+    // A PE parked on a full-empty word, its vault idle with a far-off
+    // wake bound. The run pauses mid-stall; the host fills the word and
+    // rewrites an operand register through `pe_mut`; the run goes on.
+    // Event engine, naive engine and a snapshot restored mid-stall onto
+    // a fresh system must agree on the cycle and every counter — the
+    // memoised stall and the vault's cached bound are both derived
+    // state that each of those paths rebuilds its own way.
+    let program = assemble(
+        "ld.reg.fe r1, r2
+         add r3, r1, r4
+         st.reg r3, r5
+         memfence
+         halt",
+    )
+    .unwrap();
+    let parked = || {
+        let mut sys = System::new(SystemConfig::small_test());
+        sys.load_program(0, &program);
+        sys.set_reg(0, r(2), 0x100);
+        sys.set_reg(0, r(4), 1);
+        sys.set_reg(0, r(5), 0x200);
+        sys
+    };
+    let release = |sys: &mut System| {
+        assert_eq!(
+            sys.pe(0).stall_reason(sys.now()),
+            Some(StallReason::ScalarOperand)
+        );
+        sys.hmc_mut().host_write_u64(0x100, 40);
+        sys.hmc_mut().host_set_full(0x100, true);
+        sys.pe_mut(0).set_reg(r(4), 2);
+    };
+    let finish = |sys: &mut System, cycles: u64| {
+        assert_eq!(sys.hmc().host_read_u64(0x200), 42);
+        assert!(!sys.hmc().host_is_full(0x100), "the load consumed the word");
+        (cycles, sys.stats())
+    };
+
+    let mut event = parked();
+    assert_eq!(event.run_until(500, 10_000), Ok(RunOutcome::Paused(500)));
+    let image = event.save_snapshot();
+    release(&mut event);
+    let cycles = event.run(10_000).unwrap();
+    let expect = finish(&mut event, cycles);
+
+    let mut naive = parked();
+    assert_eq!(
+        naive.run_naive_until(500, 10_000),
+        Ok(RunOutcome::Paused(500))
+    );
+    assert_eq!(
+        naive.save_snapshot(),
+        image,
+        "derived state is not in the image"
+    );
+    release(&mut naive);
+    let cycles = naive.run_naive(10_000).unwrap();
+    assert_eq!(finish(&mut naive, cycles), expect);
+
+    let mut restored = parked();
+    restored.restore_snapshot(&image).unwrap();
+    release(&mut restored);
+    let cycles = restored.run(10_000).unwrap();
+    assert_eq!(finish(&mut restored, cycles), expect);
 }
 
 #[test]

@@ -140,6 +140,35 @@ pub enum Instruction {
     Halt,
 }
 
+/// The scalar registers an instruction reads (see
+/// [`Instruction::reads`]): at most three, held inline so the issue
+/// stage's per-cycle operand check allocates nothing. Dereferences to a
+/// slice.
+#[derive(Debug, Clone, Copy)]
+pub struct RegList {
+    regs: [Reg; 3],
+    len: u8,
+}
+
+impl RegList {
+    fn new(list: &[Reg]) -> Self {
+        let mut regs = [Reg::new(0); 3];
+        regs[..list.len()].copy_from_slice(list);
+        RegList {
+            regs,
+            len: list.len() as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for RegList {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
 /// Which back-end pipeline an instruction is dispatched to (§III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pipeline {
@@ -181,42 +210,42 @@ impl Instruction {
 
     /// Scalar registers read by this instruction.
     #[must_use]
-    pub fn reads(&self) -> Vec<Reg> {
+    pub fn reads(&self) -> RegList {
         use Instruction::*;
         match *self {
-            SetVl { rs } | SetMr { rs } => vec![rs],
+            SetVl { rs } | SetMr { rs } => RegList::new(&[rs]),
             MatVec {
                 rd, rs_mat, rs_vec, ..
-            } => vec![rd, rs_mat, rs_vec],
-            VecVec { rd, rs1, rs2, .. } => vec![rd, rs1, rs2],
+            } => RegList::new(&[rd, rs_mat, rs_vec]),
+            VecVec { rd, rs1, rs2, .. } => RegList::new(&[rd, rs1, rs2]),
             VecScalar {
                 rd,
                 rs_vec,
                 rs_scalar,
                 ..
-            } => vec![rd, rs_vec, rs_scalar],
-            Scalar { rs1, rs2, .. } => vec![rs1, rs2],
-            ScalarImm { rs1, .. } => vec![rs1],
-            Mov { rs, .. } => vec![rs],
-            MovImm { .. } => vec![],
-            Branch { rs1, rs2, .. } => vec![rs1, rs2],
-            Jmp { .. } => vec![],
+            } => RegList::new(&[rd, rs_vec, rs_scalar]),
+            Scalar { rs1, rs2, .. } => RegList::new(&[rs1, rs2]),
+            ScalarImm { rs1, .. } => RegList::new(&[rs1]),
+            Mov { rs, .. } => RegList::new(&[rs]),
+            MovImm { .. } => RegList::new(&[]),
+            Branch { rs1, rs2, .. } => RegList::new(&[rs1, rs2]),
+            Jmp { .. } => RegList::new(&[]),
             LdSram {
                 rd_sp,
                 rs_addr,
                 rs_len,
                 ..
-            } => vec![rd_sp, rs_addr, rs_len],
+            } => RegList::new(&[rd_sp, rs_addr, rs_len]),
             StSram {
                 rs_sp,
                 rs_addr,
                 rs_len,
                 ..
-            } => vec![rs_sp, rs_addr, rs_len],
-            LdReg { rs_addr, .. } => vec![rs_addr],
-            StReg { rs, rs_addr } | StRegFf { rs, rs_addr } => vec![rs, rs_addr],
-            LdRegFe { rs_addr, .. } => vec![rs_addr],
-            VDrain | MemFence | Nop | Halt => vec![],
+            } => RegList::new(&[rs_sp, rs_addr, rs_len]),
+            LdReg { rs_addr, .. } => RegList::new(&[rs_addr]),
+            StReg { rs, rs_addr } | StRegFf { rs, rs_addr } => RegList::new(&[rs, rs_addr]),
+            LdRegFe { rs_addr, .. } => RegList::new(&[rs_addr]),
+            VDrain | MemFence | Nop | Halt => RegList::new(&[]),
         }
     }
 
@@ -365,7 +394,7 @@ mod tests {
             rs_addr: r(7),
             rs_len: r(61),
         };
-        assert_eq!(ld.reads(), vec![r(11), r(7), r(61)]);
+        assert_eq!(*ld.reads(), [r(11), r(7), r(61)]);
         assert_eq!(ld.writes(), None);
 
         let add = Instruction::ScalarImm {
@@ -374,7 +403,7 @@ mod tests {
             rs1: r(4),
             imm: 1,
         };
-        assert_eq!(add.reads(), vec![r(4)]);
+        assert_eq!(*add.reads(), [r(4)]);
         assert_eq!(add.writes(), Some(r(3)));
 
         // Vector instructions read their "destination" register: it holds a
@@ -388,5 +417,6 @@ mod tests {
         };
         assert_eq!(vv.writes(), None);
         assert!(vv.reads().contains(&r(1)));
+        assert!(Instruction::Halt.reads().is_empty());
     }
 }

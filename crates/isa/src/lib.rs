@@ -56,7 +56,7 @@ pub use asm::{assemble, AsmError};
 pub use block::{program_fingerprint, scan_block, Block, BlockEnd};
 pub use builder::Asm;
 pub use encode::{DecodeError, EncodeError};
-pub use inst::Instruction;
+pub use inst::{Instruction, RegList};
 pub use ops::{BranchCond, HorizontalOp, ScalarAluOp, VerticalOp};
 pub use program::Program;
 pub use trap::Trap;

@@ -21,6 +21,23 @@ struct Txn {
     decoded: DecodedAddr,
     enqueued: Cycle,
     caused_act: bool,
+    /// Older queued transactions this one [`conflicts`] with and so
+    /// must not pass. A function of the queue's contents: rebuilt on
+    /// restore, never serialized.
+    older_conflicts: usize,
+}
+
+/// Whether two transactions must keep their queue order: plain ones
+/// touching overlapping bytes (RAW/WAR/WAW through DRAM). Full-empty
+/// transactions are exempt — their ordering comes from the full bit
+/// itself, and blocking on them would deadlock producer-consumer pairs
+/// that share a word by design.
+fn conflicts(a: &MemRequest, b: &MemRequest) -> bool {
+    if a.is_full_empty() || b.is_full_empty() {
+        return false;
+    }
+    let (a, b) = (a.byte_range(), b.byte_range());
+    a.start < b.end && b.start < a.end
 }
 
 impl Snapshot for Txn {
@@ -37,6 +54,7 @@ impl Snapshot for Txn {
             decoded: DecodedAddr::restore(r)?,
             enqueued: r.u64()?,
             caused_act: r.bool()?,
+            older_conflicts: 0, // `restore_state` recounts
         })
     }
 }
@@ -92,6 +110,14 @@ pub struct VaultController {
     refresh_until: Cycle,
     bus_free_at: Cycle,
     stats: MemStats,
+    /// The vault's own [`next_event`](Self::next_event) bound, cached by
+    /// the last active tick: every tick strictly before it only bumps
+    /// `busy_cycles`. `0` is "unknown". Derived, never serialized.
+    wake: Cycle,
+    /// The storage's full-empty epoch `wake` was computed under; a flip
+    /// since then (by anyone) may have released a parked transaction,
+    /// so the bound no longer holds.
+    fe_seen: u64,
 }
 
 impl VaultController {
@@ -117,6 +143,8 @@ impl VaultController {
             refresh_until: 0,
             bus_free_at: 0,
             stats: MemStats::default(),
+            wake: 0,
+            fe_seen: 0,
         }
     }
 
@@ -176,11 +204,7 @@ impl VaultController {
         if !self.can_accept() {
             return Err(QueueFullError { vault: self.vault });
         }
-        let len = if req.kind == RequestKind::Write {
-            req.data.len()
-        } else {
-            req.len
-        };
+        let len = req.payload_len();
         let granule = self.cfg.request_granule() as u64;
         assert!(
             (req.addr % granule) + len as u64 <= granule,
@@ -196,25 +220,52 @@ impl VaultController {
             "request at {:#x} routed to vault {} but maps to vault {}",
             req.addr, self.vault, decoded.vault
         );
-        self.queue.push_back(Txn {
+        let older_conflicts = self
+            .queue
+            .iter()
+            .filter(|t| conflicts(&t.req, &req))
+            .count();
+        let txn = Txn {
             req,
             decoded,
             enqueued: self.now,
             caused_act: false,
-        });
+            older_conflicts,
+        };
+        if older_conflicts == 0 {
+            // The newcomer may act as soon as its bank allows (a parked
+            // full-empty one is assumed free to: early wake is harmless).
+            // A blocked one waits on an older column issue, an event
+            // that recomputes the bound anyway.
+            self.wake = self.wake.min(self.ready_at(&txn));
+        }
+        self.queue.push_back(txn);
         Ok(())
     }
 
     /// Advances one cycle: retires matured completions into `out`, then
-    /// issues at most one DRAM command.
+    /// issues at most one DRAM command. A tick strictly before the
+    /// cached wake bound does neither — by construction nothing can
+    /// happen on it — and only counts the cycle.
     pub fn tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
+        let quiet = self.now + 1 < self.wake && self.fe_seen == storage.fe_epoch();
+        debug_assert!(
+            !quiet || self.scan_next_event(storage) > self.now + 1,
+            "vault {}: wake bound {} would skip a live cycle",
+            self.vault,
+            self.wake
+        );
         self.now += 1;
-        if !self.queue.is_empty() || !self.completions.is_empty() {
+        if !self.is_idle() {
             self.stats.busy_cycles += 1;
+        }
+        if quiet {
+            return;
         }
 
         // Retire matured completions.
         let now = self.now;
+        let mut next_done = Cycle::MAX;
         let mut i = 0;
         while i < self.completions.len() {
             if self.completions[i].at <= now {
@@ -231,89 +282,120 @@ impl VaultController {
                 }
                 out.push(done.response);
             } else {
+                next_done = next_done.min(self.completions[i].at);
                 i += 1;
             }
         }
 
-        // Refresh in progress: the whole vault is blocked.
-        if self.now < self.refresh_until {
-            return;
-        }
-        if self.now >= self.next_refresh {
-            self.refresh_pending = true;
-        }
-        if self.refresh_pending {
-            if self.try_start_refresh() {
-                return;
+        let idle_until = if now < self.refresh_until {
+            // Refresh in progress: the whole vault is blocked.
+            Some(self.refresh_until)
+        } else {
+            if now >= self.next_refresh {
+                self.refresh_pending = true;
             }
-            // Work toward refresh: precharge one open bank if possible.
-            if self.issue_precharge_for_refresh() {
-                return;
+            if self.refresh_pending {
+                // Work toward refresh: start it, else precharge one open
+                // bank, else wait while banks drain tRAS/tWR. Nothing
+                // else may issue, so the refresh starts promptly.
+                if !self.try_start_refresh() {
+                    self.issue_precharge_for_refresh();
+                }
+                None
+            } else {
+                self.schedule(storage)
             }
-            // Fall through: banks are draining tRAS/tWR; nothing else may
-            // issue so the refresh starts promptly.
-            return;
-        }
-
-        self.schedule(storage);
+        };
+        self.wake = match idle_until {
+            Some(next_command) => next_done.min(next_command),
+            // A command changed bank, queue or completion state.
+            None => self.scan_next_event(storage),
+        };
+        self.fe_seen = storage.fe_epoch();
     }
 
     /// A sound lower bound on the next cycle at which this vault can do
     /// anything: retire a completion, make refresh progress, or issue a
-    /// DRAM command. Returns `None` only when the vault will never act
-    /// again without new input — which cannot happen here, because
-    /// refresh fires unconditionally every tREFI, so the result is
-    /// always `Some`.
+    /// DRAM command. Refresh fires unconditionally every tREFI, so there
+    /// always is one and the result is always `Some` (the `Option` stays
+    /// for callers outside the workspace that match on it).
     ///
     /// "Sound lower bound" means the vault is guaranteed idle on every
     /// cycle in `(now, next_event)`; waking early is harmless (the tick
     /// is a no-op), waking late would change simulated behaviour. The
     /// estimate deliberately over-approximates readiness: it ignores the
-    /// one-command-per-cycle limit and the FR-FCFS older-conflict rule,
-    /// both of which only make a candidate cycle *early*, never late.
+    /// one-command-per-cycle limit, which only makes a candidate cycle
+    /// *early*, never late.
+    ///
+    /// Reads the bound the last active tick cached (see `wake`) while it
+    /// holds; rescans the queue only after something invalidated it.
     #[must_use]
     pub fn next_event(&self, storage: &Storage) -> Option<Cycle> {
-        let now = self.now;
-        let mut next: Option<Cycle> = None;
-        let mut consider = |c: Cycle| {
-            let c = c.max(now + 1);
-            next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        };
-        // Completions retire when their cycle matures, even mid-refresh.
-        for done in &self.completions {
-            consider(done.at);
+        Some(self.wake_bound(storage))
+    }
+
+    /// [`next_event`](Self::next_event) without the `Option`.
+    pub(crate) fn wake_bound(&self, storage: &Storage) -> Cycle {
+        if self.wake != 0 && self.fe_seen == storage.fe_epoch() {
+            self.wake.max(self.now + 1)
+        } else {
+            self.scan_next_event(storage)
         }
-        if now < self.refresh_until {
+    }
+
+    /// [`next_event`](Self::next_event) computed from scratch.
+    fn scan_next_event(&self, storage: &Storage) -> Cycle {
+        // Completions retire when their cycle matures, even mid-refresh.
+        let next_done = self.completions.iter().map(|done| done.at).min();
+        let next = self
+            .command_wake(storage)
+            .min(next_done.unwrap_or(Cycle::MAX));
+        next.max(self.now + 1)
+    }
+
+    /// The earliest cycle the command side (refresh and the scheduler)
+    /// can act, given the state the current cycle leaves behind.
+    fn command_wake(&self, storage: &Storage) -> Cycle {
+        if self.now < self.refresh_until {
             // The whole vault is blocked; nothing issues earlier.
-            consider(self.refresh_until);
-        } else if self.refresh_pending {
+            return self.refresh_until;
+        }
+        if self.refresh_pending {
             // Working toward refresh: one precharge per cycle, or
             // waiting out tRAS/tWR. The window is tightly bounded, so
             // step through it.
-            consider(now + 1);
-        } else {
-            // Refresh fires every tREFI regardless of load (the counter
-            // must match a cycle-by-cycle run exactly).
-            consider(self.next_refresh);
-            for txn in &self.queue {
-                if !self.fe_permits(storage, &txn.req) {
-                    // Blocked on the full-empty bit. Only a column issued
-                    // by this vault (the partner transaction, which has
-                    // its own candidate below) or the host can flip it,
-                    // so this transaction contributes no event. Exactly
-                    // one side of a load/store pair is permitted at any
-                    // time, so the pair always produces a candidate.
-                    continue;
-                }
-                let bank = &self.banks[txn.decoded.bank];
-                consider(match bank.open_row() {
-                    Some(row) if row == txn.decoded.row => bank.earliest_column(),
-                    Some(_) => bank.earliest_precharge(),
-                    None => bank.earliest_activate(),
-                });
-            }
+            return self.now + 1;
         }
-        next
+        // Refresh fires every tREFI regardless of load (the counter
+        // must match a cycle-by-cycle run exactly).
+        self.queue
+            .iter()
+            .filter(|txn| !self.parked(storage, txn))
+            .map(|txn| self.ready_at(txn))
+            .fold(self.next_refresh, Cycle::min)
+    }
+
+    /// Whether `txn` cannot act until something else releases it: an
+    /// older conflicting transaction's column issue (an active tick of
+    /// this vault) or a flip of its full-empty bit (a bump of the
+    /// storage's epoch). Either re-derives the wake bound, so a parked
+    /// transaction contributes no candidate of its own. Exactly one
+    /// side of a full-empty load/store pair is permitted at any time,
+    /// so a queued pair always produces one.
+    fn parked(&self, storage: &Storage, txn: &Txn) -> bool {
+        txn.older_conflicts > 0 || !self.fe_permits(storage, &txn.req)
+    }
+
+    /// The first cycle `txn`'s next DRAM command — a column to its open
+    /// row, else the precharge or activate that leads there — may
+    /// issue, as far as its bank is concerned.
+    fn ready_at(&self, txn: &Txn) -> Cycle {
+        let bank = &self.banks[txn.decoded.bank];
+        match bank.open_row() {
+            Some(row) if row == txn.decoded.row => bank.earliest_column(),
+            Some(_) => bank.earliest_precharge(),
+            None => bank.earliest_activate(),
+        }
     }
 
     /// Jumps the vault's clock to `to`, replaying the per-cycle counters
@@ -357,6 +439,7 @@ impl VaultController {
         }
         // Any refresh that was mid-flight completed within the span.
         self.refresh_until = self.refresh_until.min(to);
+        self.wake = 0;
     }
 
     /// Serializes every piece of mutable controller state: bank state
@@ -400,6 +483,12 @@ impl VaultController {
         self.bus_free_at = r.u64()?;
         self.stats = MemStats::restore(r)?;
         self.cfg.faults = Option::restore(r)?;
+        for i in 0..self.queue.len() {
+            let req = &self.queue[i].req;
+            let older = self.queue.iter().take(i);
+            self.queue[i].older_conflicts = older.filter(|o| conflicts(&o.req, req)).count();
+        }
+        self.wake = 0;
         Ok(())
     }
 
@@ -420,101 +509,59 @@ impl VaultController {
         }
     }
 
-    fn issue_precharge_for_refresh(&mut self) -> bool {
+    fn issue_precharge_for_refresh(&mut self) {
         let now = self.now;
         let timing = self.cfg.timing;
-        for bank in &mut self.banks {
-            if bank.can_precharge(now) {
-                bank.precharge(now, &timing);
-                return true;
-            }
+        if let Some(bank) = self.banks.iter_mut().find(|b| b.can_precharge(now)) {
+            bank.precharge(now, &timing);
         }
-        false
     }
 
-    /// Whether an older queued transaction touches an overlapping
-    /// address range. Plain transactions must not reorder around each
-    /// other when they overlap (RAW/WAR/WAW through DRAM); full-empty
-    /// transactions are exempt — their ordering comes from the full bit
-    /// itself, and blocking on them would deadlock producer-consumer
-    /// pairs that share a word by design.
-    fn has_older_conflict(&self, idx: usize) -> bool {
-        let txn = &self.queue[idx];
-        if txn.req.is_full_empty() {
-            return false;
-        }
-        let len = if txn.req.kind == RequestKind::Write {
-            txn.req.data.len()
-        } else {
-            txn.req.len
-        } as u64;
-        let (start, end) = (txn.req.addr, txn.req.addr + len);
-        self.queue.iter().take(idx).any(|older| {
-            if older.req.is_full_empty() {
-                return false;
-            }
-            let olen = if older.req.kind == RequestKind::Write {
-                older.req.data.len()
-            } else {
-                older.req.len
-            } as u64;
-            start < older.req.addr + olen && older.req.addr < end
-        })
-    }
-
-    /// FR-FCFS: issue a ready column command, else open the oldest
-    /// transaction's row.
-    fn schedule(&mut self, storage: &mut Storage) {
-        // Pass 1: oldest row-hit transaction whose bank and bus are ready.
+    /// FR-FCFS in one walk of the queue: issue the oldest ready row-hit
+    /// column; failing that, do the row work (precharge a conflicting
+    /// row, or activate) of the oldest transaction whose bank permits
+    /// it now. Parked full-empty transactions take no part — opening
+    /// their row would be wasted work and can livelock conflicting
+    /// rows. When nothing can issue, returns the earliest cycle
+    /// something could (the walk has seen every candidate).
+    fn schedule(&mut self, storage: &mut Storage) -> Option<Cycle> {
         let now = self.now;
-        let hit_idx = (0..self.queue.len()).find(|&i| {
-            let txn = &self.queue[i];
-            self.banks[txn.decoded.bank].can_access(now, txn.decoded.row)
-                && self.fe_permits(storage, &txn.req)
-                && !self.has_older_conflict(i)
-        });
-        if let Some(idx) = hit_idx {
-            self.issue_column(idx, storage);
-            return;
-        }
-
-        // Pass 2: oldest transaction needing row work. Skip full-empty
-        // transactions whose bit does not permit — opening their row
-        // would be wasted work and can livelock conflicting rows.
-        for idx in 0..self.queue.len() {
-            let (bank_idx, row, permitted) = {
-                let txn = &self.queue[idx];
-                (
-                    txn.decoded.bank,
-                    txn.decoded.row,
-                    self.fe_permits(storage, &txn.req),
-                )
-            };
-            if !permitted || self.has_older_conflict(idx) {
+        let mut idle_until = self.next_refresh;
+        let mut row_work = None;
+        let mut hit = None;
+        for (idx, txn) in self.queue.iter().enumerate() {
+            if self.parked(storage, txn) {
                 continue;
             }
-            let bank = &mut self.banks[bank_idx];
-            match bank.open_row() {
-                Some(open) if open == row => continue, // waiting on tRCD/bus
-                Some(_) => {
-                    if bank.can_precharge(now) {
-                        let timing = self.cfg.timing;
-                        bank.precharge(now, &timing);
-                        self.stats.row_conflicts += 1;
-                        return;
-                    }
-                }
-                None => {
-                    if bank.can_activate(now) {
-                        let timing = self.cfg.timing;
-                        bank.activate(now, row, &timing);
-                        self.queue[idx].caused_act = true;
-                        self.stats.row_misses += 1;
-                        return;
-                    }
-                }
+            let ready_at = self.ready_at(txn);
+            if ready_at > now {
+                idle_until = idle_until.min(ready_at);
+            } else if self.banks[txn.decoded.bank].can_access(now, txn.decoded.row) {
+                hit = Some(idx);
+                break;
+            } else if row_work.is_none() {
+                row_work = Some(idx);
             }
         }
+        if let Some(idx) = hit {
+            self.issue_column(idx, storage);
+            return None;
+        }
+        let Some(idx) = row_work else {
+            return Some(idle_until);
+        };
+        let timing = self.cfg.timing;
+        let row = self.queue[idx].decoded.row;
+        let bank = &mut self.banks[self.queue[idx].decoded.bank];
+        if bank.open_row().is_some() {
+            bank.precharge(now, &timing);
+            self.stats.row_conflicts += 1;
+        } else {
+            bank.activate(now, row, &timing);
+            self.queue[idx].caused_act = true;
+            self.stats.row_misses += 1;
+        }
+        None
     }
 
     fn fe_permits(&self, storage: &Storage, req: &MemRequest) -> bool {
@@ -580,16 +627,15 @@ impl VaultController {
 
     fn issue_column(&mut self, idx: usize, storage: &mut Storage) {
         let mut txn = self.queue.remove(idx).expect("index in range");
+        for younger in self.queue.iter_mut().skip(idx) {
+            younger.older_conflicts -= usize::from(conflicts(&txn.req, &younger.req));
+        }
         let now = self.now;
         let timing = self.cfg.timing;
         // A request spanning several columns of one row issues its
         // column commands tCCD apart (same bank); the data occupies the
         // shared bus for one burst per column.
-        let len = if txn.req.kind == RequestKind::Write {
-            txn.req.data.len()
-        } else {
-            txn.req.len
-        } as u64;
+        let len = txn.req.payload_len() as u64;
         let col = self.cfg.col_bytes as u64;
         let cols = ((txn.req.addr % col) + len).div_ceil(col).max(1);
         let last_cmd = now + (cols - 1) * timing.t_ccd();
@@ -674,6 +720,7 @@ impl VaultController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vip_rng::{for_each_seed, SplitMix64};
 
     fn run_until_idle(
         vc: &mut VaultController,
@@ -955,5 +1002,269 @@ mod tests {
         let other_vault_addr = cfg.vault_base(1);
         let mut vc = VaultController::new(0, cfg);
         let _ = vc.enqueue(MemRequest::read(1, other_vault_addr, 32));
+    }
+
+    // ---- scheduler oracle ------------------------------------------
+    //
+    // The scheduler as it stood before it became incremental, kept
+    // verbatim as the reference the production `tick` is differentially
+    // tested against: every transaction re-derives its older-conflict
+    // test by scanning the queue ahead of it, the queue is walked twice
+    // a cycle, and nothing is ever skipped.
+    impl VaultController {
+        fn reference_tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
+            self.now += 1;
+            if !self.queue.is_empty() || !self.completions.is_empty() {
+                self.stats.busy_cycles += 1;
+            }
+            let now = self.now;
+            let mut i = 0;
+            while i < self.completions.len() {
+                if self.completions[i].at <= now {
+                    let done = self.completions.swap_remove(i);
+                    self.stats.total_latency_cycles += done.latency;
+                    match done.response.kind {
+                        RequestKind::Read | RequestKind::FeLoad => {
+                            self.stats.reads += 1;
+                            self.stats.bytes_read += done.response.data.len() as u64;
+                        }
+                        RequestKind::Write | RequestKind::FeStore => self.stats.writes += 1,
+                    }
+                    out.push(done.response);
+                } else {
+                    i += 1;
+                }
+            }
+            if self.now < self.refresh_until {
+                return;
+            }
+            if self.now >= self.next_refresh {
+                self.refresh_pending = true;
+            }
+            if self.refresh_pending {
+                if !self.try_start_refresh() {
+                    self.issue_precharge_for_refresh();
+                }
+                return;
+            }
+            self.reference_schedule(storage);
+        }
+
+        fn reference_older_conflict(&self, idx: usize) -> bool {
+            let txn = &self.queue[idx];
+            if txn.req.is_full_empty() {
+                return false;
+            }
+            let (start, end) = (txn.req.addr, txn.req.addr + txn.req.payload_len() as u64);
+            self.queue.iter().take(idx).any(|older| {
+                !older.req.is_full_empty()
+                    && start < older.req.addr + older.req.payload_len() as u64
+                    && older.req.addr < end
+            })
+        }
+
+        fn reference_schedule(&mut self, storage: &mut Storage) {
+            let now = self.now;
+            let hit_idx = (0..self.queue.len()).find(|&i| {
+                let txn = &self.queue[i];
+                self.banks[txn.decoded.bank].can_access(now, txn.decoded.row)
+                    && self.fe_permits(storage, &txn.req)
+                    && !self.reference_older_conflict(i)
+            });
+            if let Some(idx) = hit_idx {
+                self.issue_column(idx, storage);
+                return;
+            }
+            for idx in 0..self.queue.len() {
+                let (bank_idx, row) = (self.queue[idx].decoded.bank, self.queue[idx].decoded.row);
+                if !self.fe_permits(storage, &self.queue[idx].req)
+                    || self.reference_older_conflict(idx)
+                {
+                    continue;
+                }
+                let timing = self.cfg.timing;
+                let bank = &mut self.banks[bank_idx];
+                match bank.open_row() {
+                    Some(open) if open == row => continue,
+                    Some(_) if bank.can_precharge(now) => {
+                        bank.precharge(now, &timing);
+                        self.stats.row_conflicts += 1;
+                        return;
+                    }
+                    None if bank.can_activate(now) => {
+                        bank.activate(now, row, &timing);
+                        self.queue[idx].caused_act = true;
+                        self.stats.row_misses += 1;
+                        return;
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn saved(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            self.save_state(&mut w);
+            w.into_bytes()
+        }
+    }
+
+    /// A request stream built to collide: a handful of columns over two
+    /// rows of two banks, partial-column writes at 8-byte offsets, and
+    /// full-empty load/store pairs queued in either order.
+    fn random_requests(
+        rng: &mut SplitMix64,
+        cfg: &MemConfig,
+        next_id: &mut u64,
+    ) -> Vec<MemRequest> {
+        let mut id = || {
+            *next_id += 1;
+            *next_id
+        };
+        let bank = rng.below(2) * cfg.row_bytes as u64;
+        let row = rng.below(2) * (cfg.banks_per_vault * cfg.row_bytes) as u64;
+        let granule = cfg.request_granule() as u64;
+        let column = bank + row + rng.below(3) * granule;
+        match rng.below(10) {
+            0 => {
+                // Sync words live past the plain columns' granules.
+                let word = column + 4 * granule + 8 * rng.below(2);
+                let pair = [
+                    MemRequest::fe_load(id(), word),
+                    MemRequest::fe_store(id(), word, rng.next_u64()),
+                ];
+                if rng.bool() {
+                    pair.into_iter().rev().collect()
+                } else {
+                    pair.into()
+                }
+            }
+            kind => {
+                let offset = 8 * rng.below(granule / 8);
+                let len = 8 * (1 + rng.below((granule - offset) / 8)) as usize;
+                vec![if kind < 5 {
+                    MemRequest::write(id(), column + offset, rng.bytes(len))
+                } else {
+                    MemRequest::read(id(), column + offset, len)
+                }]
+            }
+        }
+    }
+
+    /// Drives the production controller and the reference with one
+    /// seeded stream for `cycles` cycles at `load_pct` % offered load:
+    /// same responses in the same order on the same cycle, same
+    /// statistics. Half-way, the production side is saved, restored onto
+    /// a fresh controller and re-saved (the derived counts and the wake
+    /// bound must come back without being in the bytes), and the copy
+    /// carries on. Now and then it jumps with `next_event`/`skip_to`
+    /// instead of ticking, which the reference never does.
+    fn differential(cfg: &MemConfig, seed: u64, cycles: Cycle, load_pct: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let mut fast = VaultController::new(0, cfg.clone());
+        let mut slow = VaultController::new(0, cfg.clone());
+        let (mut fast_mem, mut slow_mem) = (Storage::new(), Storage::new());
+        let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
+        let (mut next_id, mut retired) = (0, 0);
+        while slow.now < cycles {
+            if slow.now == cycles / 2 {
+                let bytes = fast.saved();
+                let mut copy = VaultController::new(0, cfg.clone());
+                copy.restore_state(&mut Reader::new(&bytes)).unwrap();
+                assert_eq!(
+                    copy.saved(),
+                    bytes,
+                    "seed {seed:#x}: restore re-saves differently"
+                );
+                fast = copy;
+            }
+            if rng.below(100) < load_pct {
+                let reqs = random_requests(&mut rng, cfg, &mut next_id);
+                if slow.queue.len() + reqs.len() <= cfg.trans_queue_depth {
+                    for req in reqs {
+                        fast.enqueue(req.clone()).unwrap();
+                        slow.enqueue(req).unwrap();
+                    }
+                }
+            } else if rng.below(32) == 0 {
+                let next = fast.next_event(&fast_mem).unwrap();
+                assert!(next > fast.now);
+                fast.skip_to(next - 1);
+                while slow.now < next - 1 {
+                    slow.reference_tick(&mut slow_mem, &mut slow_out);
+                    assert!(
+                        slow_out.is_empty(),
+                        "seed {seed:#x}: skipped over a completion"
+                    );
+                }
+            }
+            fast.tick(&mut fast_mem, &mut fast_out);
+            slow.reference_tick(&mut slow_mem, &mut slow_out);
+            assert_eq!(fast_out, slow_out, "seed {seed:#x}, cycle {}", slow.now);
+            retired += fast_out.len();
+            fast_out.clear();
+            slow_out.clear();
+        }
+        assert_eq!(fast.stats(), slow.stats(), "seed {seed:#x}");
+        assert_eq!(
+            fast.saved(),
+            slow.saved(),
+            "seed {seed:#x}: final state differs"
+        );
+        assert_eq!(fast_mem.fe_epoch(), slow_mem.fe_epoch());
+        assert!(retired > 0, "seed {seed:#x}: nothing completed");
+    }
+
+    #[test]
+    fn incremental_scheduler_matches_the_quadratic_reference() {
+        // Refresh every ~1200 cycles so every stream crosses several.
+        let mut quick_refresh = MemConfig::baseline();
+        quick_refresh.timing.t_refi_ps /= 8;
+        let faulty = MemConfig::baseline().with_faults(vip_faults::DramFaultConfig {
+            seed: 0xd1ff,
+            single_bit_ppm: 20_000,
+            double_bit_ppm: 5_000,
+        });
+        let configs = [
+            MemConfig::baseline(),
+            MemConfig::closed_page(),
+            MemConfig::with_hmc_packets(),
+            quick_refresh,
+            faulty,
+        ];
+        for_each_seed("incremental_scheduler_matches", 0x5c4e_d000, 12, |seed| {
+            for cfg in &configs {
+                // A trickle, a busy queue, and a queue held full.
+                for load_pct in [8, 45, 100] {
+                    differential(cfg, seed ^ load_pct, 6_000, load_pct);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn host_flip_of_a_full_empty_bit_wakes_the_parked_load_on_time() {
+        let cfg = MemConfig::baseline();
+        let mut fast = VaultController::new(0, cfg.clone());
+        let mut slow = VaultController::new(0, cfg);
+        let (mut fast_mem, mut slow_mem) = (Storage::new(), Storage::new());
+        let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
+        fast.enqueue(MemRequest::fe_load(1, 128)).unwrap();
+        slow.enqueue(MemRequest::fe_load(1, 128)).unwrap();
+        for cycle in 1..=600 {
+            if cycle == 300 {
+                // Parked for hundreds of cycles: the vault's own bound
+                // points at the next refresh, far away.
+                assert!(fast.next_event(&fast_mem).unwrap() > 1_000);
+                fast_mem.set_full(128, true);
+                slow_mem.set_full(128, true);
+                assert_eq!(fast.next_event(&fast_mem), Some(cycle));
+            }
+            fast.tick(&mut fast_mem, &mut fast_out);
+            slow.reference_tick(&mut slow_mem, &mut slow_out);
+            assert_eq!(fast_out, slow_out, "cycle {cycle}");
+        }
+        assert_eq!(fast_out.len(), 1, "the load issued once the word filled");
+        assert_eq!(fast.stats(), slow.stats());
     }
 }

@@ -22,6 +22,8 @@ pub struct Hmc {
     cfg: MemConfig,
     storage: Storage,
     vaults: Vec<VaultController>,
+    /// Scratch for [`tick_with`](Hmc::tick_with); empty between calls.
+    responses: Vec<MemResponse>,
 }
 
 impl Hmc {
@@ -40,6 +42,7 @@ impl Hmc {
             cfg,
             storage: Storage::new(),
             vaults,
+            responses: Vec::new(),
         }
     }
 
@@ -100,10 +103,9 @@ impl Hmc {
     /// per completion — the form the system simulator uses to route
     /// completions onto the network at the right vault.
     pub fn tick_with(&mut self, mut sink: impl FnMut(usize, MemResponse)) {
-        let mut buf = Vec::new();
         for (v, vault) in self.vaults.iter_mut().enumerate() {
-            vault.tick(&mut self.storage, &mut buf);
-            for resp in buf.drain(..) {
+            vault.tick(&mut self.storage, &mut self.responses);
+            for resp in self.responses.drain(..) {
                 sink(v, resp);
             }
         }
@@ -116,14 +118,15 @@ impl Hmc {
     }
 
     /// A sound lower bound on the next cycle any vault can act (see
-    /// [`VaultController::next_event`]). Always `Some`: refresh fires
-    /// every tREFI even when the stack is idle.
+    /// [`VaultController::next_event`]). There always is one: refresh
+    /// fires every tREFI even when the stack is idle.
     #[must_use]
-    pub fn next_event(&self) -> Option<Cycle> {
+    pub fn next_event(&self) -> Cycle {
         self.vaults
             .iter()
-            .filter_map(|v| v.next_event(&self.storage))
+            .map(|v| v.wake_bound(&self.storage))
             .min()
+            .expect("a validated stack has at least one vault")
     }
 
     /// Jumps every vault's clock to `to`, replaying per-cycle counters

@@ -103,6 +103,23 @@ impl MemRequest {
         }
     }
 
+    /// Bytes this request touches: the carried payload for writes,
+    /// `len` for everything else.
+    #[must_use]
+    pub fn payload_len(&self) -> usize {
+        if self.kind == RequestKind::Write {
+            self.data.len()
+        } else {
+            self.len
+        }
+    }
+
+    /// The half-open byte range `[addr, addr + payload_len)`.
+    #[must_use]
+    pub fn byte_range(&self) -> std::ops::Range<u64> {
+        self.addr..self.addr + self.payload_len() as u64
+    }
+
     /// Whether this request only makes forward progress when the word's
     /// full-empty bit permits.
     #[must_use]
@@ -218,6 +235,8 @@ mod tests {
 
         let w = MemRequest::write(2, 64, vec![1, 2, 3]);
         assert_eq!(w.len, 3);
+        assert_eq!(w.byte_range(), 64..67);
+        assert_eq!(r.byte_range(), 64..96);
         assert!(!w.kind.returns_data());
 
         let fl = MemRequest::fe_load(3, 8);

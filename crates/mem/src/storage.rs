@@ -25,6 +25,11 @@ pub struct Storage {
     pages: HashMap<u64, Box<[u8]>>,
     full_bits: HashSet<u64>,
     ecc: HashMap<u64, u8>,
+    /// Counts full-empty bit flips. Vault controllers compare it against
+    /// the value they last saw to learn that a parked full-empty
+    /// transaction may have become issuable — whoever flipped the bit.
+    /// Derived bookkeeping: not serialized.
+    fe_epoch: u64,
 }
 
 impl Storage {
@@ -109,11 +114,19 @@ impl Storage {
     /// Sets or clears the full-empty bit of the word containing `addr`.
     pub fn set_full(&mut self, addr: u64, full: bool) {
         let word = addr & !7;
-        if full {
-            self.full_bits.insert(word);
+        let flipped = if full {
+            self.full_bits.insert(word)
         } else {
-            self.full_bits.remove(&word);
-        }
+            self.full_bits.remove(&word)
+        };
+        self.fe_epoch += u64::from(flipped);
+    }
+
+    /// How many times any full-empty bit has changed value (see the
+    /// `fe_epoch` field).
+    #[must_use]
+    pub fn fe_epoch(&self) -> u64 {
+        self.fe_epoch
     }
 
     /// Bytes of storage actually materialized (diagnostics).
@@ -218,6 +231,7 @@ impl Snapshot for Storage {
             pages,
             full_bits,
             ecc,
+            fe_epoch: 0,
         })
     }
 }
@@ -261,6 +275,18 @@ mod tests {
         assert!(!s.is_full(136)); // next word
         s.set_full(130, false);
         assert!(!s.is_full(128));
+    }
+
+    #[test]
+    fn fe_epoch_counts_flips_only() {
+        let mut s = Storage::new();
+        s.set_full(8, false); // already empty
+        assert_eq!(s.fe_epoch(), 0);
+        s.set_full(8, true);
+        s.set_full(12, true); // same word, already full
+        assert_eq!(s.fe_epoch(), 1);
+        s.set_full(8, false);
+        assert_eq!(s.fe_epoch(), 2);
     }
 
     #[test]
