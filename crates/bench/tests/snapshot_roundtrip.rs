@@ -151,6 +151,36 @@ fn bp_tile_roundtrips_with_live_faults() {
     assert_restore_is_invisible(bp_tile, 20_000, Engine::Fast, Some(&faults));
 }
 
+/// Format anchor: the image's length and CRC-32 at two mid-kernel pause
+/// points of the BP tile, computed at the commit before the vault queue
+/// was re-laid bank-major (PR 12, `c06a880`). A round trip only proves
+/// that save and restore agree with each other; this proves the bytes
+/// are still the ones older builds wrote — the queue in arrival order,
+/// the completions in their `swap_remove` order. A PR that means to
+/// change the format bumps `FORMAT_VERSION` and re-derives these.
+#[test]
+fn bp_tile_image_bytes_are_anchored() {
+    // (pause cycle, queued transactions in the vault, bytes, CRC-32)
+    let anchors = [
+        (20_000, 20, 425_321, 0x1d55_8bf8_u32),
+        (22_000, 32, 424_913, 0xb64a_b7c5), // the queue is full
+    ];
+    for (pause_at, queued, bytes, crc) in anchors {
+        let (mut sys, limit) = bp_tile().into_system();
+        let outcome = sys.run_until(pause_at, limit).expect("paused run succeeds");
+        assert!(matches!(outcome, RunOutcome::Paused(_)), "{outcome:?}");
+        assert_eq!(sys.hmc().pending(0), queued, "cycle {pause_at}");
+        let image = sys.save_snapshot();
+        assert_eq!(image.len(), bytes, "cycle {pause_at}");
+        assert_eq!(
+            vip_snap::crc32(&image),
+            crc,
+            "cycle {pause_at}: {:#010x}",
+            vip_snap::crc32(&image)
+        );
+    }
+}
+
 #[test]
 fn restore_rejects_a_mismatched_configuration() {
     let (mut sys, _) = bp_tile().into_system();

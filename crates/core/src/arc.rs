@@ -47,7 +47,7 @@ impl ArcTable {
     /// ranges never overlap.
     #[must_use]
     pub fn overlaps(&self, start: usize, len: usize) -> bool {
-        if len == 0 {
+        if len == 0 || self.live == 0 {
             return false;
         }
         let end = start + len;

@@ -2,6 +2,7 @@
 //! columns and tracks up to 64 outstanding requests (§III-B).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vip_isa::{Reg, Trap};
 use vip_mem::{MemRequest, MemResponse, ReqId, RequestKind};
@@ -11,6 +12,30 @@ use crate::arc::ArcId;
 use crate::scalar::ScalarRegs;
 use crate::scratchpad::Scratchpad;
 use crate::ArcTable;
+
+/// Hasher for the LSU's id-keyed maps. The keys are counters the LSU
+/// mints itself, so one odd multiply (folded so both the bucket and the
+/// tag bits see every key bit) spreads them; SipHash's flood resistance
+/// buys nothing here and costs a lookup per request and per response.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("id maps hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// What an in-flight operation does when its responses arrive.
 #[derive(Debug)]
@@ -83,9 +108,9 @@ pub struct LoadStoreUnit {
     pe_id: u64,
     capacity: usize,
     granule: usize,
-    ops: HashMap<u64, LsuOp>,
+    ops: IdMap<LsuOp>,
     send_order: VecDeque<u64>,
-    in_flight: HashMap<ReqId, InFlight>,
+    in_flight: IdMap<InFlight>,
     next_op: u64,
     next_req: u64,
 }
@@ -101,9 +126,9 @@ impl LoadStoreUnit {
             pe_id: pe_id as u64,
             capacity,
             granule,
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             send_order: VecDeque::new(),
-            in_flight: HashMap::new(),
+            in_flight: IdMap::default(),
             next_op: 0,
             next_req: 0,
         }
@@ -487,14 +512,14 @@ impl LoadStoreUnit {
     /// Returns a [`SnapError`] on decode failure.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         let ops = r.usize()?;
-        self.ops = HashMap::with_capacity(ops.min(1024));
+        self.ops = IdMap::with_capacity_and_hasher(ops.min(1024), Default::default());
         for _ in 0..ops {
             let id = r.u64()?;
             self.ops.insert(id, LsuOp::restore(r)?);
         }
         self.send_order = VecDeque::restore(r)?;
         let in_flight = r.usize()?;
-        self.in_flight = HashMap::with_capacity(in_flight.min(1024));
+        self.in_flight = IdMap::with_capacity_and_hasher(in_flight.min(1024), Default::default());
         for _ in 0..in_flight {
             let id = r.u64()?;
             self.in_flight.insert(id, InFlight::restore(r)?);
@@ -516,6 +541,30 @@ mod tests {
             ScalarRegs::new(),
             ArcTable::new(20),
         )
+    }
+
+    #[test]
+    fn id_hasher_spreads_a_window_of_request_ids() {
+        // hashbrown takes the bucket from the low bits and the tag from
+        // the top seven: 64 consecutive ids of one PE (a full LSQ) must
+        // not pile up in either.
+        let hash = |id: u64| {
+            let mut h = IdHasher::default();
+            h.write_u64(id);
+            h.finish()
+        };
+        for pe in [0u64, 3, 127] {
+            for base in [0u64, 1 << 20, 0xffff_ffc0] {
+                let ids = (0..64).map(|n| (pe << 32) | (base + n));
+                let (mut buckets, mut tags) = (0u128, 0u128);
+                for h in ids.map(hash) {
+                    buckets |= 1 << (h & 127);
+                    tags |= 1 << (h >> 57);
+                }
+                assert!(buckets.count_ones() >= 40, "pe {pe} base {base:#x}");
+                assert!(tags.count_ones() >= 32, "pe {pe} base {base:#x}");
+            }
+        }
     }
 
     #[test]

@@ -441,19 +441,12 @@ impl System {
                 self.hmc.enqueue(vault, req).expect("checked can_accept");
             }
             // Inject queued completions onto the torus.
-            while let Some((pe, resp)) = self.vault_egress[vault].front() {
-                let dst = pe / pes_per_vault;
-                let bytes = resp_bytes(resp);
-                let (pe, resp) = (*pe, resp.clone());
-                match self
-                    .net
-                    .inject(vault, dst, bytes, SysMsg::Resp { pe, resp })
-                {
-                    Ok(()) => {
-                        self.vault_egress[vault].pop_front();
-                    }
-                    Err(_) => break,
-                }
+            while !self.vault_egress[vault].is_empty() && self.net.can_inject(vault) {
+                let (pe, resp) = self.vault_egress[vault].pop_front().expect("front exists");
+                let bytes = resp_bytes(&resp);
+                self.net
+                    .inject(vault, pe / pes_per_vault, bytes, SysMsg::Resp { pe, resp })
+                    .expect("checked can_inject");
             }
         }
 

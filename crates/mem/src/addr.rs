@@ -136,6 +136,7 @@ impl AddressMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vip_rng::{for_each_seed, SplitMix64};
 
     #[test]
     fn vault_high_keeps_vault_regions_contiguous() {
@@ -204,5 +205,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What lets the vault controller keep its conflict bookkeeping per
+    /// bank: two requests that each pass `enqueue`'s granule assert and
+    /// share a byte sit in the same row of the same bank, so an
+    /// overlapping older request is always found in the newcomer's lane.
+    #[test]
+    fn overlapping_requests_share_vault_bank_and_row() {
+        let mut presets = MemConfig::figure5_sweep();
+        presets.push(MemConfig::with_hmc_packets());
+        for_each_seed("overlapping_requests_share", 0x0b4a_4000, 8, |seed| {
+            let mut rng = SplitMix64::new(seed);
+            for preset in &presets {
+                for mapping in [
+                    AddressMapping::VaultRowBankCol,
+                    AddressMapping::LowInterleave,
+                ] {
+                    let cfg = MemConfig {
+                        mapping,
+                        ..preset.clone()
+                    };
+                    let granule = cfg.request_granule() as u64;
+                    let legal = |addr: u64, len: u64| (addr % granule) + len <= granule;
+                    let mut pairs = 0;
+                    while pairs < 200 {
+                        let (a, b) = (
+                            rng.below(cfg.total_bytes() - 2 * granule) + granule,
+                            rng.below(2 * granule),
+                        );
+                        let b = a + b - granule;
+                        let (a_len, b_len) = (1 + rng.below(granule), 1 + rng.below(granule));
+                        let overlap = a < b + b_len && b < a + a_len;
+                        if !(legal(a, a_len) && legal(b, b_len) && overlap) {
+                            continue;
+                        }
+                        pairs += 1;
+                        let place = |addr| {
+                            let d = mapping.decode(&cfg, addr);
+                            (d.vault, d.bank, d.row)
+                        };
+                        for addr in [a + a_len - 1, b, b + b_len - 1] {
+                            assert_eq!(
+                                place(addr),
+                                place(a),
+                                "{mapping:?} {}: [{a:#x}; {a_len}] and [{b:#x}; {b_len}]",
+                                cfg.name
+                            );
+                        }
+                    }
+                }
+            }
+        });
     }
 }

@@ -1,8 +1,6 @@
 //! The vault controller: transaction queueing, FR-FCFS command
 //! scheduling, refresh, and full-empty atomics.
 
-use std::collections::VecDeque;
-
 use crate::addr::DecodedAddr;
 use crate::bank::Bank;
 use crate::config::{MemConfig, RowPolicy};
@@ -25,6 +23,8 @@ struct Txn {
     /// must not pass. A function of the queue's contents: rebuilt on
     /// restore, never serialized.
     older_conflicts: usize,
+    /// Arrival number, the age order across lanes. Derived likewise.
+    seq: u64,
 }
 
 /// Whether two transactions must keep their queue order: plain ones
@@ -54,7 +54,8 @@ impl Snapshot for Txn {
             decoded: DecodedAddr::restore(r)?,
             enqueued: r.u64()?,
             caused_act: r.bool()?,
-            older_conflicts: 0, // `restore_state` recounts
+            older_conflicts: 0, // `restore_state` recounts and renumbers
+            seq: 0,
         })
     }
 }
@@ -82,6 +83,73 @@ impl Snapshot for PendingCompletion {
     }
 }
 
+/// A bank's cached candidate for the scheduler: the oldest unparked
+/// transaction of one of the two classes the bank's row state splits its
+/// lane into. A class shares one bank-level `ready_at`, so its oldest
+/// stands for all of it.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    /// First cycle the bank lets the class's next command issue;
+    /// `Cycle::MAX` when the class has no unparked transaction.
+    ready_at: Cycle,
+    seq: u64,
+    /// Index into the lane.
+    pos: usize,
+}
+
+impl Head {
+    const NONE: Head = Head {
+        ready_at: Cycle::MAX,
+        seq: u64::MAX,
+        pos: 0,
+    };
+}
+
+/// One bank's share of the transaction queue, oldest first, with the
+/// scheduler's view of it. Only the transactions are state; the rest is
+/// derived from them, the bank and the full-empty bits.
+#[derive(Debug)]
+struct Lane {
+    txns: Vec<Txn>,
+    /// Oldest unparked transaction to the bank's open row (a column).
+    hit: Head,
+    /// Oldest unparked transaction needing a precharge or an activate.
+    work: Head,
+    /// The heads predate something that touched this bank: an enqueue
+    /// to it, a command on it, a refresh, or a full-empty flip.
+    dirty: bool,
+}
+
+/// Whether `txn` cannot act until something else releases it: an
+/// older conflicting transaction's column issue (a command on its bank)
+/// or a flip of its full-empty bit (a bump of the storage's epoch).
+/// Either dirties its lane and re-derives the wake bound, so a parked
+/// transaction contributes no candidate of its own. Exactly one side of
+/// a full-empty load/store pair is permitted at any time, so a queued
+/// pair always produces one.
+fn parked(storage: &Storage, txn: &Txn) -> bool {
+    txn.older_conflicts > 0 || !fe_permits(storage, &txn.req)
+}
+
+/// The first cycle `bank` lets the next DRAM command toward `row` — a
+/// column if it is the open row, else the precharge or activate that
+/// leads there — issue.
+fn ready_at(bank: &Bank, row: u64) -> Cycle {
+    match bank.open_row() {
+        Some(open) if open == row => bank.earliest_column(),
+        Some(_) => bank.earliest_precharge(),
+        None => bank.earliest_activate(),
+    }
+}
+
+fn fe_permits(storage: &Storage, req: &MemRequest) -> bool {
+    match req.kind {
+        RequestKind::FeLoad => storage.is_full(req.addr),
+        RequestKind::FeStore => !storage.is_full(req.addr),
+        _ => true,
+    }
+}
+
 /// Cycle-level model of one HMC vault: a transaction queue in front of 16
 /// independently-controlled banks sharing one 10 GB/s data path.
 ///
@@ -102,8 +170,21 @@ pub struct VaultController {
     vault: usize,
     cfg: MemConfig,
     banks: Vec<Bank>,
-    queue: VecDeque<Txn>,
+    /// The transaction queue, dealt by bank (`lanes[b]` fronts
+    /// `banks[b]`): bank state alone decides what a queued transaction
+    /// may do next, so the scheduler asks each bank, not each of them.
+    lanes: Vec<Lane>,
+    /// Banks whose lane is non-empty, in no particular order (every
+    /// choice among them is by `seq` or by minimum).
+    occupied: Vec<usize>,
+    /// Transactions queued over all lanes.
+    queued: usize,
+    next_seq: u64,
     completions: Vec<PendingCompletion>,
+    /// Earliest `at` among `completions`, `Cycle::MAX` when none. Bursts
+    /// are serialized on the data bus, so each push is later than every
+    /// pending one and never lowers it. Derived, never serialized.
+    next_done: Cycle,
     now: Cycle,
     next_refresh: Cycle,
     refresh_pending: bool,
@@ -114,9 +195,9 @@ pub struct VaultController {
     /// the last active tick: every tick strictly before it only bumps
     /// `busy_cycles`. `0` is "unknown". Derived, never serialized.
     wake: Cycle,
-    /// The storage's full-empty epoch `wake` was computed under; a flip
-    /// since then (by anyone) may have released a parked transaction,
-    /// so the bound no longer holds.
+    /// The storage's full-empty epoch `wake` and the lanes' heads were
+    /// computed under; a flip since then (by anyone) may have released
+    /// or parked a transaction, so neither holds.
     fe_seen: u64,
 }
 
@@ -130,13 +211,23 @@ impl VaultController {
     pub fn new(vault: usize, cfg: MemConfig) -> Self {
         cfg.validate().expect("valid memory configuration");
         let banks = vec![Bank::new(); cfg.banks_per_vault];
+        let lane = |_| Lane {
+            txns: Vec::new(),
+            hit: Head::NONE,
+            work: Head::NONE,
+            dirty: false,
+        };
         let next_refresh = cfg.timing.t_refi();
         VaultController {
             vault,
             cfg,
+            lanes: banks.iter().map(lane).collect(),
             banks,
-            queue: VecDeque::new(),
+            occupied: Vec::new(),
+            queued: 0,
+            next_seq: 0,
             completions: Vec::new(),
+            next_done: Cycle::MAX,
             now: 0,
             next_refresh,
             refresh_pending: false,
@@ -157,7 +248,7 @@ impl VaultController {
     /// Number of queued (unissued) transactions.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queued
     }
 
     /// Wires (or removes) retention-fault injection at runtime.
@@ -168,13 +259,13 @@ impl VaultController {
     /// Whether the transaction queue can accept another request.
     #[must_use]
     pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.cfg.trans_queue_depth
+        self.queued < self.cfg.trans_queue_depth
     }
 
     /// Whether no work is queued or in flight.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.completions.is_empty()
+        self.queued == 0 && self.completions.is_empty()
     }
 
     /// Statistics snapshot (with `elapsed_cycles` set to the current
@@ -220,27 +311,44 @@ impl VaultController {
             "request at {:#x} routed to vault {} but maps to vault {}",
             req.addr, self.vault, decoded.vault
         );
-        let older_conflicts = self
-            .queue
-            .iter()
-            .filter(|t| conflicts(&t.req, &req))
-            .count();
+        // The request stays inside one granule (asserted above) and a
+        // granule inside one row of one bank (every mapping's property,
+        // tested in `addr`): whatever overlaps it is in this bank's lane.
+        let lane = &self.lanes[decoded.bank];
+        let older_conflicts = lane.txns.iter().filter(|t| conflicts(&t.req, &req)).count();
         let txn = Txn {
             req,
             decoded,
             enqueued: self.now,
             caused_act: false,
             older_conflicts,
+            seq: 0, // `push` numbers it
         };
         if older_conflicts == 0 {
             // The newcomer may act as soon as its bank allows (a parked
             // full-empty one is assumed free to: early wake is harmless).
             // A blocked one waits on an older column issue, an event
             // that recomputes the bound anyway.
-            self.wake = self.wake.min(self.ready_at(&txn));
+            self.wake = self
+                .wake
+                .min(ready_at(&self.banks[decoded.bank], decoded.row));
         }
-        self.queue.push_back(txn);
+        self.push(txn);
         Ok(())
+    }
+
+    /// Appends `txn`, the youngest, to its bank's lane.
+    fn push(&mut self, mut txn: Txn) {
+        txn.seq = self.next_seq;
+        let bank = txn.decoded.bank;
+        let lane = &mut self.lanes[bank];
+        if lane.txns.is_empty() {
+            self.occupied.push(bank);
+        }
+        lane.txns.push(txn);
+        lane.dirty = true;
+        self.queued += 1;
+        self.next_seq += 1;
     }
 
     /// Advances one cycle: retires matured completions into `out`, then
@@ -263,12 +371,55 @@ impl VaultController {
             return;
         }
 
-        // Retire matured completions.
         let now = self.now;
-        let mut next_done = Cycle::MAX;
+        if now >= self.next_done {
+            self.retire(out);
+        }
+        if self.fe_seen != storage.fe_epoch() {
+            // A flip since the heads were computed: any lane may hold a
+            // transaction it parked or released.
+            self.fe_seen = storage.fe_epoch();
+            for &bank in &self.occupied {
+                self.lanes[bank].dirty = true;
+            }
+        }
+
+        let next_command = if now < self.refresh_until {
+            // Refresh in progress: the whole vault is blocked.
+            self.refresh_until
+        } else {
+            if now >= self.next_refresh {
+                self.refresh_pending = true;
+            }
+            if !self.refresh_pending {
+                self.schedule(storage)
+            } else if self.try_start_refresh() {
+                self.refresh_until
+            } else {
+                // Work toward refresh: precharge one open bank, else
+                // wait while banks drain tRAS/tWR. Nothing else may
+                // issue, so the refresh starts promptly; the window is
+                // tightly bounded, so step through it.
+                self.issue_precharge_for_refresh();
+                now + 1
+            }
+        };
+        self.wake = next_command.min(self.next_done).max(now + 1);
+        debug_assert_eq!(
+            self.wake,
+            self.scan_next_event(storage),
+            "vault {}: bank heads disagree with the queue",
+            self.vault
+        );
+    }
+
+    /// Retires matured completions (in `swap_remove` order, which is
+    /// serialized state). Runs only on a cycle one matures.
+    fn retire(&mut self, out: &mut Vec<MemResponse>) {
+        self.next_done = Cycle::MAX;
         let mut i = 0;
         while i < self.completions.len() {
-            if self.completions[i].at <= now {
+            if self.completions[i].at <= self.now {
                 let done = self.completions.swap_remove(i);
                 self.stats.total_latency_cycles += done.latency;
                 match done.response.kind {
@@ -282,36 +433,10 @@ impl VaultController {
                 }
                 out.push(done.response);
             } else {
-                next_done = next_done.min(self.completions[i].at);
+                self.next_done = self.next_done.min(self.completions[i].at);
                 i += 1;
             }
         }
-
-        let idle_until = if now < self.refresh_until {
-            // Refresh in progress: the whole vault is blocked.
-            Some(self.refresh_until)
-        } else {
-            if now >= self.next_refresh {
-                self.refresh_pending = true;
-            }
-            if self.refresh_pending {
-                // Work toward refresh: start it, else precharge one open
-                // bank, else wait while banks drain tRAS/tWR. Nothing
-                // else may issue, so the refresh starts promptly.
-                if !self.try_start_refresh() {
-                    self.issue_precharge_for_refresh();
-                }
-                None
-            } else {
-                self.schedule(storage)
-            }
-        };
-        self.wake = match idle_until {
-            Some(next_command) => next_done.min(next_command),
-            // A command changed bank, queue or completion state.
-            None => self.scan_next_event(storage),
-        };
-        self.fe_seen = storage.fe_epoch();
     }
 
     /// A sound lower bound on the next cycle at which this vault can do
@@ -328,7 +453,7 @@ impl VaultController {
     /// *early*, never late.
     ///
     /// Reads the bound the last active tick cached (see `wake`) while it
-    /// holds; rescans the queue only after something invalidated it.
+    /// holds; walks the queue only after something invalidated it.
     #[must_use]
     pub fn next_event(&self, storage: &Storage) -> Option<Cycle> {
         Some(self.wake_bound(storage))
@@ -343,14 +468,20 @@ impl VaultController {
         }
     }
 
-    /// [`next_event`](Self::next_event) computed from scratch.
+    /// [`next_event`](Self::next_event) computed from scratch, from the
+    /// transactions and completions themselves and none of what is
+    /// cached about them: the slow path, and what debug builds hold
+    /// every active tick's bound against.
     fn scan_next_event(&self, storage: &Storage) -> Cycle {
         // Completions retire when their cycle matures, even mid-refresh.
-        let next_done = self.completions.iter().map(|done| done.at).min();
-        let next = self
-            .command_wake(storage)
-            .min(next_done.unwrap_or(Cycle::MAX));
+        let next = self.command_wake(storage).min(self.earliest_completion());
         next.max(self.now + 1)
+    }
+
+    /// What `next_done` caches, from the completions themselves.
+    fn earliest_completion(&self) -> Cycle {
+        let at = self.completions.iter().map(|done| done.at);
+        at.min().unwrap_or(Cycle::MAX)
     }
 
     /// The earliest cycle the command side (refresh and the scheduler)
@@ -368,34 +499,12 @@ impl VaultController {
         }
         // Refresh fires every tREFI regardless of load (the counter
         // must match a cycle-by-cycle run exactly).
-        self.queue
+        self.occupied
             .iter()
-            .filter(|txn| !self.parked(storage, txn))
-            .map(|txn| self.ready_at(txn))
+            .flat_map(|&bank| &self.lanes[bank].txns)
+            .filter(|txn| !parked(storage, txn))
+            .map(|txn| ready_at(&self.banks[txn.decoded.bank], txn.decoded.row))
             .fold(self.next_refresh, Cycle::min)
-    }
-
-    /// Whether `txn` cannot act until something else releases it: an
-    /// older conflicting transaction's column issue (an active tick of
-    /// this vault) or a flip of its full-empty bit (a bump of the
-    /// storage's epoch). Either re-derives the wake bound, so a parked
-    /// transaction contributes no candidate of its own. Exactly one
-    /// side of a full-empty load/store pair is permitted at any time,
-    /// so a queued pair always produces one.
-    fn parked(&self, storage: &Storage, txn: &Txn) -> bool {
-        txn.older_conflicts > 0 || !self.fe_permits(storage, &txn.req)
-    }
-
-    /// The first cycle `txn`'s next DRAM command — a column to its open
-    /// row, else the precharge or activate that leads there — may
-    /// issue, as far as its bank is concerned.
-    fn ready_at(&self, txn: &Txn) -> Cycle {
-        let bank = &self.banks[txn.decoded.bank];
-        match bank.open_row() {
-            Some(row) if row == txn.decoded.row => bank.earliest_column(),
-            Some(_) => bank.earliest_precharge(),
-            None => bank.earliest_activate(),
-        }
     }
 
     /// Jumps the vault's clock to `to`, replaying the per-cycle counters
@@ -406,7 +515,7 @@ impl VaultController {
     /// linearly.
     pub fn skip_to(&mut self, to: Cycle) {
         debug_assert!(to >= self.now);
-        if !self.queue.is_empty() || !self.completions.is_empty() {
+        if !self.is_idle() {
             self.stats.busy_cycles += to - self.now;
         }
         self.now = to;
@@ -426,7 +535,7 @@ impl VaultController {
     /// Panics in debug builds if the vault still has queued or
     /// in-flight work — idle means idle.
     pub fn advance_idle(&mut self, to: Cycle) {
-        debug_assert!(self.queue.is_empty() && self.completions.is_empty());
+        debug_assert!(self.is_idle());
         if to <= self.now {
             return;
         }
@@ -443,14 +552,28 @@ impl VaultController {
     }
 
     /// Serializes every piece of mutable controller state: bank state
-    /// machines, the transaction queue, pending completions (in their
-    /// exact in-memory order — retirement uses `swap_remove`, so the
-    /// order is architecturally significant), the refresh machinery,
-    /// the shared-bus reservation, counters, and the runtime-settable
-    /// fault configuration.
+    /// machines, the transaction queue (the lanes merged back into
+    /// arrival order), pending completions (in their exact in-memory
+    /// order — retirement uses `swap_remove`, so the order is
+    /// architecturally significant), the refresh machinery, the
+    /// shared-bus reservation, counters, and the runtime-settable fault
+    /// configuration.
     pub fn save_state(&self, w: &mut Writer) {
         self.banks.save(w);
-        self.queue.save(w);
+        w.usize(self.queued);
+        let mut from = 0;
+        for _ in 0..self.queued {
+            // Lanes are `seq`-ordered: each one's next is its first
+            // transaction not yet written.
+            let next = self
+                .occupied
+                .iter()
+                .filter_map(|&bank| self.lanes[bank].txns.iter().find(|t| t.seq >= from))
+                .min_by_key(|t| t.seq)
+                .expect("`queued` counts the lanes' transactions");
+            next.save(w);
+            from = next.seq + 1;
+        }
         self.completions.save(w);
         w.u64(self.now);
         w.u64(self.next_refresh);
@@ -467,14 +590,18 @@ impl VaultController {
     /// # Errors
     ///
     /// Returns a [`SnapError`] on decode failure or if the snapshot's
-    /// bank count disagrees with this controller's geometry.
+    /// bank count, or a queued transaction's bank, disagrees with this
+    /// controller's geometry.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         let banks = Vec::<Bank>::restore(r)?;
         if banks.len() != self.banks.len() {
             return Err(SnapError::Corrupt("bank count mismatch"));
         }
         self.banks = banks;
-        self.queue = VecDeque::restore(r)?;
+        let queue = Vec::<Txn>::restore(r)?;
+        if queue.iter().any(|t| t.decoded.bank >= self.lanes.len()) {
+            return Err(SnapError::Corrupt("queued transaction's bank out of range"));
+        }
         self.completions = Vec::restore(r)?;
         self.now = r.u64()?;
         self.next_refresh = r.u64()?;
@@ -483,11 +610,16 @@ impl VaultController {
         self.bus_free_at = r.u64()?;
         self.stats = MemStats::restore(r)?;
         self.cfg.faults = Option::restore(r)?;
-        for i in 0..self.queue.len() {
-            let req = &self.queue[i].req;
-            let older = self.queue.iter().take(i);
-            self.queue[i].older_conflicts = older.filter(|o| conflicts(&o.req, req)).count();
+        // Re-deal the queue into lanes and rebuild everything derived.
+        self.lanes.iter_mut().for_each(|lane| lane.txns.clear());
+        self.occupied.clear();
+        (self.queued, self.next_seq) = (0, 0);
+        for mut txn in queue {
+            let older = self.lanes[txn.decoded.bank].txns.iter();
+            txn.older_conflicts = older.filter(|o| conflicts(&o.req, &txn.req)).count();
+            self.push(txn);
         }
+        self.next_done = self.earliest_completion();
         self.wake = 0;
         Ok(())
     }
@@ -498,6 +630,11 @@ impl VaultController {
             let until = now + self.cfg.timing.t_rfc();
             for bank in &mut self.banks {
                 bank.block_until(until);
+            }
+            // Every bank's deadlines moved, and the precharges leading
+            // here closed rows behind the heads' backs.
+            for &bank in &self.occupied {
+                self.lanes[bank].dirty = true;
             }
             self.refresh_until = until;
             self.next_refresh += self.cfg.timing.t_refi();
@@ -517,58 +654,87 @@ impl VaultController {
         }
     }
 
-    /// FR-FCFS in one walk of the queue: issue the oldest ready row-hit
-    /// column; failing that, do the row work (precharge a conflicting
-    /// row, or activate) of the oldest transaction whose bank permits
-    /// it now. Parked full-empty transactions take no part — opening
-    /// their row would be wasted work and can livelock conflicting
-    /// rows. When nothing can issue, returns the earliest cycle
-    /// something could (the walk has seen every candidate).
-    fn schedule(&mut self, storage: &mut Storage) -> Option<Cycle> {
+    /// FR-FCFS over the occupied banks' heads: issue the oldest ready
+    /// row-hit column; failing that, do the row work (precharge a
+    /// conflicting row, or activate) of the oldest transaction whose
+    /// bank permits it now. Parked transactions are nobody's head —
+    /// opening a parked full-empty one's row would be wasted work and
+    /// can livelock conflicting rows. Returns the earliest cycle the
+    /// queue or the refresh timer can next act: the pass has seen every
+    /// bank's heads, and a command changes only its own bank's.
+    fn schedule(&mut self, storage: &mut Storage) -> Cycle {
         let now = self.now;
-        let mut idle_until = self.next_refresh;
-        let mut row_work = None;
-        let mut hit = None;
-        for (idx, txn) in self.queue.iter().enumerate() {
-            if self.parked(storage, txn) {
-                continue;
+        let (mut hit, mut work) = (Head::NONE, Head::NONE);
+        let (mut hit_bank, mut work_bank) = (0, 0);
+        // The earliest head, its bank, and the earliest outside it.
+        let (mut first, mut first_bank, mut second) = (Cycle::MAX, usize::MAX, Cycle::MAX);
+        for i in 0..self.occupied.len() {
+            let bank = self.occupied[i];
+            if self.lanes[bank].dirty {
+                self.rehead(bank, storage);
             }
-            let ready_at = self.ready_at(txn);
-            if ready_at > now {
-                idle_until = idle_until.min(ready_at);
-            } else if self.banks[txn.decoded.bank].can_access(now, txn.decoded.row) {
-                hit = Some(idx);
-                break;
-            } else if row_work.is_none() {
-                row_work = Some(idx);
+            let lane = &self.lanes[bank];
+            if lane.hit.ready_at <= now && lane.hit.seq < hit.seq {
+                (hit, hit_bank) = (lane.hit, bank);
+            }
+            if lane.work.ready_at <= now && lane.work.seq < work.seq {
+                (work, work_bank) = (lane.work, bank);
+            }
+            let soonest = lane.hit.ready_at.min(lane.work.ready_at);
+            if soonest < first {
+                (second, first, first_bank) = (first, soonest, bank);
+            } else {
+                second = second.min(soonest);
             }
         }
-        if let Some(idx) = hit {
-            self.issue_column(idx, storage);
-            return None;
-        }
-        let Some(idx) = row_work else {
-            return Some(idle_until);
-        };
-        let timing = self.cfg.timing;
-        let row = self.queue[idx].decoded.row;
-        let bank = &mut self.banks[self.queue[idx].decoded.bank];
-        if bank.open_row().is_some() {
-            bank.precharge(now, &timing);
-            self.stats.row_conflicts += 1;
+        let bank = if hit.ready_at <= now {
+            self.issue_column(hit_bank, hit.pos, storage);
+            hit_bank
+        } else if work.ready_at <= now {
+            let timing = self.cfg.timing;
+            let txn = &mut self.lanes[work_bank].txns[work.pos];
+            let bank = &mut self.banks[work_bank];
+            if bank.open_row().is_some() {
+                bank.precharge(now, &timing);
+                self.stats.row_conflicts += 1;
+            } else {
+                bank.activate(now, txn.decoded.row, &timing);
+                txn.caused_act = true;
+                self.stats.row_misses += 1;
+            }
+            work_bank
         } else {
-            bank.activate(now, row, &timing);
-            self.queue[idx].caused_act = true;
-            self.stats.row_misses += 1;
-        }
-        None
+            return first.min(self.next_refresh);
+        };
+        // A full-empty column flipped its word's bit: whatever that parks
+        // or releases names the same word, so sits in this lane.
+        self.fe_seen = storage.fe_epoch();
+        self.rehead(bank, storage);
+        let lane = &self.lanes[bank];
+        let others = if bank == first_bank { second } else { first };
+        others
+            .min(lane.hit.ready_at)
+            .min(lane.work.ready_at)
+            .min(self.next_refresh)
     }
 
-    fn fe_permits(&self, storage: &Storage, req: &MemRequest) -> bool {
-        match req.kind {
-            RequestKind::FeLoad => storage.is_full(req.addr),
-            RequestKind::FeStore => !storage.is_full(req.addr),
-            _ => true,
+    /// Recomputes `bank`'s heads from its lane, its row state and the
+    /// full-empty bits.
+    fn rehead(&mut self, bank: usize, storage: &Storage) {
+        let state = &self.banks[bank];
+        let lane = &mut self.lanes[bank];
+        (lane.hit, lane.work, lane.dirty) = (Head::NONE, Head::NONE, false);
+        for (pos, txn) in lane.txns.iter().enumerate() {
+            if parked(storage, txn) {
+                continue;
+            }
+            let row = txn.decoded.row;
+            let hits = state.open_row() == Some(row);
+            let head = if hits { &mut lane.hit } else { &mut lane.work };
+            if head.ready_at == Cycle::MAX {
+                let (ready_at, seq) = (ready_at(state, row), txn.seq);
+                *head = Head { ready_at, seq, pos };
+            }
         }
     }
 
@@ -625,10 +791,18 @@ impl VaultController {
         (storage.read_vec(addr, len), poisoned)
     }
 
-    fn issue_column(&mut self, idx: usize, storage: &mut Storage) {
-        let mut txn = self.queue.remove(idx).expect("index in range");
-        for younger in self.queue.iter_mut().skip(idx) {
+    /// Issues the column command of `lanes[bank].txns[pos]` and takes
+    /// the transaction off the queue.
+    fn issue_column(&mut self, bank: usize, pos: usize, storage: &mut Storage) {
+        let lane = &mut self.lanes[bank];
+        let txn = lane.txns.remove(pos);
+        debug_assert!(self.banks[bank].can_access(self.now, txn.decoded.row));
+        for younger in &mut lane.txns[pos..] {
             younger.older_conflicts -= usize::from(conflicts(&txn.req, &younger.req));
+        }
+        self.queued -= 1;
+        if lane.txns.is_empty() {
+            self.occupied.retain(|&b| b != bank);
         }
         let now = self.now;
         let timing = self.cfg.timing;
@@ -708,7 +882,7 @@ impl VaultController {
             self.banks[txn.decoded.bank].auto_precharge_at(pre_at, &timing);
         }
 
-        txn.caused_act = false;
+        self.next_done = self.next_done.min(burst_end);
         self.completions.push(PendingCompletion {
             at: burst_end,
             response,
@@ -1006,15 +1180,19 @@ mod tests {
 
     // ---- scheduler oracle ------------------------------------------
     //
-    // The scheduler as it stood before it became incremental, kept
-    // verbatim as the reference the production `tick` is differentially
-    // tested against: every transaction re-derives its older-conflict
-    // test by scanning the queue ahead of it, the queue is walked twice
-    // a cycle, and nothing is ever skipped.
+    // The scheduler as it stood before it became incremental and then
+    // bank-major, kept as the reference the production `tick` is
+    // differentially tested against: it sees the queue as one
+    // age-ordered list, every transaction re-derives its older-conflict
+    // test by scanning the whole list ahead of it (whatever bank that
+    // is in), the list is walked twice a cycle, every completion is
+    // looked at every cycle, and nothing is ever skipped. It shares the
+    // lanes as storage and `issue_column` as the DRAM-side effect of a
+    // column command, and none of the heads, counts or bounds.
     impl VaultController {
         fn reference_tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
             self.now += 1;
-            if !self.queue.is_empty() || !self.completions.is_empty() {
+            if self.lanes.iter().any(|lane| !lane.txns.is_empty()) || !self.completions.is_empty() {
                 self.stats.busy_cycles += 1;
             }
             let now = self.now;
@@ -1050,13 +1228,23 @@ mod tests {
             self.reference_schedule(storage);
         }
 
-        fn reference_older_conflict(&self, idx: usize) -> bool {
-            let txn = &self.queue[idx];
+        /// The single age-ordered queue, as `(bank, lane position)`.
+        fn reference_queue(&self) -> Vec<(usize, usize)> {
+            let mut queue: Vec<(usize, usize)> = (0..self.lanes.len())
+                .flat_map(|bank| (0..self.lanes[bank].txns.len()).map(move |pos| (bank, pos)))
+                .collect();
+            queue.sort_by_key(|&(bank, pos)| self.lanes[bank].txns[pos].seq);
+            queue
+        }
+
+        fn reference_older_conflict(&self, queue: &[(usize, usize)], idx: usize) -> bool {
+            let txn = &self.lanes[queue[idx].0].txns[queue[idx].1];
             if txn.req.is_full_empty() {
                 return false;
             }
             let (start, end) = (txn.req.addr, txn.req.addr + txn.req.payload_len() as u64);
-            self.queue.iter().take(idx).any(|older| {
+            queue[..idx].iter().any(|&(bank, pos)| {
+                let older = &self.lanes[bank].txns[pos];
                 !older.req.is_full_empty()
                     && start < older.req.addr + older.req.payload_len() as u64
                     && older.req.addr < end
@@ -1065,21 +1253,23 @@ mod tests {
 
         fn reference_schedule(&mut self, storage: &mut Storage) {
             let now = self.now;
-            let hit_idx = (0..self.queue.len()).find(|&i| {
-                let txn = &self.queue[i];
+            let queue = self.reference_queue();
+            let hit_idx = (0..queue.len()).find(|&i| {
+                let txn = &self.lanes[queue[i].0].txns[queue[i].1];
                 self.banks[txn.decoded.bank].can_access(now, txn.decoded.row)
-                    && self.fe_permits(storage, &txn.req)
-                    && !self.reference_older_conflict(i)
+                    && fe_permits(storage, &txn.req)
+                    && !self.reference_older_conflict(&queue, i)
             });
             if let Some(idx) = hit_idx {
-                self.issue_column(idx, storage);
+                self.issue_column(queue[idx].0, queue[idx].1, storage);
                 return;
             }
-            for idx in 0..self.queue.len() {
-                let (bank_idx, row) = (self.queue[idx].decoded.bank, self.queue[idx].decoded.row);
-                if !self.fe_permits(storage, &self.queue[idx].req)
-                    || self.reference_older_conflict(idx)
-                {
+            for idx in 0..queue.len() {
+                let (bank_idx, pos) = queue[idx];
+                let txn = &self.lanes[bank_idx].txns[pos];
+                assert_eq!(txn.decoded.bank, bank_idx, "dealt to the wrong lane");
+                let row = txn.decoded.row;
+                if !fe_permits(storage, &txn.req) || self.reference_older_conflict(&queue, idx) {
                     continue;
                 }
                 let timing = self.cfg.timing;
@@ -1093,7 +1283,7 @@ mod tests {
                     }
                     None if bank.can_activate(now) => {
                         bank.activate(now, row, &timing);
-                        self.queue[idx].caused_act = true;
+                        self.lanes[bank_idx].txns[pos].caused_act = true;
                         self.stats.row_misses += 1;
                         return;
                     }
@@ -1109,26 +1299,35 @@ mod tests {
         }
     }
 
-    /// A request stream built to collide: a handful of columns over two
-    /// rows of two banks, partial-column writes at 8-byte offsets, and
-    /// full-empty load/store pairs queued in either order.
+    /// A request stream built to collide: a handful of request granules
+    /// over two rows of `banks` banks (strided over the vault's, so high
+    /// bank numbers occur), partial-granule writes at 8-byte offsets,
+    /// and full-empty load/store pairs queued in either order.
     fn random_requests(
         rng: &mut SplitMix64,
         cfg: &MemConfig,
+        banks: usize,
         next_id: &mut u64,
     ) -> Vec<MemRequest> {
         let mut id = || {
             *next_id += 1;
             *next_id
         };
-        let bank = rng.below(2) * cfg.row_bytes as u64;
-        let row = rng.below(2) * (cfg.banks_per_vault * cfg.row_bytes) as u64;
+        let banks = banks.min(cfg.banks_per_vault);
         let granule = cfg.request_granule() as u64;
-        let column = bank + row + rng.below(3) * granule;
+        let granules_per_row = cfg.row_bytes as u64 / granule;
+        let mut place = DecodedAddr {
+            vault: 0,
+            bank: rng.below(banks as u64) as usize * (cfg.banks_per_vault / banks),
+            row: rng.below(2),
+            col: rng.below(granules_per_row.min(3)) * (granule / cfg.col_bytes as u64),
+            offset: 0,
+        };
         match rng.below(10) {
             0 => {
-                // Sync words live past the plain columns' granules.
-                let word = column + 4 * granule + 8 * rng.below(2);
+                // Sync words live two rows past the plain granules.
+                place.row += 2;
+                let word = cfg.mapping.encode(cfg, place) + 8 * rng.below(2);
                 let pair = [
                     MemRequest::fe_load(id(), word),
                     MemRequest::fe_store(id(), word, rng.next_u64()),
@@ -1140,6 +1339,7 @@ mod tests {
                 }
             }
             kind => {
+                let column = cfg.mapping.encode(cfg, place);
                 let offset = 8 * rng.below(granule / 8);
                 let len = 8 * (1 + rng.below((granule - offset) / 8)) as usize;
                 vec![if kind < 5 {
@@ -1159,7 +1359,7 @@ mod tests {
     /// bound must come back without being in the bytes), and the copy
     /// carries on. Now and then it jumps with `next_event`/`skip_to`
     /// instead of ticking, which the reference never does.
-    fn differential(cfg: &MemConfig, seed: u64, cycles: Cycle, load_pct: u64) {
+    fn differential(cfg: &MemConfig, banks: usize, seed: u64, cycles: Cycle, load_pct: u64) {
         let mut rng = SplitMix64::new(seed);
         let mut fast = VaultController::new(0, cfg.clone());
         let mut slow = VaultController::new(0, cfg.clone());
@@ -1179,8 +1379,8 @@ mod tests {
                 fast = copy;
             }
             if rng.below(100) < load_pct {
-                let reqs = random_requests(&mut rng, cfg, &mut next_id);
-                if slow.queue.len() + reqs.len() <= cfg.trans_queue_depth {
+                let reqs = random_requests(&mut rng, cfg, banks, &mut next_id);
+                if slow.pending() + reqs.len() <= cfg.trans_queue_depth {
                     for req in reqs {
                         fast.enqueue(req.clone()).unwrap();
                         slow.enqueue(req).unwrap();
@@ -1225,21 +1425,65 @@ mod tests {
             single_bit_ppm: 20_000,
             double_bit_ppm: 5_000,
         });
+        let low_interleave = MemConfig {
+            mapping: crate::AddressMapping::LowInterleave,
+            name: "low interleave",
+            ..MemConfig::baseline()
+        };
         let configs = [
             MemConfig::baseline(),
             MemConfig::closed_page(),
             MemConfig::with_hmc_packets(),
             quick_refresh,
             faulty,
+            MemConfig::more_ranks(),
+            MemConfig::fewer_ranks(),
+            low_interleave,
+            many_banks(),
         ];
         for_each_seed("incremental_scheduler_matches", 0x5c4e_d000, 12, |seed| {
+            // Two crowded lanes on the even seeds, a dozen on the odd.
+            let banks = if seed % 2 == 0 { 2 } else { 12 };
             for cfg in &configs {
                 // A trickle, a busy queue, and a queue held full.
                 for load_pct in [8, 45, 100] {
-                    differential(cfg, seed ^ load_pct, 6_000, load_pct);
+                    differential(cfg, banks, seed ^ load_pct, 6_000, load_pct);
                 }
             }
         });
+    }
+
+    /// More banks than any integer mask has bits: `banks_per_vault` is
+    /// bounded only by being a power of two, so nothing the scheduler
+    /// keeps per bank may assume a width.
+    fn many_banks() -> MemConfig {
+        MemConfig {
+            banks_per_vault: 512,
+            rows_per_bank: 2_048,
+            name: "many banks",
+            ..MemConfig::baseline()
+        }
+    }
+
+    #[test]
+    fn any_power_of_two_bank_count_validates_and_schedules() {
+        let cfg = many_banks();
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(cfg.total_bytes(), MemConfig::baseline().total_bytes());
+        let mut storage = Storage::new();
+        let mut vc = VaultController::new(0, cfg.clone());
+        // Fill the queue with one read per bank, from the top bank down.
+        for i in 0..cfg.trans_queue_depth {
+            let bank = cfg.banks_per_vault - 1 - 16 * i;
+            let addr = (bank * cfg.row_bytes) as u64;
+            assert_eq!(cfg.mapping.decode(&cfg, addr).bank, bank);
+            vc.enqueue(MemRequest::read(i as u64, addr, 32)).unwrap();
+        }
+        let out = run_until_idle(&mut vc, &mut storage, 2_000);
+        // Nothing orders reads of distinct banks but age.
+        let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..cfg.trans_queue_depth as u64).collect::<Vec<_>>());
+        assert_eq!(vc.stats().row_misses, cfg.trans_queue_depth as u64);
     }
 
     #[test]
