@@ -18,6 +18,22 @@ pub struct ArcTable {
     entries: Vec<Option<(usize, usize)>>, // [start, end)
     next_id: ArcId,
     live: usize,
+    /// Bit `slot % 64` of word `slot / 64` is set while `entries[slot]`
+    /// is live, so [`overlaps`](Self::overlaps) visits the handful of
+    /// live ranges rather than every slot. Derived from `entries`:
+    /// never serialized.
+    occupied: Vec<u64>,
+}
+
+/// The occupancy words for `entries`.
+fn occupancy(entries: &[Option<(usize, usize)>]) -> Vec<u64> {
+    let mut occupied = vec![0u64; entries.len().div_ceil(64)];
+    for (slot, entry) in entries.iter().enumerate() {
+        if entry.is_some() {
+            occupied[slot / 64] |= 1 << (slot % 64);
+        }
+    }
+    occupied
 }
 
 impl ArcTable {
@@ -28,6 +44,7 @@ impl ArcTable {
             entries: vec![None; capacity],
             next_id: 0,
             live: 0,
+            occupied: vec![0; capacity.div_ceil(64)],
         }
     }
 
@@ -47,14 +64,22 @@ impl ArcTable {
     /// ranges never overlap.
     #[must_use]
     pub fn overlaps(&self, start: usize, len: usize) -> bool {
-        if len == 0 || self.live == 0 {
+        if len == 0 {
             return false;
         }
         let end = start + len;
-        self.entries
-            .iter()
-            .flatten()
-            .any(|&(s, e)| start < e && s < end)
+        for (word, &bits) in self.occupied.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                let (s, e) = self.entries[slot].expect("occupied slot is live");
+                if start < e && s < end {
+                    return true;
+                }
+                bits &= bits - 1;
+            }
+        }
+        false
     }
 
     /// Allocates an entry covering `[start, start+len)`, returning its
@@ -62,6 +87,7 @@ impl ArcTable {
     pub fn insert(&mut self, start: usize, len: usize) -> Option<ArcId> {
         let slot = self.entries.iter().position(Option::is_none)?;
         self.entries[slot] = Some((start, start + len));
+        self.occupied[slot / 64] |= 1 << (slot % 64);
         self.live += 1;
         // Ids encode the slot so clearing is O(1); the generation in the
         // high bits guards against double-clear bugs in the simulator.
@@ -82,6 +108,7 @@ impl ArcTable {
             "ARC entry {id} already cleared"
         );
         self.entries[slot] = None;
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
         self.live -= 1;
     }
 }
@@ -104,6 +131,7 @@ impl Snapshot for ArcTable {
             return Err(SnapError::Corrupt("ARC live count mismatch"));
         }
         Ok(ArcTable {
+            occupied: occupancy(&entries),
             entries,
             next_id,
             live,
@@ -140,6 +168,46 @@ mod tests {
         arc.clear(a);
         assert!(arc.has_free_entry());
         assert!(arc.insert(16, 8).is_some());
+    }
+
+    /// `overlaps` against a scan of every slot, over random
+    /// insert/clear traffic, for the paper's 20 entries and for tables
+    /// past one occupancy word (ids carry the slot in 8 bits, so 256 is
+    /// the largest a table can be) — including across a save/restore,
+    /// which rebuilds the occupancy words from the slots.
+    #[test]
+    fn occupancy_tracks_the_slots_for_any_capacity() {
+        for capacity in [1, 20, 64, 65, 200, 256] {
+            let mut rng = vip_rng::SplitMix64::new(capacity as u64);
+            let mut arc = ArcTable::new(capacity);
+            let mut ids: Vec<ArcId> = Vec::new();
+            for round in 0..2_000 {
+                if !ids.is_empty() && (rng.bool() || !arc.has_free_entry()) {
+                    let id = ids.swap_remove(rng.usize_in(0..ids.len()));
+                    arc.clear(id);
+                } else {
+                    ids.push(
+                        arc.insert(rng.usize_in(0..4096), rng.usize_in(0..64))
+                            .unwrap(),
+                    );
+                }
+                if round % 97 == 0 {
+                    let mut w = Writer::new();
+                    arc.save(&mut w);
+                    let bytes = w.into_bytes();
+                    arc = ArcTable::restore(&mut Reader::new(&bytes)).unwrap();
+                }
+                assert_eq!(arc.live(), ids.len());
+                let (start, len) = (rng.usize_in(0..4096), rng.usize_in(0..48));
+                let by_scan = len != 0
+                    && arc
+                        .entries
+                        .iter()
+                        .flatten()
+                        .any(|&(s, e)| start < e && s < start + len);
+                assert_eq!(arc.overlaps(start, len), by_scan, "capacity {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -151,13 +151,14 @@ pub struct Pe {
     /// issues nothing new. Always false outside `System::drain_to_idle`,
     /// so snapshots never see it.
     frozen: bool,
-    /// The stall the front end is known to be in — what
-    /// [`issue_state`](Self::issue_state) last returned, if not `Ready`.
-    /// It keeps holding until its own deadline (`StalledUntil`) or until
-    /// something that feeds `issue_state` changes, and every such change
-    /// goes through [`wake`](Self::wake). Derived from the rest of the
-    /// PE: never serialized.
-    stall_memo: Option<IssueState>,
+    /// What [`issue_state`](Self::issue_state) is known to return —
+    /// its last answer, kept while that still holds. A stall holds until
+    /// its own deadline (`StalledUntil`) and `Ready` holds until the
+    /// instruction issues (every time-dependent gate only ever opens),
+    /// or until something that feeds `issue_state` changes, and every
+    /// such change goes through [`wake`](Self::wake). Derived from the
+    /// rest of the PE: never serialized.
+    issue_memo: Option<IssueState>,
 }
 
 impl Pe {
@@ -185,7 +186,7 @@ impl Pe {
             trace_limit: 0,
             prog_fp: vip_isa::program_fingerprint(&Program::default()),
             frozen: false,
-            stall_memo: None,
+            issue_memo: None,
         }
     }
 
@@ -423,22 +424,22 @@ impl Pe {
         self.stats.stalls[reason as usize] += 1;
     }
 
-    /// Forgets the memoised stall: an input of
+    /// Forgets the memoised issue state: an input of
     /// [`issue_state`](Self::issue_state) may have changed.
     fn wake(&mut self) {
-        self.stall_memo = None;
+        self.issue_memo = None;
     }
 
     /// [`issue_state`](Self::issue_state) at `now`, answered from the
-    /// stall memo while that still holds.
+    /// memo while that still holds.
     fn probe(&self, now: Cycle) -> IssueState {
-        match self.stall_memo {
+        match self.issue_memo {
             Some(IssueState::StalledUntil(_, until)) if now >= until => self.issue_state(now),
             Some(memo) => {
                 debug_assert_eq!(
                     memo,
                     self.issue_state(now),
-                    "PE {}: stale stall memo",
+                    "PE {}: stale issue memo",
                     self.id
                 );
                 memo
@@ -448,8 +449,9 @@ impl Pe {
     }
 
     fn regs_ready(&self, inst: &Instruction) -> bool {
-        inst.reads().iter().all(|&r| self.regs.is_valid(r))
-            && inst.writes().is_none_or(|r| self.regs.is_valid(r))
+        self.regs.all_valid()
+            || (inst.reads().iter().all(|&r| self.regs.is_valid(r))
+                && inst.writes().is_none_or(|r| self.regs.is_valid(r)))
     }
 
     /// Probes what [`tick`](Self::tick) would do at `now` without doing
@@ -595,20 +597,40 @@ impl Pe {
     /// completion), which the system tracks through its queues.
     #[must_use]
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.next_event_given(now, self.issue_probe(now + 1))
+    }
+
+    /// [`next_event`](Self::next_event) for the stepping core, as a due
+    /// time (`Cycle::MAX` for "only external input moves this PE"). It
+    /// also keeps the issue state it evaluated for `now + 1`, so the
+    /// tick that due time asks for does not evaluate it a second time.
+    pub(crate) fn next_due(&mut self, now: Cycle) -> Cycle {
+        let issue = self.issue_probe(now + 1);
+        if issue.is_some() {
+            self.issue_memo = issue;
+        }
+        self.next_event_given(now, issue).unwrap_or(Cycle::MAX)
+    }
+
+    /// What the front end would do at `at`; `None` when it is halted or
+    /// frozen and so does nothing.
+    fn issue_probe(&self, at: Cycle) -> Option<IssueState> {
+        (!self.halted && !self.frozen).then(|| self.probe(at))
+    }
+
+    fn next_event_given(&self, now: Cycle, issue: Option<IssueState>) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
             debug_assert!(c > now);
             next = Some(next.map_or(c, |n: Cycle| n.min(c)));
         };
-        if !self.halted && !self.frozen {
-            match self.probe(now + 1) {
-                IssueState::Ready => consider(now + 1),
-                IssueState::StalledUntil(_, at) => consider(at),
-                // External-dependency stalls (scalar operand, ARC, LSQ,
-                // fence): lifted only by a completion arriving, which
-                // the system's queue events cover.
-                IssueState::Stalled(_) => {}
-            }
+        match issue {
+            Some(IssueState::Ready) => consider(now + 1),
+            Some(IssueState::StalledUntil(_, at)) => consider(at),
+            // External-dependency stalls (scalar operand, ARC, LSQ,
+            // fence): lifted only by a completion arriving, which
+            // the system's queue events cover.
+            Some(IssueState::Stalled(_)) | None => {}
         }
         if self.lsu.can_emit() {
             consider(now + 1);
@@ -623,9 +645,12 @@ impl Pe {
     /// Replays the cycles `(from, to]` as the no-op stall ticks they are
     /// guaranteed to be (the caller established via
     /// [`next_event`](Self::next_event) that nothing can issue in the
-    /// window), updating the per-cycle counters a cycle-by-cycle run
-    /// would have accumulated. With no external input, the stall reason
-    /// observed at `from + 1` holds for the whole window.
+    /// window, and delivered it no completion), updating the per-cycle
+    /// counters a cycle-by-cycle run would have accumulated. With no
+    /// external input, the stall reason observed at `from + 1` holds for
+    /// the whole window. This is how a PE the stepping core left asleep
+    /// catches up, and it must run before whatever ends the sleep (a
+    /// completion, a thaw) changes that reason.
     pub(crate) fn fast_forward(&mut self, from: Cycle, to: Cycle) {
         if self.halted || to <= from {
             return;
@@ -664,7 +689,7 @@ impl Pe {
             return Ok(());
         }
         let state = self.probe(now);
-        self.stall_memo = (state != IssueState::Ready).then_some(state);
+        self.issue_memo = (state != IssueState::Ready).then_some(state);
         if let IssueState::Stalled(reason) | IssueState::StalledUntil(reason, _) = state {
             self.stall(reason);
             return Ok(());
@@ -1342,8 +1367,8 @@ mod tests {
     // ---- stall-memo invariants -------------------------------------
 
     /// Two copies of one PE driven in lockstep: `memo` as production
-    /// runs it, `fresh` with its stall memo dropped before every tick so
-    /// each stalled cycle is re-derived by `issue_state`. Whatever the
+    /// runs it, `fresh` with its issue memo dropped before every tick so
+    /// each cycle is re-derived by `issue_state`. Whatever the
     /// host does to both in between, they must never differ.
     struct Lockstep {
         memo: Pe,
@@ -1383,6 +1408,13 @@ mod tests {
             );
             let req = self.memo.emit_request();
             assert_eq!(req, self.fresh.emit_request());
+            // As the stepping core ends a visit: the due time, which
+            // leaves the answer for the next cycle — `Ready` included —
+            // in the memo.
+            assert_eq!(
+                self.memo.next_due(self.now),
+                self.fresh.next_event(self.now).unwrap_or(Cycle::MAX)
+            );
             req
         }
 

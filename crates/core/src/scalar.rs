@@ -13,8 +13,12 @@ use vip_snap::{Reader, SnapError, Snapshot, Writer};
 #[derive(Debug, Clone)]
 pub struct ScalarRegs {
     values: [u64; NUM_REGS],
-    valid: [bool; NUM_REGS],
+    /// Bit `i` is register `i`'s valid bit: one word, so "no fill in
+    /// flight" — the common case at issue — is a single compare.
+    valid: u64,
 }
+
+const _: () = assert!(NUM_REGS == 64, "the valid bits are one u64");
 
 impl ScalarRegs {
     /// All registers zero and valid.
@@ -22,7 +26,7 @@ impl ScalarRegs {
     pub fn new() -> Self {
         ScalarRegs {
             values: [0; NUM_REGS],
-            valid: [true; NUM_REGS],
+            valid: u64::MAX,
         }
     }
 
@@ -34,25 +38,31 @@ impl ScalarRegs {
     /// [`is_valid`](Self::is_valid) first.
     #[must_use]
     pub fn read(&self, r: Reg) -> u64 {
-        debug_assert!(self.valid[r.index()], "read of invalid {r}");
+        debug_assert!(self.is_valid(r), "read of invalid {r}");
         self.values[r.index()]
     }
 
     /// Writes a register and marks it valid.
     pub fn write(&mut self, r: Reg, value: u64) {
         self.values[r.index()] = value;
-        self.valid[r.index()] = true;
+        self.valid |= 1 << r.index();
     }
 
     /// Whether the register's valid bit is set.
     #[must_use]
     pub fn is_valid(&self, r: Reg) -> bool {
-        self.valid[r.index()]
+        self.valid >> r.index() & 1 == 1
+    }
+
+    /// Whether every register is valid (no `ld.reg` fill in flight).
+    #[must_use]
+    pub fn all_valid(&self) -> bool {
+        self.valid == u64::MAX
     }
 
     /// Clears the valid bit (an asynchronous fill is in flight).
     pub fn invalidate(&mut self, r: Reg) {
-        self.valid[r.index()] = false;
+        self.valid &= !(1 << r.index());
     }
 }
 
@@ -70,8 +80,8 @@ impl Snapshot for ScalarRegs {
         for v in self.values {
             w.u64(v);
         }
-        for b in self.valid {
-            w.bool(b);
+        for i in 0..NUM_REGS {
+            w.bool(self.valid >> i & 1 == 1);
         }
     }
 
@@ -80,8 +90,9 @@ impl Snapshot for ScalarRegs {
         for v in &mut regs.values {
             *v = r.u64()?;
         }
-        for b in &mut regs.valid {
-            *b = r.bool()?;
+        regs.valid = 0;
+        for i in 0..NUM_REGS {
+            regs.valid |= u64::from(r.bool()?) << i;
         }
         Ok(regs)
     }
@@ -102,5 +113,31 @@ mod tests {
         regs.write(r5, 42);
         assert!(regs.is_valid(r5));
         assert_eq!(regs.read(r5), 42);
+    }
+
+    #[test]
+    fn all_valid_tracks_every_register_across_a_round_trip() {
+        let mut regs = ScalarRegs::new();
+        assert!(regs.all_valid());
+        for i in [0u8, 31, 63] {
+            regs.invalidate(Reg::new(i));
+            regs.invalidate(Reg::new(i)); // idempotent
+            assert!(!regs.all_valid());
+            let mut w = Writer::new();
+            regs.save(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                bytes.len(),
+                NUM_REGS * 8 + NUM_REGS,
+                "one byte per valid bit"
+            );
+            let back = ScalarRegs::restore(&mut Reader::new(&bytes)).unwrap();
+            assert!(!back.all_valid());
+            for r in Reg::all() {
+                assert_eq!(back.is_valid(r), r.index() != usize::from(i));
+            }
+            regs.write(Reg::new(i), 7);
+            assert!(regs.all_valid());
+        }
     }
 }

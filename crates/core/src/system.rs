@@ -75,6 +75,30 @@ fn resp_bytes(resp: &MemResponse) -> usize {
     8 + resp.data.len()
 }
 
+/// Each PE's star downlink: its serialization state, the completions in
+/// flight on it, and the due time their arrival lowers.
+struct Downlinks<'a> {
+    busy: &'a mut [Cycle],
+    to_pe: &'a mut [VecDeque<(Cycle, MemResponse)>],
+    due: &'a mut [Cycle],
+    latency: Cycle,
+}
+
+impl Downlinks<'_> {
+    /// Puts `resp` on PE `pe`'s downlink at `now`. The link serializes,
+    /// so arrivals are in order and a queue's head is its earliest
+    /// entry: lowering the PE's due time to this arrival keeps it no
+    /// later than the head.
+    fn send(&mut self, pe: usize, resp: MemResponse, now: Cycle) {
+        let flits = 1 + resp_bytes(&resp).div_ceil(8) as u64;
+        let start = now.max(self.busy[pe]);
+        self.busy[pe] = start + flits;
+        let ready = start + flits + self.latency;
+        self.due[pe] = self.due[pe].min(ready);
+        self.to_pe[pe].push_back((ready, resp));
+    }
+}
+
 /// Resolves a configured shard count to an actual one (`>= 1`).
 /// Auto (`0`) sizes to the host's parallelism but never slices finer
 /// than 16 PEs per shard — below that, thread overhead dominates.
@@ -89,29 +113,61 @@ fn resolve_shards(requested: usize, total_pes: usize) -> usize {
     shards.max(1)
 }
 
+/// The per-PE slices one shard of the step phase works on: the PEs, their
+/// completion and egress queues, and their wake bookkeeping (see
+/// [`System::due`] and [`System::asleep_since`]).
+struct PeLanes<'a> {
+    pes: &'a mut [Pe],
+    to_pe: &'a mut [VecDeque<(Cycle, MemResponse)>],
+    egress: &'a mut [VecDeque<MemRequest>],
+    due: &'a mut [Cycle],
+    asleep_since: &'a mut [Cycle],
+}
+
 /// The per-PE step phase for a contiguous slice of PEs starting at
 /// global id `base`: deliver matured completions, tick, and emit at most
 /// one request into the PE's private egress queue.
 ///
-/// Every mutation is confined to the PE itself and its own `to_pe` /
-/// `egress` queues, so disjoint slices run on separate host threads
-/// without changing simulated behaviour. Returns `(completions
-/// delivered, requests emitted)` plus the lowest-PE-id error raised this
-/// cycle (every PE in the slice is still stepped, so the reported error
-/// is independent of sharding), and appends the global ids of PEs that
-/// halted this cycle.
+/// With `all_due` every PE is visited — the naive engine, and the
+/// reference. Without it a PE whose due time is still ahead is skipped:
+/// nothing it would do this cycle is observable except one stall-counter
+/// bump, which the visit that ends its sleep replays
+/// ([`Pe::fast_forward`]) before anything can change the stall.
+///
+/// Every mutation is confined to the PE itself and its own lanes, so
+/// disjoint slices run on separate host threads without changing
+/// simulated behaviour. Returns `(completions delivered, requests
+/// emitted)` plus the lowest-PE-id error raised this cycle (every due PE
+/// in the slice is still stepped, so the reported error is independent
+/// of sharding), and appends the global ids of PEs that halted this
+/// cycle.
 fn step_pes(
-    pes: &mut [Pe],
-    to_pe: &mut [VecDeque<(Cycle, MemResponse)>],
-    egress: &mut [VecDeque<MemRequest>],
+    lanes: PeLanes<'_>,
     now: Cycle,
     base: usize,
+    all_due: bool,
     newly_halted: &mut Vec<usize>,
 ) -> ((usize, usize), Option<(usize, SimError)>) {
     let mut received = 0;
     let mut emitted = 0;
     let mut first_err: Option<(usize, SimError)> = None;
-    for (i, ((pe, queue), egress)) in pes.iter_mut().zip(to_pe).zip(egress).enumerate() {
+    let queues = lanes.to_pe.iter_mut().zip(lanes.egress);
+    for (i, (pe, (queue, egress))) in lanes.pes.iter_mut().zip(queues).enumerate() {
+        if !all_due {
+            if lanes.due[i] > now {
+                debug_assert!(
+                    pe.next_event(now - 1).is_none_or(|c| c > now)
+                        && queue.front().is_none_or(|&(ready, _)| ready > now),
+                    "PE {}: asleep until {} but due at {now}",
+                    base + i,
+                    lanes.due[i]
+                );
+                continue;
+            }
+            pe.fast_forward(lanes.asleep_since[i], now - 1);
+            lanes.asleep_since[i] = now;
+        }
+
         let mut pe_err: Option<SimError> = None;
         while let Some(&(ready, _)) = queue.front() {
             if ready > now {
@@ -143,6 +199,11 @@ fn step_pes(
                 }
                 Err(e) => pe_err = Some(e),
             }
+        }
+
+        if !all_due {
+            let next_completion = queue.front().map_or(Cycle::MAX, |&(ready, _)| ready);
+            lanes.due[i] = pe.next_due(now).min(next_completion);
         }
 
         if first_err.is_none() {
@@ -184,6 +245,20 @@ pub struct System {
     vault_egress: Vec<VecDeque<(usize, MemResponse)>>,
     /// In-flight completions on each PE's downlink: (ready, response).
     to_pe: Vec<VecDeque<(Cycle, MemResponse)>>,
+    /// When PE `i` next needs a visit from `step`: the earlier of its
+    /// own next event ([`Pe::next_due`] — issue, LSU emission, vector
+    /// drain) and the head of its `to_pe` queue maturing; `Cycle::MAX`
+    /// when only a completion not yet on its downlink can move it.
+    /// Maintained by the wake-driven run loops only, and marked all-due
+    /// at each of their entries, so nothing the host does between runs
+    /// needs to touch it. Derived state: never snapshotted.
+    due: Vec<Cycle>,
+    /// The last cycle PE `i`'s per-cycle counters are settled through —
+    /// its last visit, while a run loop has it asleep.
+    asleep_since: Vec<Cycle>,
+    /// Requests queued across all of `pe_egress`: zero lets `step` and
+    /// `next_event` skip their walks over it.
+    egress_queued: usize,
     /// Host threads for the per-PE step phase (resolved, `>= 1`).
     step_shards: usize,
     /// PEs that have not halted — an O(1) quiescence pre-gate,
@@ -271,6 +346,9 @@ impl System {
             vault_ingress: vec![VecDeque::new(); vaults],
             vault_egress: vec![VecDeque::new(); vaults],
             to_pe: vec![VecDeque::new(); total],
+            due: vec![0; total],
+            asleep_since: vec![0; total],
+            egress_queued: 0,
             step_shards: resolve_shards(cfg.step_shards, total),
             unhalted: 0,
             inflight_msgs: 0,
@@ -366,7 +444,9 @@ impl System {
         self.pes[pe].set_reg(r, value);
     }
 
-    /// Advances the whole system one cycle.
+    /// Advances the whole system one cycle, visiting every PE: the
+    /// naive engine's step, and the reference the wake-driven run loops
+    /// are checked against.
     ///
     /// # Errors
     ///
@@ -376,24 +456,34 @@ impl System {
     /// lowest-PE-id failure wins, so all stepping engines report the
     /// same error for the same program and fault seed.
     pub fn step(&mut self) -> Result<(), SimError> {
+        self.step_with(true)
+    }
+
+    /// The one stepping core. `all_due` is the skip policy: with it
+    /// every PE is visited and the wake bookkeeping is left alone;
+    /// without it (the run loops that called
+    /// [`wake_all`](Self::wake_all)) phase 4a visits only the PEs whose
+    /// [`due`](Self::due) time has come, and an `Err` return has already
+    /// [settled](Self::settle_pes) the sleepers' counters.
+    fn step_with(&mut self, all_due: bool) -> Result<(), SimError> {
         self.now += 1;
         let now = self.now;
         let local_lat = self.cfg.local_link_latency;
         let pes_per_vault = self.cfg.pes_per_vault;
 
         // 1. Memory stack: tick and route completions toward PEs.
+        let mut downlinks = Downlinks {
+            busy: &mut self.downlink_busy,
+            to_pe: &mut self.to_pe,
+            due: &mut self.due,
+            latency: local_lat,
+        };
         {
-            let hmc = &mut self.hmc;
-            let to_pe = &mut self.to_pe;
-            let downlink_busy = &mut self.downlink_busy;
             let vault_egress = &mut self.vault_egress;
-            hmc.tick_with(|vault, resp| {
+            self.hmc.tick_with(|vault, resp| {
                 let pe = (resp.id >> 32) as usize;
                 if pe / pes_per_vault == vault {
-                    let flits = 1 + resp_bytes(&resp).div_ceil(8) as u64;
-                    let start = now.max(downlink_busy[pe]);
-                    downlink_busy[pe] = start + flits;
-                    to_pe[pe].push_back((start + flits + local_lat, resp));
+                    downlinks.send(pe, resp, now);
                 } else {
                     vault_egress[vault].push_back((pe, resp));
                 }
@@ -404,6 +494,10 @@ impl System {
         // deliveries.
         self.net.tick();
         if let Some(pkt) = self.net.pop_failed() {
+            if !all_due {
+                // No PE sees this cycle.
+                self.settle_pes(now - 1);
+            }
             return Err(SimError::NocDeliveryFailed {
                 src: pkt.src,
                 dst: pkt.dst,
@@ -414,10 +508,7 @@ impl System {
                 SysMsg::Req(req) => self.vault_ingress[node].push_back(req),
                 SysMsg::Resp { pe, resp } => {
                     debug_assert_eq!(pe / pes_per_vault, node);
-                    let flits = 1 + resp_bytes(&resp).div_ceil(8) as u64;
-                    let start = now.max(self.downlink_busy[pe]);
-                    self.downlink_busy[pe] = start + flits;
-                    self.to_pe[pe].push_back((start + flits + local_lat, resp));
+                    downlinks.send(pe, resp, now);
                 }
             }
         }
@@ -457,27 +548,37 @@ impl System {
         let shards = self.step_shards;
         let mut newly_halted: Vec<usize> = Vec::new();
         let ((received, emitted), step_err) = if shards <= 1 || self.pes.len() < 2 * shards {
-            step_pes(
-                &mut self.pes,
-                &mut self.to_pe,
-                &mut self.pe_egress,
-                now,
-                0,
-                &mut newly_halted,
-            )
+            let lanes = PeLanes {
+                pes: &mut self.pes,
+                to_pe: &mut self.to_pe,
+                egress: &mut self.pe_egress,
+                due: &mut self.due,
+                asleep_since: &mut self.asleep_since,
+            };
+            step_pes(lanes, now, 0, all_due, &mut newly_halted)
         } else {
             let chunk = self.pes.len().div_ceil(shards);
-            let pes = self.pes.chunks_mut(chunk);
-            let to_pe = self.to_pe.chunks_mut(chunk);
-            let egress = self.pe_egress.chunks_mut(chunk);
+            let lanes = self
+                .pes
+                .chunks_mut(chunk)
+                .zip(self.to_pe.chunks_mut(chunk))
+                .zip(self.pe_egress.chunks_mut(chunk))
+                .zip(self.due.chunks_mut(chunk))
+                .zip(self.asleep_since.chunks_mut(chunk))
+                .map(|((((pes, to_pe), egress), due), asleep_since)| PeLanes {
+                    pes,
+                    to_pe,
+                    egress,
+                    due,
+                    asleep_since,
+                });
             let results = std::thread::scope(|s| {
-                let handles: Vec<_> = pes
-                    .zip(to_pe.zip(egress))
+                let handles: Vec<_> = lanes
                     .enumerate()
-                    .map(|(i, (pes, (to_pe, egress)))| {
+                    .map(|(i, lanes)| {
                         s.spawn(move || {
                             let mut halted = Vec::new();
-                            let counts = step_pes(pes, to_pe, egress, now, i * chunk, &mut halted);
+                            let counts = step_pes(lanes, now, i * chunk, all_due, &mut halted);
                             (counts, halted)
                         })
                     })
@@ -505,6 +606,7 @@ impl System {
             ((received, emitted), err)
         };
         self.inflight_msgs = self.inflight_msgs.saturating_sub(received) + emitted;
+        self.egress_queued += emitted;
         for pe_id in newly_halted {
             self.unhalted = self.unhalted.saturating_sub(1);
             if !self.halted_cached[pe_id] {
@@ -513,12 +615,22 @@ impl System {
             }
         }
         if let Some((_, e)) = step_err {
+            if !all_due {
+                self.settle_pes(now);
+            }
             return Err(e);
         }
 
         // 4b. Dispatch each PE's oldest pending request onto its uplink
         // or the torus, in PE-id order — the order the pre-split loop
         // used, so sharding 4a cannot reorder shared-structure traffic.
+        debug_assert_eq!(
+            self.egress_queued,
+            self.pe_egress.iter().map(VecDeque::len).sum::<usize>()
+        );
+        if self.egress_queued == 0 {
+            return Ok(());
+        }
         for pe_id in 0..self.pes.len() {
             if let Some(req) = self.pe_egress[pe_id].front() {
                 let vault = pe_id / pes_per_vault;
@@ -526,12 +638,14 @@ impl System {
                 if dst == vault {
                     if self.uplink_busy[pe_id] <= now {
                         let req = self.pe_egress[pe_id].pop_front().expect("front exists");
+                        self.egress_queued -= 1;
                         let flits = 1 + req_bytes(&req).div_ceil(8) as u64;
                         self.uplink_busy[pe_id] = now + flits;
                         self.to_vault_local[vault].push_back((now + flits + local_lat, req));
                     }
                 } else if self.net.can_inject(vault) {
                     let req = self.pe_egress[pe_id].pop_front().expect("front exists");
+                    self.egress_queued -= 1;
                     let bytes = req_bytes(&req);
                     self.net
                         .inject(vault, dst, bytes, SysMsg::Req(req))
@@ -540,6 +654,30 @@ impl System {
             }
         }
         Ok(())
+    }
+
+    /// Marks every PE due and settled as of now — the entry of every
+    /// wake-driven run loop. Between runs the host may have changed
+    /// anything a due time was derived from (`pe_mut`, `load_program`,
+    /// `set_reg`, `restore_snapshot`, the drain's freeze), and every run
+    /// loop [settles](Self::settle_pes) before it returns, so starting
+    /// from "visit everyone" is always right and nothing else has to
+    /// remember to call this.
+    fn wake_all(&mut self) {
+        self.due.fill(0);
+        self.asleep_since.fill(self.now);
+    }
+
+    /// Brings every sleeping PE's per-cycle counters up to `through` —
+    /// what `stats()`, `pe(i).stats()`, snapshots and hang reports read.
+    /// Every exit of a wake-driven run loop passes through here (the
+    /// error exits inside [`step_with`](Self::step_with)). Due times
+    /// stay as they are: settling changes no input of `issue_state`.
+    fn settle_pes(&mut self, through: Cycle) {
+        for (pe, asleep_since) in self.pes.iter_mut().zip(&mut self.asleep_since) {
+            pe.fast_forward(*asleep_since, through);
+            *asleep_since = through;
+        }
     }
 
     /// Whether every PE has halted and all memory traffic has drained.
@@ -560,7 +698,9 @@ impl System {
     /// A sound lower bound on the next cycle (strictly after `now`) at
     /// which any component can make observable progress: a PE issues or
     /// emits, a queued message matures or unblocks, a vault schedules a
-    /// DRAM command or refreshes, or a packet moves on the torus.
+    /// DRAM command or refreshes, or a packet moves on the torus. Only
+    /// meaningful inside a wake-driven run loop, right after a step: the
+    /// PE and `to_pe` candidates are read from [`due`](Self::due).
     ///
     /// Sound means never *late*: stepping every cycle in `(now, bound)`
     /// would change nothing but per-cycle counters (which
@@ -571,16 +711,11 @@ impl System {
     /// own next event covers it.
     fn next_event(&self) -> Option<Cycle> {
         let floor = self.now + 1;
-        let mut next = Cycle::MAX;
         // PEs first: during compute phases some PE is ready every cycle,
         // and `floor` is an immediate exit.
-        for pe in &self.pes {
-            if let Some(c) = pe.next_event(self.now) {
-                next = next.min(c.max(floor));
-                if next == floor {
-                    return Some(floor);
-                }
-            }
+        let mut next = self.due.iter().copied().min().unwrap_or(Cycle::MAX);
+        if next <= floor {
+            return Some(floor);
         }
         next = next.min(self.hmc.next_event().max(floor));
         if let Some(c) = self.net.next_event() {
@@ -591,25 +726,22 @@ impl System {
                 next = next.min(ready.max(floor));
             }
         }
-        for q in &self.to_pe {
-            if let Some(&(ready, _)) = q.front() {
-                next = next.min(ready.max(floor));
-            }
-        }
         for (vault, q) in self.vault_egress.iter().enumerate() {
             if !q.is_empty() {
                 next = next.min(self.net.inject_ready_at(vault).max(floor));
             }
         }
-        for (pe_id, q) in self.pe_egress.iter().enumerate() {
-            if let Some(req) = q.front() {
-                let vault = pe_id / self.cfg.pes_per_vault;
-                let c = if self.cfg.mem.vault_of(req.addr) == vault {
-                    self.uplink_busy[pe_id]
-                } else {
-                    self.net.inject_ready_at(vault)
-                };
-                next = next.min(c.max(floor));
+        if self.egress_queued > 0 {
+            for (pe_id, q) in self.pe_egress.iter().enumerate() {
+                if let Some(req) = q.front() {
+                    let vault = pe_id / self.cfg.pes_per_vault;
+                    let c = if self.cfg.mem.vault_of(req.addr) == vault {
+                        self.uplink_busy[pe_id]
+                    } else {
+                        self.net.inject_ready_at(vault)
+                    };
+                    next = next.min(c.max(floor));
+                }
             }
         }
         if next == Cycle::MAX {
@@ -622,12 +754,13 @@ impl System {
     /// Jumps the clock to `to`, replaying the per-cycle counters a
     /// cycle-by-cycle run of the intervening (provably event-free)
     /// cycles would have produced. Only valid when
-    /// [`next_event`](System::next_event) bounds the skip.
+    /// [`next_event`](System::next_event) bounds the skip — which puts
+    /// every PE's due time past `to`: they sleep through the jump like
+    /// through any other cycle they are not due, and their counters are
+    /// replayed when they wake.
     fn skip_to(&mut self, to: Cycle) {
         debug_assert!(to >= self.now);
-        for pe in &mut self.pes {
-            pe.fast_forward(self.now, to);
-        }
+        debug_assert!(self.due.iter().all(|&due| due > to));
         self.hmc.skip_to(to);
         self.net.skip_to(to);
         self.now = to;
@@ -691,6 +824,26 @@ impl System {
 
     fn run_inner(&mut self, pause_at: Cycle, max_cycles: Cycle) -> Result<RunOutcome, SimError> {
         self.recount_quiesce_counters();
+        self.wake_all();
+        let outcome = self.run_awake(pause_at, max_cycles);
+        if outcome.is_ok() {
+            // A step that fails has settled already, at the cycle the
+            // PEs last saw.
+            self.settle_pes(self.now);
+        }
+        match outcome? {
+            Some(outcome) => Ok(outcome),
+            None => Err(SimError::Hang(Box::new(self.hang_report(max_cycles)))),
+        }
+    }
+
+    /// [`run_inner`](Self::run_inner)'s loop, between the wake-all at
+    /// its entry and the settle at its exit; `None` is the hang.
+    fn run_awake(
+        &mut self,
+        pause_at: Cycle,
+        max_cycles: Cycle,
+    ) -> Result<Option<RunOutcome>, SimError> {
         // In dense phases (an event every cycle — e.g. a streaming LSU
         // keeping its vault saturated) the O(system) `next_event` scan
         // buys nothing, so poll it under exponential backoff: each
@@ -704,9 +857,9 @@ impl System {
         let mut quiet_streak: u32 = 0;
         let mut backoff: u64 = 0;
         while self.now < pause_at {
-            self.step()?;
+            self.step_with(false)?;
             if self.unhalted == 0 && self.inflight_msgs == 0 && self.is_quiesced() {
-                return Ok(RunOutcome::Quiesced(self.now));
+                return Ok(Some(RunOutcome::Quiesced(self.now)));
             }
             if backoff > 0 {
                 backoff -= 1;
@@ -729,11 +882,11 @@ impl System {
             // Catches a system that was already quiesced at entry (the
             // in-loop check covers everything the slice itself stepped).
             if self.unhalted == 0 && self.inflight_msgs == 0 && self.is_quiesced() {
-                return Ok(RunOutcome::Quiesced(self.now));
+                return Ok(Some(RunOutcome::Quiesced(self.now)));
             }
-            return Ok(RunOutcome::Paused(self.now));
+            return Ok(Some(RunOutcome::Paused(self.now)));
         }
-        Err(SimError::Hang(Box::new(self.hang_report(max_cycles))))
+        Ok(None)
     }
 
     /// [`run`](System::run) without the event-driven fast-forward: steps
@@ -853,6 +1006,7 @@ impl System {
         for pe in &mut self.pes {
             pe.set_frozen(true);
         }
+        self.wake_all();
         let drained = loop {
             if self.machine_idle() {
                 break Ok(true);
@@ -860,7 +1014,7 @@ impl System {
             if self.now >= deadline {
                 break Ok(false);
             }
-            if let Err(e) = self.step() {
+            if let Err(e) = self.step_with(false) {
                 break Err(e);
             }
             if let Some(next) = self.next_event() {
@@ -870,6 +1024,11 @@ impl System {
                 }
             }
         };
+        if drained.is_ok() {
+            // Before the thaw: a frozen PE charges no stall for the
+            // cycles it slept, a thawed one would.
+            self.settle_pes(self.now);
+        }
         for pe in &mut self.pes {
             pe.set_frozen(false);
         }
@@ -1308,6 +1467,7 @@ impl System {
         // interrupted run and are re-derived fresh.
         self.invalidate_stats_cache();
         self.recount_quiesce_counters();
+        self.egress_queued = self.pe_egress.iter().map(VecDeque::len).sum();
         self.func_rate = None;
         self.func_rate_accum = (0, 0);
         self.func_sample_boost = 1;

@@ -1,25 +1,11 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum
 //! the NoC attaches to every packet so the receiver can detect flit
-//! corruption and trigger a retransmission. Bitwise implementation: at
-//! simulator packet rates a lookup table buys nothing, and the loop is
-//! self-evidently the published algorithm.
+//! corruption and trigger a retransmission. The implementation is
+//! [`vip_snap::crc32`], the workspace's one table-driven CRC (journal
+//! frames and fleet checkpoints use it too); this module keeps the path
+//! the NoC and its users import it by.
 
-/// CRC-32 of a byte slice.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb == 1 {
-                crc ^= 0xedb8_8320;
-            }
-        }
-    }
-    !crc
-}
+pub use vip_snap::crc32;
 
 #[cfg(test)]
 mod tests {

@@ -476,19 +476,62 @@ pub const JOURNAL_HEADER_LEN: usize = 8 + 4 + 8;
 /// followed by a `u32` CRC-32 of the payload.
 pub const FRAME_OVERHEAD: usize = 8;
 
+/// Slice-by-8 lookup tables for [`crc32`]: `CRC_TABLES[k][b]` is the CRC
+/// register after byte `b` followed by `k` zero bytes, so eight input
+/// bytes fold into the register with eight independent lookups.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB8_8320`) over a byte
-/// string. Guards each journal frame so a torn or bit-flipped record is
+/// string — the workspace's one implementation (`vip_faults::crc`
+/// re-exports it for the NoC's packet checksum). Guards each journal
+/// frame and fleet checkpoint so a torn or bit-flipped record is
 /// detected and the journal truncated at the last intact frame instead
-/// of replaying garbage.
+/// of replaying garbage. Table-driven, eight bytes a step: checkpoint
+/// frames run to megabytes and every write and every resume checksums
+/// one.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xffff_ffff_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -837,6 +880,43 @@ mod tests {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The published algorithm, one bit at a time — what `crc32` was
+    /// before it went table-driven, kept as its reference.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffff_u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference() {
+        let pool = vip_rng::SplitMix64::new(0x0c2c_0032).bytes(70_000);
+        // Every length through the 8-byte fold's head and tail cases, at
+        // every alignment of the slice start.
+        for len in 0..=64 {
+            for start in 0..8 {
+                let buf = &pool[start..start + len];
+                assert_eq!(crc32(buf), crc32_bitwise(buf), "len {len} at +{start}");
+            }
+        }
+        // Large buffers, unaligned at both ends.
+        for (start, len) in [(1, 65_521), (3, 4_099), (7, 69_990), (5, 1_000)] {
+            let buf = &pool[start..start + len];
+            assert_eq!(crc32(buf), crc32_bitwise(buf), "len {len} at +{start}");
+        }
+        // Degenerate contents the tables could alias on.
+        for fill in [0x00, 0xff] {
+            let buf = vec![fill; 1_027];
+            assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        }
     }
 
     #[test]
