@@ -33,8 +33,6 @@
 //! artifact serialization is byte-stable.
 
 use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use vip_core::FuncConfig;
@@ -42,12 +40,13 @@ use vip_kernels::cnn::ConvLayer;
 use vip_kernels::schedule::{
     BpSchedule, ConvSchedule, FcSchedule, KernelShape, Schedule, SearchSpace,
 };
+use vip_kernels::schedule_store;
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
+use vip_serve::fan_out;
 
 use crate::experiments::{self, PreparedTile, BP_TILE, FC_TILE_LARGE};
 use crate::runner::{PointStatus, Runner};
-use crate::schedules;
 
 /// One kernel family's tuning target: the dense timing tile the paper's
 /// evaluation is built around, in its autotunable shape.
@@ -79,22 +78,22 @@ impl TuneKernel {
         experiments::conv_sim_layer(64, 64)
     }
 
-    /// The artifact-store shape key ([`crate::schedules`]).
+    /// The artifact-store shape key ([`vip_kernels::schedule_store`]).
     #[must_use]
     pub fn key(self) -> String {
         match self {
             TuneKernel::Bp => {
                 let (w, h, l) = BP_TILE;
-                schedules::bp_key(w, h, l)
+                schedule_store::bp_key(w, h, l)
             }
-            TuneKernel::Cnn => schedules::conv_key(&Self::conv_layer()),
+            TuneKernel::Cnn => schedule_store::conv_key(&Self::conv_layer()),
             TuneKernel::Mlp => {
                 let layer = vip_kernels::cnn::FcLayer {
                     name: "tile",
                     inputs: FC_TILE_LARGE.0,
                     outputs: FC_TILE_LARGE.1,
                 };
-                schedules::fc_key(&layer)
+                schedule_store::fc_key(&layer)
             }
         }
     }
@@ -222,40 +221,6 @@ fn rough_func_config() -> FuncConfig {
     }
 }
 
-/// Runs `points.len()` jobs on `jobs` scoped threads pulling indices
-/// from a shared counter; `run(i)` must be safe to call concurrently.
-/// Results land in input order, so downstream ranking is independent
-/// of the thread count and interleaving.
-fn pull_indices<T: Send>(jobs: usize, n: usize, run: impl Fn(usize) -> T + Sync) -> Vec<Option<T>> {
-    let next = AtomicUsize::new(0);
-    let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<T>>>());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = run(i);
-                results.lock().expect("results lock").insert_result(i, out);
-            });
-        }
-    });
-    results.into_inner().expect("results lock")
-}
-
-/// `Vec<Option<T>>` slot assignment behind a trait so the closure above
-/// stays readable.
-trait SlotAssign<T> {
-    fn insert_result(&mut self, i: usize, value: T);
-}
-
-impl<T> SlotAssign<T> for Vec<Option<T>> {
-    fn insert_result(&mut self, i: usize, value: T) {
-        self[i] = Some(value);
-    }
-}
-
 /// Deterministically samples `take` schedules from `all` without
 /// replacement (seeded Fisher–Yates prefix). `take == 0` or
 /// `take >= all.len()` keeps the whole grid.
@@ -328,10 +293,9 @@ pub fn tune_kernel(
             };
             Ok((cycles, sched))
         };
-        let mut rows = Vec::with_capacity(candidates.len());
-        for out in pull_indices(cfg.jobs, candidates.len(), run_one) {
-            rows.push(out.expect("every index ran")?);
-        }
+        let mut rows = fan_out(cfg.jobs, candidates.len(), run_one)
+            .into_iter()
+            .collect::<io::Result<Vec<_>>>()?;
         rank(&mut rows);
         let keep = candidates.len().div_ceil(2).max(cfg.confirm);
         rows.truncate(keep);
@@ -356,10 +320,9 @@ pub fn tune_kernel(
         };
         Ok((cycles, sched))
     };
-    let mut rows = Vec::with_capacity(candidates.len());
-    for out in pull_indices(cfg.jobs, candidates.len(), confirm_one) {
-        rows.push(out.expect("every index ran")?);
-    }
+    let mut rows = fan_out(cfg.jobs, candidates.len(), confirm_one)
+        .into_iter()
+        .collect::<io::Result<Vec<_>>>()?;
     let default_cycles = rows
         .iter()
         .find(|(_, s)| *s == default)
@@ -382,10 +345,10 @@ pub fn tune_kernel(
 }
 
 /// Tunes every kernel in [`TuneKernel::ALL`] and writes the winning
-/// schedule artifacts into `out` ([`crate::schedules`] layout). An
-/// artifact is written even when the winner *is* the default — the
-/// checked-in file then documents that the default survived the
-/// search.
+/// schedule artifacts into `out` ([`vip_kernels::schedule_store`]
+/// layout). An artifact is written even when the winner *is* the
+/// default — the checked-in file then documents that the default
+/// survived the search.
 ///
 /// # Errors
 ///
@@ -399,7 +362,7 @@ pub fn tune_all(
     let mut results = Vec::new();
     for kernel in TuneKernel::ALL {
         let res = tune_kernel(kernel, cfg, runner)?;
-        schedules::save(out, &res.key, res.fingerprint, &res.best)?;
+        schedule_store::save(out, &res.key, res.fingerprint, &res.best)?;
         results.push(res);
     }
     Ok(results)

@@ -75,7 +75,7 @@ fn main() {
     let mut results = Vec::new();
     for kernel in kernels {
         let res = autotune::tune_kernel(kernel, &cfg, &runner).expect("tune kernel");
-        vip_bench::schedules::save(&out, &res.key, res.fingerprint, &res.best)
+        vip_kernels::schedule_store::save(&out, &res.key, res.fingerprint, &res.best)
             .expect("write schedule artifact");
         eprintln!(
             "{}: {} grid, {} searched, default {} cycles, best {} cycles ({:+.2}%) [{}]",

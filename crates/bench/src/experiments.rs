@@ -11,10 +11,11 @@ use vip_kernels::cnn::{
 };
 use vip_kernels::mlp::{self, FcBatchLayout, FcLayout};
 use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule, Schedule};
+use vip_kernels::schedule_store;
 use vip_kernels::sync::i16s_to_bytes;
 use vip_mem::MemConfig;
 
-use crate::{pattern, schedules, vault_system_config};
+use crate::{pattern, vault_system_config};
 
 /// Vaults in the full machine.
 pub const VAULTS: u64 = 32;
@@ -63,15 +64,6 @@ impl PreparedTile {
             programs,
             limit,
         }
-    }
-
-    /// Overrides the host-thread count for the per-PE step phase (see
-    /// [`System::set_step_shards`]); simulated behaviour is identical
-    /// for every value.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.sys.set_step_shards(shards);
-        self
     }
 
     /// Overrides the functional tier's duty-cycle knobs (see
@@ -227,15 +219,16 @@ fn bp_sched_for(layout: &BpLayout) -> BpSchedule {
 /// Stages `iters` BP-M iterations over a 64×32 tile on one vault
 /// (4 PEs) under `mem` without running them, using the tuned schedule
 /// artifact for this shape and configuration when one exists
-/// ([`crate::schedules`]), else the hand-picked default.
+/// ([`vip_kernels::schedule_store`]), else the hand-picked default.
 #[must_use]
 pub fn bp_tile_sim(mem: MemConfig, iters: usize) -> PreparedTile {
     let (w, h, l) = BP_TILE;
     let cfg = vault_system_config(mem);
-    let sched = match schedules::load(&schedules::bp_key(w, h, l), cfg.snapshot_fingerprint()) {
-        Some(Schedule::Bp(s)) if s.validate(w, h, l).is_ok() => s,
-        _ => BpSchedule::default(),
-    };
+    let sched =
+        match schedule_store::load(&schedule_store::bp_key(w, h, l), cfg.snapshot_fingerprint()) {
+            Some(Schedule::Bp(s)) if s.validate(w, h, l).is_ok() => s,
+            _ => BpSchedule::default(),
+        };
     bp_tile_sim_with(cfg, iters, &sched)
 }
 
@@ -550,15 +543,16 @@ pub fn conv_sim_layer(ci: usize, co: usize) -> ConvLayer {
 
 /// Stages one conv tile on one vault without running it, using the
 /// tuned schedule artifact for this shape and configuration when one
-/// exists ([`crate::schedules`]), else the default schedule around the
-/// caller's filter grouping.
+/// exists ([`vip_kernels::schedule_store`]), else the default schedule
+/// around the caller's filter grouping.
 #[must_use]
 pub fn conv_tile_sim(mem: MemConfig, layer: &ConvLayer, filters_per_group: usize) -> PreparedTile {
     let cfg = vault_system_config(mem);
-    let sched = match schedules::load(&schedules::conv_key(layer), cfg.snapshot_fingerprint()) {
-        Some(Schedule::Conv(s)) if s.validate(layer).is_ok() => s,
-        _ => ConvSchedule::default_for(layer, filters_per_group),
-    };
+    let sched =
+        match schedule_store::load(&schedule_store::conv_key(layer), cfg.snapshot_fingerprint()) {
+            Some(Schedule::Conv(s)) if s.validate(layer).is_ok() => s,
+            _ => ConvSchedule::default_for(layer, filters_per_group),
+        };
     conv_tile_sim_with(cfg, layer, &sched)
 }
 
@@ -648,15 +642,16 @@ fn fc_sim_layer(shape: (usize, usize)) -> FcLayer {
 /// Stages one fully-connected tile of the given `(inputs, outputs)`
 /// shape without running it, using the tuned schedule artifact for
 /// this shape and configuration when one exists
-/// ([`crate::schedules`]), else the hand-picked default.
+/// ([`vip_kernels::schedule_store`]), else the hand-picked default.
 #[must_use]
 pub fn fc_shape_tile_sim(mem: MemConfig, shape: (usize, usize)) -> PreparedTile {
     let layer = fc_sim_layer(shape);
     let cfg = vault_system_config(mem);
-    let sched = match schedules::load(&schedules::fc_key(&layer), cfg.snapshot_fingerprint()) {
-        Some(Schedule::Fc(s)) if s.validate(&layer).is_ok() => s,
-        _ => FcSchedule::default(),
-    };
+    let sched =
+        match schedule_store::load(&schedule_store::fc_key(&layer), cfg.snapshot_fingerprint()) {
+            Some(Schedule::Fc(s)) if s.validate(&layer).is_ok() => s,
+            _ => FcSchedule::default(),
+        };
     fc_tile_sim_with(cfg, &layer, &sched)
 }
 

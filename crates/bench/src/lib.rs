@@ -24,7 +24,6 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 pub mod runner;
-pub mod schedules;
 
 use vip_core::SystemConfig;
 use vip_mem::MemConfig;

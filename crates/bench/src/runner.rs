@@ -82,20 +82,7 @@ pub fn point_hash(name: &str, encoding: &str, fingerprint: u64) -> u64 {
     vip_snap::hash_bytes(&bytes)
 }
 
-/// Writes `bytes` to `path` via a temporary sibling and an atomic
-/// rename, so readers (and crash recovery) only ever observe a
-/// complete file.
-///
-/// # Errors
-///
-/// Propagates any I/O failure from the write or the rename.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, bytes)?;
-    fs::rename(&tmp, path)
-}
+pub use vip_snap::atomic_write;
 
 /// The checkpointing point runner. Construct with [`Runner::new`], then
 /// configure with the builder-style setters.

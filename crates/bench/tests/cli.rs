@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use vip_bench::cli::{env_seed, Cli, CliError};
-use vip_bench::schedules;
+use vip_kernels::schedule_store;
 
 fn args(list: &[&str]) -> impl Iterator<Item = String> + use<> {
     list.iter()
@@ -80,11 +80,11 @@ fn rejects_missing_and_malformed_values() {
 fn env_var_precedence() {
     // VIP_SCHEDULE_DIR overrides the schedule-store directory; unset,
     // the store falls back to `schedules/`.
-    unsafe { std::env::remove_var(schedules::DIR_ENV) };
-    assert_eq!(schedules::dir(), PathBuf::from("schedules"));
-    unsafe { std::env::set_var(schedules::DIR_ENV, "/tmp/tuned") };
-    assert_eq!(schedules::dir(), PathBuf::from("/tmp/tuned"));
-    unsafe { std::env::remove_var(schedules::DIR_ENV) };
+    unsafe { std::env::remove_var(schedule_store::DIR_ENV) };
+    assert_eq!(schedule_store::dir(), PathBuf::from("schedules"));
+    unsafe { std::env::set_var(schedule_store::DIR_ENV, "/tmp/tuned") };
+    assert_eq!(schedule_store::dir(), PathBuf::from("/tmp/tuned"));
+    unsafe { std::env::remove_var(schedule_store::DIR_ENV) };
 
     // VIP_TEST_SEED overrides the default seed; unset or malformed, the
     // default wins. (Decimal and 0x-prefixed hex both parse.)

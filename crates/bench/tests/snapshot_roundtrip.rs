@@ -15,18 +15,12 @@ enum Engine {
     Fast,
     /// Cycle-by-cycle reference stepping.
     Naive,
-    /// Fast-forward with the per-PE phase sharded across host threads.
-    Sharded,
 }
 
 fn finish(sys: &mut System, limit: u64, engine: Engine) -> u64 {
     match engine {
         Engine::Fast => sys.run(limit),
         Engine::Naive => sys.run_naive(limit),
-        Engine::Sharded => {
-            sys.set_step_shards(3);
-            sys.run(limit)
-        }
     }
     .expect("tile quiesces within its limit")
 }
@@ -110,11 +104,6 @@ fn bp_tile_roundtrips_under_fast_forward() {
 #[test]
 fn bp_tile_roundtrips_under_naive_stepping() {
     assert_restore_is_invisible(bp_tile, 20_000, Engine::Naive, None);
-}
-
-#[test]
-fn bp_tile_roundtrips_under_sharded_stepping() {
-    assert_restore_is_invisible(bp_tile, 20_000, Engine::Sharded, None);
 }
 
 #[test]

@@ -34,12 +34,6 @@ pub struct SystemConfig {
     pub reduce_latency: u64,
     /// Latency of the PE ↔ local-vault star link, cycles.
     pub local_link_latency: u64,
-    /// Host threads for the per-PE phase of [`System::step`]
-    /// (simulation-host parallelism; no effect on simulated behaviour).
-    /// `0` picks a count from the machine's available parallelism.
-    ///
-    /// [`System::step`]: crate::System::step
-    pub step_shards: usize,
     /// PE fault injection (scalar writeback bit flips). `None` disables
     /// injection entirely; DRAM and NoC injection live in
     /// [`MemConfig::faults`] and [`TorusConfig::faults`] respectively —
@@ -64,7 +58,6 @@ impl SystemConfig {
             multiply_latency: 4,
             reduce_latency: 2,
             local_link_latency: 1,
-            step_shards: 0,
             pe_faults: None,
         }
     }
@@ -154,8 +147,7 @@ impl SystemConfig {
     }
 
     /// FNV-1a digest of every *structural* parameter — the machine shape
-    /// a snapshot is only valid against. Excluded on purpose:
-    /// `step_shards` (host parallelism, no simulated effect), all three
+    /// a snapshot is only valid against. Excluded on purpose: all three
     /// fault configurations (runtime-settable via
     /// [`System::set_fault_config`](crate::System::set_fault_config) and
     /// serialized in the snapshot body instead), and `mem.name` (a debug

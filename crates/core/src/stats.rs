@@ -110,7 +110,7 @@ impl Snapshot for PeStats {
 
 /// Functional-tier accounting: how much of the run executed as cached
 /// straight-line blocks versus under the cycle-accurate model. All
-/// counters stay zero for the naive / fast-forward / sharded engines, so
+/// counters stay zero for the naive and fast-forward engines, so
 /// cross-engine stats-equality tests are unaffected.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuncStats {

@@ -99,122 +99,6 @@ impl Downlinks<'_> {
     }
 }
 
-/// Resolves a configured shard count to an actual one (`>= 1`).
-/// Auto (`0`) sizes to the host's parallelism but never slices finer
-/// than 16 PEs per shard — below that, thread overhead dominates.
-fn resolve_shards(requested: usize, total_pes: usize) -> usize {
-    let shards = if requested == 0 {
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(total_pes / 16)
-    } else {
-        requested.min(total_pes)
-    };
-    shards.max(1)
-}
-
-/// The per-PE slices one shard of the step phase works on: the PEs, their
-/// completion and egress queues, and their wake bookkeeping (see
-/// [`System::due`] and [`System::asleep_since`]).
-struct PeLanes<'a> {
-    pes: &'a mut [Pe],
-    to_pe: &'a mut [VecDeque<(Cycle, MemResponse)>],
-    egress: &'a mut [VecDeque<MemRequest>],
-    due: &'a mut [Cycle],
-    asleep_since: &'a mut [Cycle],
-}
-
-/// The per-PE step phase for a contiguous slice of PEs starting at
-/// global id `base`: deliver matured completions, tick, and emit at most
-/// one request into the PE's private egress queue.
-///
-/// With `all_due` every PE is visited — the naive engine, and the
-/// reference. Without it a PE whose due time is still ahead is skipped:
-/// nothing it would do this cycle is observable except one stall-counter
-/// bump, which the visit that ends its sleep replays
-/// ([`Pe::fast_forward`]) before anything can change the stall.
-///
-/// Every mutation is confined to the PE itself and its own lanes, so
-/// disjoint slices run on separate host threads without changing
-/// simulated behaviour. Returns `(completions delivered, requests
-/// emitted)` plus the lowest-PE-id error raised this cycle (every due PE
-/// in the slice is still stepped, so the reported error is independent
-/// of sharding), and appends the global ids of PEs that halted this
-/// cycle.
-fn step_pes(
-    lanes: PeLanes<'_>,
-    now: Cycle,
-    base: usize,
-    all_due: bool,
-    newly_halted: &mut Vec<usize>,
-) -> ((usize, usize), Option<(usize, SimError)>) {
-    let mut received = 0;
-    let mut emitted = 0;
-    let mut first_err: Option<(usize, SimError)> = None;
-    let queues = lanes.to_pe.iter_mut().zip(lanes.egress);
-    for (i, (pe, (queue, egress))) in lanes.pes.iter_mut().zip(queues).enumerate() {
-        if !all_due {
-            if lanes.due[i] > now {
-                debug_assert!(
-                    pe.next_event(now - 1).is_none_or(|c| c > now)
-                        && queue.front().is_none_or(|&(ready, _)| ready > now),
-                    "PE {}: asleep until {} but due at {now}",
-                    base + i,
-                    lanes.due[i]
-                );
-                continue;
-            }
-            pe.fast_forward(lanes.asleep_since[i], now - 1);
-            lanes.asleep_since[i] = now;
-        }
-
-        let mut pe_err: Option<SimError> = None;
-        while let Some(&(ready, _)) = queue.front() {
-            if ready > now {
-                break;
-            }
-            let (_, resp) = queue.pop_front().expect("front exists");
-            match pe.receive(&resp) {
-                Ok(()) => received += 1,
-                Err(e) => {
-                    pe_err = Some(e);
-                    break;
-                }
-            }
-        }
-
-        if pe_err.is_none() {
-            let was_halted = pe.is_halted();
-            match pe.tick(now) {
-                Ok(()) => {
-                    if !was_halted && pe.is_halted() {
-                        newly_halted.push(base + i);
-                    }
-                    if egress.len() < 8 {
-                        if let Some(req) = pe.emit_request() {
-                            egress.push_back(req);
-                            emitted += 1;
-                        }
-                    }
-                }
-                Err(e) => pe_err = Some(e),
-            }
-        }
-
-        if !all_due {
-            let next_completion = queue.front().map_or(Cycle::MAX, |&(ready, _)| ready);
-            lanes.due[i] = pe.next_due(now).min(next_completion);
-        }
-
-        if first_err.is_none() {
-            if let Some(e) = pe_err {
-                first_err = Some((base + i, e));
-            }
-        }
-    }
-    ((received, emitted), first_err)
-}
-
 /// The complete system simulator (Figure 1's left half).
 ///
 /// Holds `vaults × pes_per_vault` [`Pe`]s, the [`Hmc`] memory stack, and
@@ -259,8 +143,6 @@ pub struct System {
     /// Requests queued across all of `pe_egress`: zero lets `step` and
     /// `next_event` skip their walks over it.
     egress_queued: usize,
-    /// Host threads for the per-PE step phase (resolved, `>= 1`).
-    step_shards: usize,
     /// PEs that have not halted — an O(1) quiescence pre-gate,
     /// recounted at [`run`](System::run) entry and maintained by `step`.
     unhalted: usize,
@@ -349,7 +231,6 @@ impl System {
             due: vec![0; total],
             asleep_since: vec![0; total],
             egress_queued: 0,
-            step_shards: resolve_shards(cfg.step_shards, total),
             unhalted: 0,
             inflight_msgs: 0,
             halted_merged: PeStats::default(),
@@ -424,13 +305,12 @@ impl System {
         }
     }
 
-    /// Overrides the host-thread count for the per-PE step phase (see
-    /// [`SystemConfig::step_shards`]); `0` re-selects from the host's
-    /// available parallelism. Simulation-host parallelism only:
-    /// simulated behaviour is identical for every value.
-    pub fn set_step_shards(&mut self, shards: usize) {
-        self.step_shards = resolve_shards(shards, self.pes.len());
-    }
+    /// No-op: the step is always serial. Kept only because the frozen
+    /// `perf/` benchmark package calls it at three sites; the next
+    /// `benchmark` PR removes those calls, the
+    /// `core.system.shards2_over_serial` ledger row, and this method.
+    #[doc(hidden)]
+    pub fn set_step_shards(&mut self, _shards: usize) {}
 
     fn invalidate_stats_cache(&mut self) {
         self.halted_merged = PeStats::default();
@@ -541,80 +421,86 @@ impl System {
             }
         }
 
-        // 4a. PEs: deliver completions, tick, emit into private egress
-        // queues. Each PE touches only its own state, so this phase
-        // shards across host threads without changing simulated
-        // behaviour; all shared-structure work stays in 4b.
-        let shards = self.step_shards;
-        let mut newly_halted: Vec<usize> = Vec::new();
-        let ((received, emitted), step_err) = if shards <= 1 || self.pes.len() < 2 * shards {
-            let lanes = PeLanes {
-                pes: &mut self.pes,
-                to_pe: &mut self.to_pe,
-                egress: &mut self.pe_egress,
-                due: &mut self.due,
-                asleep_since: &mut self.asleep_since,
-            };
-            step_pes(lanes, now, 0, all_due, &mut newly_halted)
-        } else {
-            let chunk = self.pes.len().div_ceil(shards);
-            let lanes = self
-                .pes
-                .chunks_mut(chunk)
-                .zip(self.to_pe.chunks_mut(chunk))
-                .zip(self.pe_egress.chunks_mut(chunk))
-                .zip(self.due.chunks_mut(chunk))
-                .zip(self.asleep_since.chunks_mut(chunk))
-                .map(|((((pes, to_pe), egress), due), asleep_since)| PeLanes {
-                    pes,
-                    to_pe,
-                    egress,
-                    due,
-                    asleep_since,
-                });
-            let results = std::thread::scope(|s| {
-                let handles: Vec<_> = lanes
-                    .enumerate()
-                    .map(|(i, lanes)| {
-                        s.spawn(move || {
-                            let mut halted = Vec::new();
-                            let counts = step_pes(lanes, now, i * chunk, all_due, &mut halted);
-                            (counts, halted)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("PE shard panicked"))
-                    .collect::<Vec<_>>()
-            });
-            let mut received = 0;
-            let mut emitted = 0;
-            let mut err: Option<(usize, SimError)> = None;
-            for (((r, e), shard_err), halted) in results {
-                received += r;
-                emitted += e;
-                newly_halted.extend(halted);
-                // Shards cover ascending PE-id ranges, so the lowest id
-                // wins regardless of shard count.
-                if let Some((id, e)) = shard_err {
-                    if err.as_ref().is_none_or(|(min, _)| id < *min) {
-                        err = Some((id, e));
+        // 4a. PEs: deliver matured completions, tick, and emit at most
+        // one request into the PE's private egress queue; all
+        // shared-structure work stays in 4b. With `all_due` every PE is
+        // visited. Without it a PE whose due time is still ahead is
+        // skipped: nothing it would do this cycle is observable except
+        // one stall-counter bump, which the visit that ends its sleep
+        // replays ([`Pe::fast_forward`]) before anything can change the
+        // stall. Every due PE is stepped even after one has failed, and
+        // the lowest-PE-id error is the one reported.
+        let mut received = 0;
+        let mut emitted = 0;
+        let mut first_err: Option<SimError> = None;
+        for i in 0..self.pes.len() {
+            let pe = &mut self.pes[i];
+            let queue = &mut self.to_pe[i];
+            if !all_due {
+                if self.due[i] > now {
+                    debug_assert!(
+                        pe.next_event(now - 1).is_none_or(|c| c > now)
+                            && queue.front().is_none_or(|&(ready, _)| ready > now),
+                        "PE {i}: asleep until {} but due at {now}",
+                        self.due[i]
+                    );
+                    continue;
+                }
+                pe.fast_forward(self.asleep_since[i], now - 1);
+                self.asleep_since[i] = now;
+            }
+
+            let mut pe_err: Option<SimError> = None;
+            while let Some(&(ready, _)) = queue.front() {
+                if ready > now {
+                    break;
+                }
+                let (_, resp) = queue.pop_front().expect("front exists");
+                match pe.receive(&resp) {
+                    Ok(()) => received += 1,
+                    Err(e) => {
+                        pe_err = Some(e);
+                        break;
                     }
                 }
             }
-            ((received, emitted), err)
-        };
-        self.inflight_msgs = self.inflight_msgs.saturating_sub(received) + emitted;
-        self.egress_queued += emitted;
-        for pe_id in newly_halted {
-            self.unhalted = self.unhalted.saturating_sub(1);
-            if !self.halted_cached[pe_id] {
-                self.halted_cached[pe_id] = true;
-                self.halted_merged.merge(self.pes[pe_id].stats());
+
+            if pe_err.is_none() {
+                let was_halted = pe.is_halted();
+                match pe.tick(now) {
+                    Ok(()) => {
+                        if self.pe_egress[i].len() < 8 {
+                            if let Some(req) = pe.emit_request() {
+                                self.pe_egress[i].push_back(req);
+                                emitted += 1;
+                            }
+                        }
+                        if !was_halted && pe.is_halted() {
+                            self.unhalted = self.unhalted.saturating_sub(1);
+                            if !self.halted_cached[i] {
+                                self.halted_cached[i] = true;
+                                self.halted_merged.merge(pe.stats());
+                            }
+                        }
+                    }
+                    Err(e) => pe_err = Some(e),
+                }
+            }
+
+            if !all_due {
+                let next_completion = queue.front().map_or(Cycle::MAX, |&(ready, _)| ready);
+                self.due[i] = pe.next_due(now).min(next_completion);
+            }
+
+            if first_err.is_none() {
+                first_err = pe_err;
             }
         }
-        if let Some((_, e)) = step_err {
+        // One saturating update per cycle, not one per PE: `inflight_msgs`
+        // is snapshotted, and the two orders differ where it saturates.
+        self.inflight_msgs = self.inflight_msgs.saturating_sub(received) + emitted;
+        self.egress_queued += emitted;
+        if let Some(e) = first_err {
             if !all_due {
                 self.settle_pes(now);
             }
@@ -622,8 +508,7 @@ impl System {
         }
 
         // 4b. Dispatch each PE's oldest pending request onto its uplink
-        // or the torus, in PE-id order — the order the pre-split loop
-        // used, so sharding 4a cannot reorder shared-structure traffic.
+        // or the torus, in PE-id order.
         debug_assert_eq!(
             self.egress_queued,
             self.pe_egress.iter().map(VecDeque::len).sum::<usize>()
@@ -1420,7 +1305,7 @@ impl System {
     /// matches the one in the image; fault configurations are taken from
     /// the image (they are runtime state, not structure). The derived
     /// quiescence caches are rebuilt, so the next
-    /// [`run`](System::run)/[`run_naive`](System::run_naive)/sharded run
+    /// [`run`](System::run) or [`run_naive`](System::run_naive)
     /// continues bit-identically.
     ///
     /// # Errors

@@ -241,6 +241,33 @@ fn pausing_at_any_cycle_reads_the_same_on_both_engines() {
     }
 }
 
+/// The paper's machine, 128 PEs over 32 vaults on the 8×4 torus — eight
+/// times the PEs of anything else in the suite. Every PE runs the same
+/// load / vector-op / store / fence kernel over its own buffer, odd PEs
+/// streaming from the next vault over the torus.
+#[test]
+fn the_papers_128_pe_machine_reads_the_same_on_both_engines() {
+    let build = || {
+        let cfg = SystemConfig::vip();
+        let mut sys = System::new(cfg.clone());
+        assert_eq!(sys.total_pes(), 128);
+        for pe in 0..sys.total_pes() {
+            let vault = (pe / cfg.pes_per_vault + pe % 2) % cfg.mem.vaults;
+            let base = cfg.mem.vault_base(vault) + 0x10_0000 + pe as u64 * 0x1_0000;
+            sys.load_program(pe, &dma_pressure(base, 6, 80));
+        }
+        sys
+    };
+    let mut event = build();
+    let mut naive = build();
+    let total = event.run(LIMIT).unwrap();
+    assert_eq!(naive.run_naive(LIMIT).unwrap(), total, "quiesce cycle");
+    assert_same(&event, &naive, "128 PEs");
+    let stats = event.stats();
+    assert!(stats.noc.packets > 0, "odd PEs cross the torus");
+    assert!((1_000..20_000).contains(&total), "{total}");
+}
+
 #[test]
 fn chained_slices_equal_the_whole_run() {
     let mut whole = build();

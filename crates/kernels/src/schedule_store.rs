@@ -67,18 +67,6 @@ pub fn artifact_name(key: &str, fingerprint: u64) -> String {
     format!("{key}-{fingerprint:016x}.json")
 }
 
-/// Writes `bytes` to `path` via a temporary sibling and an atomic
-/// rename, so readers (and crash recovery) only ever observe a
-/// complete file. A local copy of the bench runner's idiom — the store
-/// must stay usable without the bench crate.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// Loads the schedule artifact for `(key, fingerprint)` from `from`,
 /// returning `None` when the file is absent, unreadable, malformed, or
 /// names a different kernel family than its key prefix.
@@ -105,7 +93,7 @@ pub fn load(key: &str, fingerprint: u64) -> Option<Schedule> {
 pub fn save(into: &Path, key: &str, fingerprint: u64, sched: &Schedule) -> io::Result<PathBuf> {
     std::fs::create_dir_all(into)?;
     let path = into.join(artifact_name(key, fingerprint));
-    atomic_write(&path, sched.to_json().as_bytes())?;
+    vip_snap::atomic_write(&path, sched.to_json().as_bytes())?;
     Ok(path)
 }
 

@@ -33,8 +33,6 @@ pub enum Engine {
     Naive,
     /// Event-driven fast-forward [`System::run`].
     FastForward,
-    /// [`System::run`] with two stepping shards (threaded).
-    Sharded,
     /// Two-tier block-cached functional execution
     /// ([`System::run_functional`]). Cycle counts are estimates, but
     /// the architectural contract is the same bit-identical one.
@@ -44,13 +42,8 @@ pub enum Engine {
 impl Engine {
     /// All engines, in the order the harness tries them.
     #[must_use]
-    pub fn all() -> [Engine; 4] {
-        [
-            Engine::Naive,
-            Engine::FastForward,
-            Engine::Sharded,
-            Engine::Functional,
-        ]
+    pub fn all() -> [Engine; 3] {
+        [Engine::Naive, Engine::FastForward, Engine::Functional]
     }
 }
 
@@ -59,7 +52,6 @@ impl fmt::Display for Engine {
         match self {
             Engine::Naive => write!(f, "naive"),
             Engine::FastForward => write!(f, "fast-forward"),
-            Engine::Sharded => write!(f, "sharded"),
             Engine::Functional => write!(f, "functional"),
         }
     }
@@ -173,9 +165,6 @@ pub fn run_engine(m: &Materialized, engine: Engine) -> Result<ArchSnapshot, Stri
         m.programs.len() <= sys.total_pes(),
         "case targets more PEs than small_test provides"
     );
-    if engine == Engine::Sharded {
-        sys.set_step_shards(2);
-    }
     for (addr, bytes) in &m.mem_init {
         sys.hmc_mut().host_write(*addr, bytes);
     }
@@ -193,7 +182,7 @@ pub fn run_engine(m: &Materialized, engine: Engine) -> Result<ArchSnapshot, Stri
     }
     let res = match engine {
         Engine::Naive => sys.run_naive(MAX_CYCLES),
-        Engine::FastForward | Engine::Sharded => sys.run(MAX_CYCLES),
+        Engine::FastForward => sys.run(MAX_CYCLES),
         Engine::Functional => {
             // Generated cases are small; shrink the duty-cycle windows
             // so they actually cross the functional/accurate boundary

@@ -1,7 +1,7 @@
 //! The differential conformance fuzzer: ≥ 512 seeded random multi-PE
 //! programs, each executed on the architectural reference interpreter
-//! and on all three cycle-level stepping engines (naive, fast-forward,
-//! sharded), with complete final architectural state compared.
+//! and on every stepping engine (naive, fast-forward, functional), with
+//! complete final architectural state compared.
 //!
 //! On a failure the panic message carries the seed, the disagreeing
 //! engine, the first mismatching locations, and the minimized

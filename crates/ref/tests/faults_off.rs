@@ -20,9 +20,6 @@ use vip_rng::for_each_seed;
 fn run_with(m: &Materialized, engine: Engine, faults: &FaultConfig) -> (ArchSnapshot, SystemStats) {
     let mut sys = System::new(SystemConfig::small_test().with_faults(faults));
     assert!(m.programs.len() <= sys.total_pes());
-    if engine == Engine::Sharded {
-        sys.set_step_shards(2);
-    }
     for (addr, bytes) in &m.mem_init {
         sys.hmc_mut().host_write(*addr, bytes);
     }
@@ -40,7 +37,7 @@ fn run_with(m: &Materialized, engine: Engine, faults: &FaultConfig) -> (ArchSnap
     }
     match engine {
         Engine::Naive => sys.run_naive(MAX_CYCLES),
-        Engine::FastForward | Engine::Sharded => sys.run(MAX_CYCLES),
+        Engine::FastForward => sys.run(MAX_CYCLES),
         Engine::Functional => {
             // Small cases: shrink the windows so the functional tier
             // engages instead of finishing inside the calibration run.
@@ -120,13 +117,14 @@ fn engines_agree_with_a_wired_zero_rate_injector() {
         let m = generate(seed, &cfg).materialize_full();
         let wired = FaultConfig::zero_rate(seed);
         let (base_snap, base_stats) = run_with(&m, Engine::Naive, &wired);
-        for engine in [Engine::FastForward, Engine::Sharded] {
-            let (snap, stats) = run_with(&m, engine, &wired);
-            if let Some(detail) = diff_snapshots(&base_snap, &snap) {
-                panic!("seed {seed:#x}: naive vs {engine} under wired injector:\n{detail}");
-            }
-            assert_eq!(base_stats, stats, "seed {seed:#x}: naive vs {engine} stats");
+        let (snap, stats) = run_with(&m, Engine::FastForward, &wired);
+        if let Some(detail) = diff_snapshots(&base_snap, &snap) {
+            panic!("seed {seed:#x}: naive vs fast-forward under wired injector:\n{detail}");
         }
+        assert_eq!(
+            base_stats, stats,
+            "seed {seed:#x}: naive vs fast-forward stats"
+        );
         // The functional tier promises bit-identical architectural
         // state and retirement counters; its cycle-dependent numbers
         // (estimated clock, refresh counts, occupancy) legitimately

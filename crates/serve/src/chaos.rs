@@ -33,17 +33,13 @@
 //! latency, and goodput versus injected failure rate, rendered as
 //! `BENCH_chaos.json`.
 
-use std::fs;
-use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use vip_core::FailureClass;
 use vip_faults::FaultConfig;
 use vip_rng::SplitMix64;
 use vip_snap::{Fingerprint, Reader, SnapError, Snapshot, Writer};
 
-use crate::durable::{run_dir, DurableConfig, DurableError, PointStore};
+use crate::durable::{DurableConfig, DurableError, PointStore};
+use crate::fanout::fan_out;
 use crate::metrics::{availability_pct, ms, recovery_summary, throughput_rps};
 use crate::scheduler::{serve, serve_durable, Rejection, ServeConfig, ServeOutcome};
 use crate::workload::{LoadMode, MixEntry, Workload};
@@ -443,6 +439,33 @@ impl ChaosSweepConfig {
         }
         f.finish()
     }
+
+    /// The closed-loop workload every point replays.
+    fn workload(&self) -> Workload {
+        Workload {
+            seed: self.seed,
+            requests: self.requests,
+            mode: LoadMode::Closed {
+                clients: self.clients,
+                think: self.think,
+            },
+            mix: self.mix.clone(),
+        }
+    }
+
+    /// The fleet configuration of each point, in `scales` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `serve.chaos` is `None`.
+    fn serve_configs(&self) -> Vec<ServeConfig> {
+        let base = self.serve.chaos.expect("chaos sweep needs a chaos config");
+        let at = |&scale: &u32| ServeConfig {
+            chaos: Some(base.scaled(scale)),
+            ..self.serve.clone()
+        };
+        self.scales.iter().map(at).collect()
+    }
 }
 
 /// One completed chaos sweep point.
@@ -455,8 +478,8 @@ pub struct ChaosPoint {
 }
 
 /// Runs every point of the chaos sweep: the same seeded closed-loop
-/// workload at each chaos scale, fanned out over a work-stealing pool
-/// with results in input order. Deterministic at any `jobs`.
+/// workload at each chaos scale, through [`fan_out`] — results in input
+/// order, deterministic at any `jobs`.
 ///
 /// # Panics
 ///
@@ -464,40 +487,12 @@ pub struct ChaosPoint {
 /// with chaos disabled would sweep nothing.
 #[must_use]
 pub fn run_chaos_sweep(cfg: &ChaosSweepConfig) -> Vec<ChaosPoint> {
-    let base = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<ChaosPoint>>> =
-        Mutex::new(cfg.scales.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.scales.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&scale) = cfg.scales.get(i) else {
-                    break;
-                };
-                let mut serve_cfg = cfg.serve.clone();
-                serve_cfg.chaos = Some(base.scaled(scale));
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients: cfg.clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let outcome = serve(&serve_cfg, &workload);
-                slots.lock().expect("chaos slots")[i] = Some(ChaosPoint { scale, outcome });
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("chaos slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
+    let serve_cfgs = cfg.serve_configs();
+    let workload = cfg.workload();
+    fan_out(cfg.jobs, cfg.scales.len(), |i| ChaosPoint {
+        scale: cfg.scales[i],
+        outcome: serve(&serve_cfgs[i], &workload),
+    })
 }
 
 /// [`run_chaos_sweep`] with host-crash durability: each point journals
@@ -519,57 +514,21 @@ pub fn run_chaos_sweep_durable(
     cfg: &ChaosSweepConfig,
     durable: &DurableConfig,
 ) -> Result<Vec<ChaosPoint>, DurableError> {
-    let base = cfg.serve.chaos.expect("chaos sweep needs a chaos config");
+    let serve_cfgs = cfg.serve_configs();
+    let workload = cfg.workload();
     let fingerprint = cfg.fingerprint();
-    if !durable.resume {
-        let dir = run_dir(&durable.dir, fingerprint);
-        if let Err(e) = fs::remove_dir_all(&dir) {
-            if e.kind() != io::ErrorKind::NotFound {
-                return Err(DurableError::Io {
-                    op: "wipe run directory",
-                    path: dir,
-                    source: e,
-                });
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<ChaosPoint, DurableError>>>> =
-        Mutex::new(cfg.scales.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.scales.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&scale) = cfg.scales.get(i) else {
-                    break;
-                };
-                let mut serve_cfg = cfg.serve.clone();
-                serve_cfg.chaos = Some(base.scaled(scale));
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients: cfg.clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let result =
-                    PointStore::open(&durable.dir, i, fingerprint).and_then(|mut store| {
-                        serve_durable(&serve_cfg, &workload, &mut store, durable.checkpoint_every)
-                            .map(|outcome| ChaosPoint { scale, outcome })
-                    });
-                slots.lock().expect("chaos slots")[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("chaos slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
+    durable.begin_run(fingerprint)?;
+    fan_out(cfg.jobs, cfg.scales.len(), |i| {
+        let mut store = PointStore::open(&durable.dir, i, fingerprint)?;
+        let every = durable.checkpoint_every;
+        let outcome = serve_durable(&serve_cfgs[i], &workload, &mut store, every)?;
+        Ok(ChaosPoint {
+            scale: cfg.scales[i],
+            outcome,
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 fn point_json(p: &ChaosPoint) -> String {

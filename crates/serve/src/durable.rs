@@ -8,7 +8,7 @@
 //! to a journal segment, and every `checkpoint_every` events the whole
 //! fleet — device snapshots, queues, parked jobs, RNG cursors, the
 //! program cache's key set, the partial outcome — is written to a
-//! `.ckpt` file with the bench runner's write-then-rename discipline.
+//! `.ckpt` file with write-then-rename ([`vip_snap::atomic_write`]).
 //! On resume, the latest valid checkpoint restores the fleet and the
 //! journal tail is replayed: the scheduler re-executes each event and
 //! byte-compares what it produced against the recorded frame, so a
@@ -33,7 +33,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use vip_snap::{frame, journal_header, read_journal_header, scan_frames, SnapError};
+use vip_snap::{
+    atomic_write, frame, journal_header, read_journal_header, scan_frames, tmp_sibling, SnapError,
+};
 
 /// Where and how often durable serving persists its state.
 #[derive(Debug, Clone)]
@@ -46,6 +48,24 @@ pub struct DurableConfig {
     /// Continue from persisted state when present. When `false`, any
     /// prior state for this configuration is wiped first.
     pub resume: bool,
+}
+
+impl DurableConfig {
+    /// Readies the run directory filed under `fingerprint` for a sweep:
+    /// unless resuming, whatever an earlier run of this configuration
+    /// left there is wiped.
+    pub(crate) fn begin_run(&self, fingerprint: u64) -> Result<(), DurableError> {
+        if self.resume {
+            return Ok(());
+        }
+        let dir = run_dir(&self.dir, fingerprint);
+        match fs::remove_dir_all(&dir) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                Err(io_err("wipe run directory", &dir, e))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Why a durable serving run could not complete. Every corrupted-input
@@ -389,19 +409,15 @@ impl PointStore {
     pub fn checkpoint(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let next = self.ordinal + 1;
         let path = self.ckpt_path(next);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
         let framed = frame(bytes);
         let nth = CKPTS.fetch_add(1, Ordering::Relaxed) + 1;
         if crash_armed(CrashPoint::Ckpt, nth) {
             // Simulated host death mid-checkpoint: a torn temporary is
             // left behind; the rename never happens.
-            let _ = fs::write(&tmp, &framed[..framed.len() / 2]);
+            let _ = fs::write(tmp_sibling(&path), &framed[..framed.len() / 2]);
             std::process::abort();
         }
-        fs::write(&tmp, &framed).map_err(|e| io_err("write checkpoint", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish checkpoint", &path, e))?;
+        atomic_write(&path, &framed).map_err(|e| io_err("write checkpoint", &path, e))?;
         self.fresh_segment(next)?;
         self.prune_except(Some(next))
     }
@@ -414,11 +430,7 @@ impl PointStore {
     /// [`DurableError::Io`] if the write fails.
     pub fn finish(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
         let path = self.done_path();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        fs::write(&tmp, bytes).map_err(|e| io_err("write done record", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("publish done record", &path, e))?;
+        atomic_write(&path, bytes).map_err(|e| io_err("write done record", &path, e))?;
         self.journal = None;
         self.prune_except(Some(u64::MAX))?;
         Ok(())

@@ -34,6 +34,9 @@
 //!   snapshots, queues, RNG cursors, cache keys), and the
 //!   verified-replay resume behind `--resume` — a resumed run's
 //!   report is byte-identical to an uninterrupted one's.
+//! * [`fanout`] — the one host-thread fan-out: independent points on
+//!   `--jobs` workers, results in input order. Host threads run
+//!   across points, never inside a simulated cycle.
 //! * [`metrics`] / [`sweep`] — per-request latency records, integer
 //!   nearest-rank percentiles, availability and recovery summaries,
 //!   the offered-load sweep, and the `BENCH_serving.json` report
@@ -43,6 +46,7 @@ pub mod cache;
 pub mod chaos;
 pub mod device;
 pub mod durable;
+pub mod fanout;
 pub mod metrics;
 pub mod scheduler;
 pub mod sweep;
@@ -56,6 +60,7 @@ pub use chaos::{
 };
 pub use device::Engine;
 pub use durable::{run_dir, DurableConfig, DurableError, LoadedPoint, PointStore};
+pub use fanout::fan_out;
 pub use scheduler::{
     serve, serve_durable, serve_durable_interrupted, Rejection, RequestRecord, ServeConfig,
     ServeOutcome,

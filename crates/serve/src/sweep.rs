@@ -3,20 +3,15 @@
 //! A sweep runs the same seeded closed-loop workload at increasing
 //! client counts until (and past) fleet saturation, one independent
 //! [`serve`] run per point. Points are embarrassingly parallel —
-//! every run owns its devices and RNG streams — so they fan out over
-//! a work-stealing thread pool, with results collected back in input
-//! order. Nothing in the report depends on wall clock or thread
-//! count: the same seed and config produce a byte-identical
-//! `BENCH_serving.json` at any `--jobs`.
-
-use std::fs;
-use std::io;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! every run owns its devices and RNG streams — so they go through
+//! [`fan_out`], which returns results in input order. Nothing in the
+//! report depends on wall clock or thread count: the same seed and
+//! config produce a byte-identical `BENCH_serving.json` at any `--jobs`.
 
 use vip_snap::{Fingerprint, Snapshot, Writer};
 
-use crate::durable::{run_dir, DurableConfig, DurableError, PointStore};
+use crate::durable::{DurableConfig, DurableError, PointStore};
+use crate::fanout::fan_out;
 use crate::metrics::{latency_summary, ms, throughput_rps, LatencySummary};
 use crate::scheduler::{serve, serve_durable, ServeConfig, ServeOutcome};
 use crate::workload::{LoadMode, MixEntry, Workload};
@@ -69,6 +64,19 @@ impl SweepConfig {
         }
         f.finish()
     }
+
+    /// The closed-loop workload of the point with `clients` clients.
+    fn workload(&self, clients: usize) -> Workload {
+        Workload {
+            seed: self.seed,
+            requests: self.requests,
+            mode: LoadMode::Closed {
+                clients,
+                think: self.think,
+            },
+            mix: self.mix.clone(),
+        }
+    }
 }
 
 /// One completed sweep point.
@@ -80,45 +88,14 @@ pub struct SweepPoint {
     pub outcome: ServeOutcome,
 }
 
-/// Work-stealing fan-out that preserves input order in its results.
-fn pull_points(cfg: &SweepConfig) -> Vec<SweepPoint> {
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SweepPoint>>> =
-        Mutex::new(cfg.clients.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.clients.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&clients) = cfg.clients.get(i) else {
-                    break;
-                };
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let outcome = serve(&cfg.serve, &workload);
-                slots.lock().expect("sweep slots")[i] = Some(SweepPoint { clients, outcome });
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("sweep slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
-}
-
 /// Runs every point of the sweep.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> Vec<SweepPoint> {
-    pull_points(cfg)
+    fan_out(cfg.jobs, cfg.clients.len(), |i| {
+        let clients = cfg.clients[i];
+        let outcome = serve(&cfg.serve, &cfg.workload(clients));
+        SweepPoint { clients, outcome }
+    })
 }
 
 /// [`run_sweep`] with host-crash durability: each point journals its
@@ -139,53 +116,16 @@ pub fn run_sweep_durable(
     durable: &DurableConfig,
 ) -> Result<Vec<SweepPoint>, DurableError> {
     let fingerprint = cfg.fingerprint();
-    if !durable.resume {
-        let dir = run_dir(&durable.dir, fingerprint);
-        if let Err(e) = fs::remove_dir_all(&dir) {
-            if e.kind() != io::ErrorKind::NotFound {
-                return Err(DurableError::Io {
-                    op: "wipe run directory",
-                    path: dir,
-                    source: e,
-                });
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<SweepPoint, DurableError>>>> =
-        Mutex::new(cfg.clients.iter().map(|_| None).collect());
-    let workers = cfg.jobs.max(1).min(cfg.clients.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&clients) = cfg.clients.get(i) else {
-                    break;
-                };
-                let workload = Workload {
-                    seed: cfg.seed,
-                    requests: cfg.requests,
-                    mode: LoadMode::Closed {
-                        clients,
-                        think: cfg.think,
-                    },
-                    mix: cfg.mix.clone(),
-                };
-                let result =
-                    PointStore::open(&durable.dir, i, fingerprint).and_then(|mut store| {
-                        serve_durable(&cfg.serve, &workload, &mut store, durable.checkpoint_every)
-                            .map(|outcome| SweepPoint { clients, outcome })
-                    });
-                slots.lock().expect("sweep slots")[i] = Some(result);
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .expect("sweep slots")
-        .into_iter()
-        .map(|p| p.expect("every point ran"))
-        .collect()
+    durable.begin_run(fingerprint)?;
+    fan_out(cfg.jobs, cfg.clients.len(), |i| {
+        let clients = cfg.clients[i];
+        let mut store = PointStore::open(&durable.dir, i, fingerprint)?;
+        let every = durable.checkpoint_every;
+        let outcome = serve_durable(&cfg.serve, &cfg.workload(clients), &mut store, every)?;
+        Ok(SweepPoint { clients, outcome })
+    })
+    .into_iter()
+    .collect()
 }
 
 fn point_json(p: &SweepPoint) -> String {

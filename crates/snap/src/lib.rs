@@ -27,11 +27,17 @@
 //! constructed host (the full `System`, a `Torus` with a generic
 //! payload) expose inherent `save_state`/`restore_state` methods built
 //! from the same [`Writer`]/[`Reader`] primitives.
+//!
+//! Images reach disk through [`atomic_write`], the workspace's one
+//! write-to-temp-then-rename.
 
 #![forbid(unsafe_code)]
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file or buffer.
 pub const MAGIC: [u8; 8] = *b"VIPSNAP\0";
@@ -704,6 +710,30 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut f = Fingerprint::new();
     f.push_bytes(bytes);
     f.finish()
+}
+
+/// Writes `bytes` to `path` via a temporary `.tmp` sibling and an
+/// atomic rename, so readers (and crash recovery) only ever observe a
+/// complete file. Checkpoints, done-records, reports and schedule
+/// artifacts all go through here.
+///
+/// # Errors
+///
+/// Propagates any I/O failure from the write or the rename.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, path)
+}
+
+/// The temporary [`atomic_write`] stages `path` in — public so a
+/// crash-injection hook can leave exactly the torn file a host death
+/// mid-write would.
+#[must_use]
+pub fn tmp_sibling(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 #[cfg(test)]
