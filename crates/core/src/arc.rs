@@ -115,7 +115,8 @@ impl ArcTable {
 
 /// Slot occupancy must survive verbatim — ids encode slot indices, so a
 /// restored table has to hand back the same ids the in-flight loads
-/// recorded before the snapshot.
+/// recorded before the snapshot. Hand-written: `live` is checked against
+/// the slots and `occupied` rebuilt from them.
 impl Snapshot for ArcTable {
     fn save(&self, w: &mut Writer) {
         self.entries.save(w);

@@ -97,28 +97,13 @@ impl FailureClass {
     }
 }
 
-impl vip_snap::Snapshot for FailureClass {
-    fn save(&self, w: &mut vip_snap::Writer) {
-        w.u8(match self {
-            FailureClass::Trap => 0,
-            FailureClass::Memory => 1,
-            FailureClass::Noc => 2,
-            FailureClass::Protocol => 3,
-            FailureClass::Hang => 4,
-        });
-    }
-
-    fn restore(r: &mut vip_snap::Reader<'_>) -> Result<Self, vip_snap::SnapError> {
-        Ok(match r.u8()? {
-            0 => FailureClass::Trap,
-            1 => FailureClass::Memory,
-            2 => FailureClass::Noc,
-            3 => FailureClass::Protocol,
-            4 => FailureClass::Hang,
-            _ => return Err(vip_snap::SnapError::Corrupt("failure class tag")),
-        })
-    }
-}
+vip_snap::snapshot_enum!(FailureClass, "failure class tag" {
+    0 => Trap,
+    1 => Memory,
+    2 => Noc,
+    3 => Protocol,
+    4 => Hang,
+});
 
 impl SimError {
     /// This error's [`FailureClass`].

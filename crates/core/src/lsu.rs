@@ -6,7 +6,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use vip_isa::{Reg, Trap};
 use vip_mem::{MemRequest, MemResponse, ReqId, RequestKind};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{save_sorted, snapshot_struct, Reader, SnapError, Snapshot, Writer};
 
 use crate::arc::ArcId;
 use crate::scalar::ScalarRegs;
@@ -397,6 +397,8 @@ impl LoadStoreUnit {
     }
 }
 
+// Hand-written: `Reg` is `vip-isa`'s type (which does not depend on
+// `vip-snap`) and must be range-checked on the way back in.
 impl Snapshot for OpKind {
     fn save(&self, w: &mut Writer) {
         match self {
@@ -417,66 +419,31 @@ impl Snapshot for OpKind {
             0 => Ok(OpKind::LoadSram { arc_id: r.u32()? }),
             1 => Ok(OpKind::Store),
             2 => Ok(OpKind::LoadReg {
-                rd: Reg::new(r.u8()?),
+                rd: Reg::try_new(r.u8()?).ok_or(SnapError::Corrupt("LSU register index"))?,
             }),
             _ => Err(SnapError::Corrupt("LSU op kind tag")),
         }
     }
 }
 
-impl Snapshot for Chunk {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.dram_addr);
-        w.usize(self.sp_addr);
-        w.usize(self.len);
-        w.bytes(&self.data);
-        self.kind.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Chunk {
-            dram_addr: r.u64()?,
-            sp_addr: r.usize()?,
-            len: r.usize()?,
-            data: r.bytes()?.to_vec(),
-            kind: RequestKind::restore(r)?,
-        })
-    }
-}
-
-impl Snapshot for LsuOp {
-    fn save(&self, w: &mut Writer) {
-        self.kind.save(w);
-        self.unsent.save(w);
-        w.usize(self.outstanding);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(LsuOp {
-            kind: OpKind::restore(r)?,
-            unsent: VecDeque::restore(r)?,
-            outstanding: r.usize()?,
-        })
-    }
-}
-
-impl Snapshot for InFlight {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.op);
-        w.usize(self.sp_addr);
-        w.u64(self.dram_addr);
-        self.kind.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(InFlight {
-            op: r.u64()?,
-            sp_addr: r.usize()?,
-            dram_addr: r.u64()?,
-            kind: RequestKind::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(Chunk {
+    dram_addr,
+    sp_addr,
+    len,
+    data,
+    kind
+});
+snapshot_struct!(LsuOp {
+    kind,
+    unsent,
+    outstanding
+});
+snapshot_struct!(InFlight {
+    op,
+    sp_addr,
+    dram_addr,
+    kind
+});
 
 impl LoadStoreUnit {
     /// Serializes the LSU's mutable state. `pe_id`/`capacity`/`granule`
@@ -485,21 +452,9 @@ impl LoadStoreUnit {
     /// maps' iteration order never feeds simulation behaviour, so sorted
     /// reload is exact.
     pub fn save_state(&self, w: &mut Writer) {
-        let mut op_ids: Vec<u64> = self.ops.keys().copied().collect();
-        op_ids.sort_unstable();
-        w.usize(op_ids.len());
-        for id in op_ids {
-            w.u64(id);
-            self.ops[&id].save(w);
-        }
+        save_sorted(w, &self.ops);
         self.send_order.save(w);
-        let mut req_ids: Vec<ReqId> = self.in_flight.keys().copied().collect();
-        req_ids.sort_unstable();
-        w.usize(req_ids.len());
-        for id in req_ids {
-            w.u64(id);
-            self.in_flight[&id].save(w);
-        }
+        save_sorted(w, &self.in_flight);
         w.u64(self.next_op);
         w.u64(self.next_req);
     }
@@ -511,19 +466,9 @@ impl LoadStoreUnit {
     ///
     /// Returns a [`SnapError`] on decode failure.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let ops = r.usize()?;
-        self.ops = IdMap::with_capacity_and_hasher(ops.min(1024), Default::default());
-        for _ in 0..ops {
-            let id = r.u64()?;
-            self.ops.insert(id, LsuOp::restore(r)?);
-        }
+        self.ops = Vec::restore(r)?.into_iter().collect();
         self.send_order = VecDeque::restore(r)?;
-        let in_flight = r.usize()?;
-        self.in_flight = IdMap::with_capacity_and_hasher(in_flight.min(1024), Default::default());
-        for _ in 0..in_flight {
-            let id = r.u64()?;
-            self.in_flight.insert(id, InFlight::restore(r)?);
-        }
+        self.in_flight = Vec::restore(r)?.into_iter().collect();
         self.next_op = r.u64()?;
         self.next_req = r.u64()?;
         Ok(())
@@ -727,5 +672,18 @@ mod tests {
             vec![(0x40, false), (0x80, true)],
             "plain loads excluded, sorted by address"
         );
+    }
+
+    #[test]
+    fn a_restored_register_index_is_range_checked() {
+        // Tag 2 is `LoadReg { rd }`; 64 is one past the register file.
+        assert!(matches!(
+            OpKind::restore(&mut Reader::new(&[2, 63])),
+            Ok(OpKind::LoadReg { rd }) if rd == Reg::new(63)
+        ));
+        assert!(matches!(
+            OpKind::restore(&mut Reader::new(&[2, 64])),
+            Err(SnapError::Corrupt("LSU register index"))
+        ));
     }
 }

@@ -1107,8 +1107,8 @@ impl Pe {
     /// Returns a [`SnapError`] on decode failure, including instruction
     /// words that no longer decode.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
-        let len = r.usize()?;
-        let mut insts = Vec::with_capacity(len.min(4096));
+        let len = r.count()?;
+        let mut insts = Vec::with_capacity(len);
         for _ in 0..len {
             let word = r.u64()?;
             insts.push(

@@ -74,7 +74,8 @@ impl Default for ScalarRegs {
 
 /// Valid bits are captured alongside values: a snapshot can land while
 /// an `ld.reg` fill is outstanding, leaving registers architecturally
-/// invalid.
+/// invalid. Hand-written: the valid bits are one packed word in memory
+/// and a byte each on the wire.
 impl Snapshot for ScalarRegs {
     fn save(&self, w: &mut Writer) {
         for v in self.values {

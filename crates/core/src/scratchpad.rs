@@ -1,7 +1,7 @@
 //! The PE's 4 KiB SRAM scratchpad.
 
 use vip_isa::Trap;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// The scratchpad that replaces a vector register file in VIP's vector
 /// memory-memory paradigm (§III-A/B).
@@ -84,17 +84,7 @@ impl Scratchpad {
     }
 }
 
-impl Snapshot for Scratchpad {
-    fn save(&self, w: &mut Writer) {
-        w.bytes(&self.data);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Scratchpad {
-            data: r.bytes()?.to_vec(),
-        })
-    }
-}
+snapshot_struct!(Scratchpad { data });
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 
 use vip_mem::MemStats;
 use vip_noc::NocStats;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 use crate::pe::StallReason;
 use crate::Cycle;
@@ -73,40 +73,22 @@ impl PeStats {
     }
 }
 
-/// `instructions` doubles as the PE's fault-injection coordinate (the
-/// writeback roll is keyed on it), so exact restoration is part of the
-/// determinism contract.
-impl Snapshot for PeStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.active_cycles);
-        w.u64(self.instructions);
-        w.u64(self.vector_instructions);
-        w.u64(self.scalar_instructions);
-        w.u64(self.ldst_instructions);
-        w.u64(self.lane_ops);
-        w.u64(self.lane_mul_ops);
-        w.u64(self.sp_beats);
-        self.stalls.save(w);
-        w.u64(self.writeback_flips);
-        w.u64(self.work_units);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PeStats {
-            active_cycles: r.u64()?,
-            instructions: r.u64()?,
-            vector_instructions: r.u64()?,
-            scalar_instructions: r.u64()?,
-            ldst_instructions: r.u64()?,
-            lane_ops: r.u64()?,
-            lane_mul_ops: r.u64()?,
-            sp_beats: r.u64()?,
-            stalls: <[u64; StallReason::COUNT]>::restore(r)?,
-            writeback_flips: r.u64()?,
-            work_units: r.u64()?,
-        })
-    }
-}
+// `instructions` doubles as the PE's fault-injection coordinate (the
+// writeback roll is keyed on it), so exact restoration is part of the
+// determinism contract.
+snapshot_struct!(PeStats {
+    active_cycles,
+    instructions,
+    vector_instructions,
+    scalar_instructions,
+    ldst_instructions,
+    lane_ops,
+    lane_mul_ops,
+    sp_beats,
+    stalls,
+    writeback_flips,
+    work_units
+});
 
 /// Functional-tier accounting: how much of the run executed as cached
 /// straight-line blocks versus under the cycle-accurate model. All
@@ -136,53 +118,16 @@ pub struct FuncStats {
     pub drain_retries: u64,
 }
 
-impl Snapshot for FuncStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.blocks_decoded);
-        w.u64(self.block_cache_hits);
-        w.u64(self.block_cache_misses);
-        w.u64(self.functional_instructions);
-        w.u64(self.functional_cycles);
-        w.u64(self.accurate_cycles);
-        w.u64(self.windows);
-        w.u64(self.drain_retries);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(FuncStats {
-            blocks_decoded: r.u64()?,
-            block_cache_hits: r.u64()?,
-            block_cache_misses: r.u64()?,
-            functional_instructions: r.u64()?,
-            functional_cycles: r.u64()?,
-            accurate_cycles: r.u64()?,
-            windows: r.u64()?,
-            drain_retries: r.u64()?,
-        })
-    }
-}
-
-/// Serialized for the bench harness's completed-point records, so a
-/// resumed sweep can reproduce finished rows without re-simulating.
-impl Snapshot for SystemStats {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.cycles);
-        self.pe.save(w);
-        self.mem.save(w);
-        self.noc.save(w);
-        self.func.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(SystemStats {
-            cycles: r.u64()?,
-            pe: PeStats::restore(r)?,
-            mem: MemStats::restore(r)?,
-            noc: NocStats::restore(r)?,
-            func: FuncStats::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(FuncStats {
+    blocks_decoded,
+    block_cache_hits,
+    block_cache_misses,
+    functional_instructions,
+    functional_cycles,
+    accurate_cycles,
+    windows,
+    drain_retries
+});
 
 /// A point under the performance roofline (Figure 3): work done, bytes
 /// moved, time taken.
@@ -243,6 +188,16 @@ pub struct SystemStats {
     /// engines).
     pub func: FuncStats,
 }
+
+// Serialized for the bench harness's completed-point records, so a
+// resumed sweep can reproduce finished rows without re-simulating.
+snapshot_struct!(SystemStats {
+    cycles,
+    pe,
+    mem,
+    noc,
+    func
+});
 
 impl SystemStats {
     /// The roofline point this run produced.

@@ -8,7 +8,7 @@ use vip_faults::FaultConfig;
 use vip_isa::{scan_block, Block, Program, Reg};
 use vip_mem::{Hmc, MemRequest, MemResponse, RequestKind};
 use vip_noc::Torus;
-use vip_snap::{read_header, write_header, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{read_header, snapshot_enum, write_header, Reader, SnapError, Snapshot, Writer};
 
 use crate::config::SystemConfig;
 use crate::error::{BlockedPe, HangReport, SimError};
@@ -37,32 +37,7 @@ enum SysMsg {
     Resp { pe: usize, resp: MemResponse },
 }
 
-impl Snapshot for SysMsg {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            SysMsg::Req(req) => {
-                w.u8(0);
-                req.save(w);
-            }
-            SysMsg::Resp { pe, resp } => {
-                w.u8(1);
-                w.usize(*pe);
-                resp.save(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(SysMsg::Req(MemRequest::restore(r)?)),
-            1 => Ok(SysMsg::Resp {
-                pe: r.usize()?,
-                resp: MemResponse::restore(r)?,
-            }),
-            _ => Err(SnapError::Corrupt("system message tag")),
-        }
-    }
-}
+snapshot_enum!(SysMsg, "system message tag" { 0 => Req(req), 1 => Resp { pe, resp } });
 
 fn req_bytes(req: &MemRequest) -> usize {
     match req.kind {
@@ -149,12 +124,6 @@ pub struct System {
     /// Requests emitted by PEs whose completion has not yet been
     /// delivered back (the other half of the quiescence pre-gate).
     inflight_msgs: usize,
-    /// Merged statistics of PEs whose counters are frozen (halted PEs
-    /// never touch their stats again), so [`stats`](System::stats) only
-    /// re-merges live PEs.
-    halted_merged: PeStats,
-    /// Whether PE `i`'s statistics are already in `halted_merged`.
-    halted_cached: Vec<bool>,
     /// Decoded straight-line blocks, keyed on `(program fingerprint,
     /// pc)` so PEs running the same program share entries and reloads
     /// never serve stale code. Derived state: never snapshotted, and it
@@ -233,8 +202,6 @@ impl System {
             egress_queued: 0,
             unhalted: 0,
             inflight_msgs: 0,
-            halted_merged: PeStats::default(),
-            halted_cached: vec![false; total],
             block_cache: HashMap::new(),
             exec_bufs: ExecBufs::default(),
             func_cfg: FuncConfig::default(),
@@ -273,9 +240,6 @@ impl System {
 
     /// Mutable access to PE `pe` (host setup: scratchpad preloading).
     pub fn pe_mut(&mut self, pe: usize) -> &mut Pe {
-        // The caller may load a program or otherwise revive the PE, so
-        // its frozen-stats cache entry can no longer be trusted.
-        self.invalidate_stats_cache();
         &mut self.pes[pe]
     }
 
@@ -292,14 +256,12 @@ impl System {
 
     /// Loads `program` into one PE.
     pub fn load_program(&mut self, pe: usize, program: &Program) {
-        self.invalidate_stats_cache();
         self.pes[pe].load_program(program);
     }
 
     /// Loads the same program into every PE (SPMD style; PEs diverge via
     /// their id registers).
     pub fn load_program_all(&mut self, program: &Program) {
-        self.invalidate_stats_cache();
         for pe in &mut self.pes {
             pe.load_program(program);
         }
@@ -311,13 +273,6 @@ impl System {
     /// `core.system.shards2_over_serial` ledger row, and this method.
     #[doc(hidden)]
     pub fn set_step_shards(&mut self, _shards: usize) {}
-
-    fn invalidate_stats_cache(&mut self) {
-        self.halted_merged = PeStats::default();
-        for flag in &mut self.halted_cached {
-            *flag = false;
-        }
-    }
 
     /// Sets a scalar register in one PE before the run.
     pub fn set_reg(&mut self, pe: usize, r: Reg, value: u64) {
@@ -477,10 +432,6 @@ impl System {
                         }
                         if !was_halted && pe.is_halted() {
                             self.unhalted = self.unhalted.saturating_sub(1);
-                            if !self.halted_cached[i] {
-                                self.halted_cached[i] = true;
-                                self.halted_merged.merge(pe.stats());
-                            }
                         }
                     }
                     Err(e) => pe_err = Some(e),
@@ -651,17 +602,11 @@ impl System {
         self.now = to;
     }
 
-    /// Rebuilds the O(1) quiescence pre-gate and the frozen-stats cache
-    /// from scratch (program loading happens outside `step`, which
-    /// otherwise maintains them incrementally).
+    /// Rebuilds the O(1) quiescence pre-gate from scratch (program
+    /// loading happens outside `step`, which otherwise maintains it
+    /// incrementally).
     fn recount_quiesce_counters(&mut self) {
         self.unhalted = self.pes.iter().filter(|p| !p.is_halted()).count();
-        for (i, pe) in self.pes.iter().enumerate() {
-            if pe.is_halted() && !self.halted_cached[i] {
-                self.halted_cached[i] = true;
-                self.halted_merged.merge(pe.stats());
-            }
-        }
     }
 
     /// Runs until every PE halts and the machine drains, fast-forwarding
@@ -931,8 +876,8 @@ impl System {
             return;
         }
         for (i, pe) in self.pes.iter_mut().enumerate() {
-            // PEs that halted in earlier stretches are already merged
-            // into the frozen-stats cache and must not change.
+            // A PE that halted in an earlier stretch stopped being active
+            // then: its `active_cycles` stays where that stretch left it.
             if ran[i] || !pe.is_halted() {
                 pe.set_active_cycles(to);
             }
@@ -1286,7 +1231,7 @@ impl System {
             pe.save_state(&mut w);
         }
         self.hmc.save_state(&mut w);
-        self.net.save_state(&mut w, &mut |msg, w| msg.save(w));
+        self.net.save_state(&mut w);
         self.pe_egress.save(&mut w);
         self.uplink_busy.save(&mut w);
         self.downlink_busy.save(&mut w);
@@ -1324,7 +1269,7 @@ impl System {
             pe.restore_state(&mut r)?;
         }
         self.hmc.restore_state(&mut r)?;
-        self.net.restore_state(&mut r, &mut SysMsg::restore)?;
+        self.net.restore_state(&mut r)?;
         self.pe_egress = Vec::restore(&mut r)?;
         self.uplink_busy = Vec::restore(&mut r)?;
         self.downlink_busy = Vec::restore(&mut r)?;
@@ -1350,7 +1295,6 @@ impl System {
         // fingerprints, so surviving entries stay valid; the timing
         // calibration and the trap/deadlock poison flag describe the
         // interrupted run and are re-derived fresh.
-        self.invalidate_stats_cache();
         self.recount_quiesce_counters();
         self.egress_queued = self.pe_egress.iter().map(VecDeque::len).sum();
         self.func_rate = None;
@@ -1360,15 +1304,13 @@ impl System {
         Ok(())
     }
 
-    /// Statistics snapshot. Halted PEs' counters are frozen, so only
-    /// still-live PEs are re-merged on each call.
+    /// Statistics snapshot: every PE's counters merged, plus the memory
+    /// stack's, the network's and the functional tier's.
     #[must_use]
     pub fn stats(&self) -> SystemStats {
-        let mut pe = self.halted_merged;
-        for (i, p) in self.pes.iter().enumerate() {
-            if !self.halted_cached[i] {
-                pe.merge(p.stats());
-            }
+        let mut pe = PeStats::default();
+        for p in &self.pes {
+            pe.merge(p.stats());
         }
         SystemStats {
             cycles: self.now,

@@ -1,7 +1,7 @@
 //! Vector-unit configuration and timing state.
 
 use vip_isa::{ElemType, Trap};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 use crate::Cycle;
 
@@ -115,23 +115,12 @@ impl Default for VectorUnit {
     }
 }
 
-impl Snapshot for VectorUnit {
-    fn save(&self, w: &mut Writer) {
-        w.usize(self.vl);
-        w.usize(self.mr);
-        w.u64(self.busy_until);
-        w.u64(self.complete_at);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(VectorUnit {
-            vl: r.usize()?,
-            mr: r.usize()?,
-            busy_until: r.u64()?,
-            complete_at: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(VectorUnit {
+    vl,
+    mr,
+    busy_until,
+    complete_at
+});
 
 #[cfg(test)]
 mod tests {

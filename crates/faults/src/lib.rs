@@ -29,7 +29,7 @@ pub mod crc;
 pub mod secded;
 
 use vip_rng::SplitMix64;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// One million — fault rates are expressed as integer parts-per-million
 /// so configs stay `Copy + Eq` (no floats).
@@ -221,71 +221,23 @@ impl FaultConfig {
     }
 }
 
-impl Snapshot for DramFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.single_bit_ppm);
-        w.u32(self.double_bit_ppm);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(DramFaultConfig {
-            seed: r.u64()?,
-            single_bit_ppm: r.u32()?,
-            double_bit_ppm: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for NocFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.corrupt_ppm);
-        w.u32(self.drop_ppm);
-        w.u32(self.max_retries);
-        w.u64(self.backoff);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(NocFaultConfig {
-            seed: r.u64()?,
-            corrupt_ppm: r.u32()?,
-            drop_ppm: r.u32()?,
-            max_retries: r.u32()?,
-            backoff: r.u64()?,
-        })
-    }
-}
-
-impl Snapshot for PeFaultConfig {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.seed);
-        w.u32(self.writeback_flip_ppm);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PeFaultConfig {
-            seed: r.u64()?,
-            writeback_flip_ppm: r.u32()?,
-        })
-    }
-}
-
-impl Snapshot for FaultConfig {
-    fn save(&self, w: &mut Writer) {
-        self.dram.save(w);
-        self.noc.save(w);
-        self.pe.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultConfig {
-            dram: Option::restore(r)?,
-            noc: Option::restore(r)?,
-            pe: Option::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(DramFaultConfig {
+    seed,
+    single_bit_ppm,
+    double_bit_ppm
+});
+snapshot_struct!(NocFaultConfig {
+    seed,
+    corrupt_ppm,
+    drop_ppm,
+    max_retries,
+    backoff
+});
+snapshot_struct!(PeFaultConfig {
+    seed,
+    writeback_flip_ppm
+});
+snapshot_struct!(FaultConfig { dram, noc, pe });
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Physical address interleaving schemes (§III-C).
 
 use crate::config::MemConfig;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// A physical address decomposed into DRAM coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,25 +18,13 @@ pub struct DecodedAddr {
     pub offset: u64,
 }
 
-impl Snapshot for DecodedAddr {
-    fn save(&self, w: &mut Writer) {
-        w.usize(self.vault);
-        w.usize(self.bank);
-        w.u64(self.row);
-        w.u64(self.col);
-        w.u64(self.offset);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(DecodedAddr {
-            vault: r.usize()?,
-            bank: r.usize()?,
-            row: r.u64()?,
-            col: r.u64()?,
-            offset: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(DecodedAddr {
+    vault,
+    bank,
+    row,
+    col,
+    offset
+});
 
 /// Address-interleaving scheme.
 ///

@@ -2,7 +2,7 @@
 
 use crate::timing::DramTiming;
 use crate::Cycle;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// One DRAM bank: an optional open row plus the earliest cycles at which
 /// the next ACTIVATE, column access, or PRECHARGE may legally issue.
@@ -148,25 +148,13 @@ impl Bank {
     }
 }
 
-impl Snapshot for Bank {
-    fn save(&self, w: &mut Writer) {
-        self.open_row.save(w);
-        w.u64(self.earliest_act);
-        w.u64(self.earliest_col);
-        w.u64(self.earliest_pre);
-        w.u64(self.next_col);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Bank {
-            open_row: Option::restore(r)?,
-            earliest_act: r.u64()?,
-            earliest_col: r.u64()?,
-            earliest_pre: r.u64()?,
-            next_col: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(Bank {
+    open_row,
+    earliest_act,
+    earliest_col,
+    earliest_pre,
+    next_col
+});
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ use crate::timing::BASELINE_T_REFI_PS;
 use crate::Cycle;
 use vip_faults::secded::Decoded;
 use vip_faults::{fault_roll, fault_value, FaultDomain};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot_struct, Reader, SnapError, Snapshot, Writer};
 
 #[derive(Debug)]
 struct Txn {
@@ -40,6 +40,8 @@ fn conflicts(a: &MemRequest, b: &MemRequest) -> bool {
     a.start < b.end && b.start < a.end
 }
 
+// Hand-written: `older_conflicts` and `seq` are derived from the queue
+// and stay off the wire.
 impl Snapshot for Txn {
     fn save(&self, w: &mut Writer) {
         self.req.save(w);
@@ -67,21 +69,11 @@ struct PendingCompletion {
     latency: Cycle,
 }
 
-impl Snapshot for PendingCompletion {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.at);
-        self.response.save(w);
-        w.u64(self.latency);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(PendingCompletion {
-            at: r.u64()?,
-            response: MemResponse::restore(r)?,
-            latency: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(PendingCompletion {
+    at,
+    response,
+    latency
+});
 
 /// A bank's cached candidate for the scheduler: the oldest unparked
 /// transaction of one of the two classes the bank's row state splits its

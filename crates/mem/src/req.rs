@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot_enum, snapshot_struct};
 
 /// Caller-chosen request identifier, echoed in the matching
 /// [`MemResponse`]. The system simulator uses it to route completions
@@ -128,46 +128,19 @@ impl MemRequest {
     }
 }
 
-impl Snapshot for RequestKind {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            RequestKind::Read => 0,
-            RequestKind::Write => 1,
-            RequestKind::FeLoad => 2,
-            RequestKind::FeStore => 3,
-        });
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => RequestKind::Read,
-            1 => RequestKind::Write,
-            2 => RequestKind::FeLoad,
-            3 => RequestKind::FeStore,
-            _ => return Err(SnapError::Corrupt("request kind tag")),
-        })
-    }
-}
-
-impl Snapshot for MemRequest {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.kind.save(w);
-        w.u64(self.addr);
-        w.usize(self.len);
-        w.bytes(&self.data);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(MemRequest {
-            id: r.u64()?,
-            kind: RequestKind::restore(r)?,
-            addr: r.u64()?,
-            len: r.usize()?,
-            data: r.bytes()?.to_vec(),
-        })
-    }
-}
+snapshot_enum!(RequestKind, "request kind tag" {
+    0 => Read,
+    1 => Write,
+    2 => FeLoad,
+    3 => FeStore,
+});
+snapshot_struct!(MemRequest {
+    id,
+    kind,
+    addr,
+    len,
+    data
+});
 
 /// Completion of a [`MemRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -186,25 +159,13 @@ pub struct MemResponse {
     pub poisoned: bool,
 }
 
-impl Snapshot for MemResponse {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.kind.save(w);
-        w.u64(self.addr);
-        w.bytes(&self.data);
-        w.bool(self.poisoned);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(MemResponse {
-            id: r.u64()?,
-            kind: RequestKind::restore(r)?,
-            addr: r.u64()?,
-            data: r.bytes()?.to_vec(),
-            poisoned: r.bool()?,
-        })
-    }
-}
+snapshot_struct!(MemResponse {
+    id,
+    kind,
+    addr,
+    data,
+    poisoned
+});
 
 /// Error returned when a vault's transaction queue is full; retry next
 /// cycle.

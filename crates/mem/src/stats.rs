@@ -1,6 +1,6 @@
 //! Memory-system statistics (bandwidth, row-buffer behaviour, latency).
 
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// Counters accumulated by a vault controller (and aggregated across the
 /// stack by [`Hmc::stats`](crate::Hmc::stats)). Figure 5's achieved-
@@ -104,47 +104,22 @@ impl MemStats {
     }
 }
 
-impl Snapshot for MemStats {
-    fn save(&self, w: &mut Writer) {
-        for v in [
-            self.reads,
-            self.writes,
-            self.bytes_read,
-            self.bytes_written,
-            self.row_hits,
-            self.row_misses,
-            self.row_conflicts,
-            self.refreshes,
-            self.total_latency_cycles,
-            self.busy_cycles,
-            self.elapsed_cycles,
-            self.retention_faults,
-            self.ecc_corrected,
-            self.ecc_uncorrectable,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(MemStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            bytes_read: r.u64()?,
-            bytes_written: r.u64()?,
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_conflicts: r.u64()?,
-            refreshes: r.u64()?,
-            total_latency_cycles: r.u64()?,
-            busy_cycles: r.u64()?,
-            elapsed_cycles: r.u64()?,
-            retention_faults: r.u64()?,
-            ecc_corrected: r.u64()?,
-            ecc_uncorrectable: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(MemStats {
+    reads,
+    writes,
+    bytes_read,
+    bytes_written,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    refreshes,
+    total_latency_cycles,
+    busy_cycles,
+    elapsed_cycles,
+    retention_faults,
+    ecc_corrected,
+    ecc_uncorrectable
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use vip_faults::secded::{self, Decoded};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{save_sorted, Reader, SnapError, Snapshot, Writer};
 
 const PAGE_BYTES: u64 = 4096;
 
@@ -200,6 +200,8 @@ impl Storage {
 /// Pages, full-empty bits, and the ECC sidecar serialize in sorted key
 /// order so the same memory image always produces the same bytes — the
 /// containers are hash maps, whose iteration order is not canonical.
+/// Hand-written for that and for the pages, raw fixed-size runs with no
+/// length prefix.
 impl Snapshot for Storage {
     fn save(&self, w: &mut Writer) {
         let mut pages: Vec<u64> = self.pages.keys().copied().collect();
@@ -212,25 +214,21 @@ impl Snapshot for Storage {
         let mut full: Vec<u64> = self.full_bits.iter().copied().collect();
         full.sort_unstable();
         full.save(w);
-        let mut ecc: Vec<(u64, u8)> = self.ecc.iter().map(|(&k, &v)| (k, v)).collect();
-        ecc.sort_unstable();
-        ecc.save(w);
+        save_sorted(w, &self.ecc);
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let n_pages = r.usize()?;
+        let n_pages = r.count()?;
         let mut pages = HashMap::new();
         for _ in 0..n_pages {
             let page = r.u64()?;
             let data = r.raw(PAGE_BYTES as usize)?;
             pages.insert(page, Vec::from(data).into_boxed_slice());
         }
-        let full_bits: HashSet<u64> = Vec::<u64>::restore(r)?.into_iter().collect();
-        let ecc: HashMap<u64, u8> = Vec::<(u64, u8)>::restore(r)?.into_iter().collect();
         Ok(Storage {
             pages,
-            full_bits,
-            ecc,
+            full_bits: Vec::restore(r)?.into_iter().collect(),
+            ecc: Vec::restore(r)?.into_iter().collect(),
             fe_epoch: 0,
         })
     }

@@ -1,6 +1,6 @@
 //! Network statistics.
 
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// Counters accumulated by a [`Torus`](crate::Torus).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -64,44 +64,22 @@ impl NocStats {
     }
 }
 
-/// `packets` doubles as the uid allocator for in-flight packets (the
-/// fault-injection coordinate), so restoring these counters exactly is
-/// part of the determinism contract, not just bookkeeping.
-impl Snapshot for NocStats {
-    fn save(&self, w: &mut Writer) {
-        for v in [
-            self.packets,
-            self.delivered,
-            self.flits,
-            self.hops,
-            self.total_latency_cycles,
-            self.link_busy_cycles,
-            self.elapsed_cycles,
-            self.crc_detected,
-            self.dropped,
-            self.retries,
-            self.delivery_failures,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(NocStats {
-            packets: r.u64()?,
-            delivered: r.u64()?,
-            flits: r.u64()?,
-            hops: r.u64()?,
-            total_latency_cycles: r.u64()?,
-            link_busy_cycles: r.u64()?,
-            elapsed_cycles: r.u64()?,
-            crc_detected: r.u64()?,
-            dropped: r.u64()?,
-            retries: r.u64()?,
-            delivery_failures: r.u64()?,
-        })
-    }
-}
+// `packets` doubles as the uid allocator for in-flight packets (the
+// fault-injection coordinate), so restoring these counters exactly is
+// part of the determinism contract, not just bookkeeping.
+snapshot_struct!(NocStats {
+    packets,
+    delivered,
+    flits,
+    hops,
+    total_latency_cycles,
+    link_busy_cycles,
+    elapsed_cycles,
+    crc_detected,
+    dropped,
+    retries,
+    delivery_failures
+});
 
 #[cfg(test)]
 mod tests {

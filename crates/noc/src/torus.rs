@@ -7,7 +7,7 @@ use crate::routing::{hop_count, next_hop};
 use crate::stats::NocStats;
 use crate::Cycle;
 use vip_faults::{crc::crc32, fault_roll, fault_value, FaultDomain, NocFaultConfig};
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot_struct, Reader, SnapError, Snapshot, Writer};
 
 /// Torus geometry and link parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +80,14 @@ pub struct Packet<T> {
     pub injected_at: Cycle,
 }
 
+snapshot_struct!(Packet<T> {
+    src,
+    dst,
+    payload_bytes,
+    payload,
+    injected_at
+});
+
 /// Error returned when a router's injection port is busy serializing a
 /// previous packet; retry next cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,6 +124,17 @@ struct Flight<T> {
     /// the check is a detected corruption.
     crc: u32,
 }
+
+snapshot_struct!(Flight<T> {
+    packet,
+    at,
+    ready_at,
+    flits,
+    uid,
+    attempt,
+    hops_done,
+    crc
+});
 
 /// The outcome of a faulted link traversal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -454,59 +473,37 @@ impl<T> Torus<T> {
             (self.cfg.width, self.cfg.height),
         )
     }
+}
 
-    /// Serializes the network's mutable state. The payload type is
-    /// opaque to the network, so the caller supplies `enc` to encode it;
-    /// everything else — the clock, port/link busy times, every in-flight
-    /// packet with its retransmission state, the delivered and failed
-    /// queues, statistics, and the fault configuration — is written here.
+impl<T: Snapshot> Torus<T> {
+    /// Serializes the network's mutable state: the clock, port/link busy
+    /// times, every in-flight packet with its retransmission state, the
+    /// delivered and failed queues, statistics, and the fault
+    /// configuration.
     ///
     /// Flights are written in exact `Vec` order (retirement uses
     /// `swap_remove`, so the order is load-bearing for bit-identical
     /// replay).
-    pub fn save_state(&self, w: &mut Writer, enc: &mut dyn FnMut(&T, &mut Writer)) {
+    pub fn save_state(&self, w: &mut Writer) {
         w.u64(self.now);
         self.link_busy.save(w);
         self.inject_busy.save(w);
         self.eject_busy.save(w);
-        w.usize(self.flights.len());
-        for flight in &self.flights {
-            Self::save_packet(&flight.packet, w, enc);
-            w.usize(flight.at.0);
-            w.usize(flight.at.1);
-            w.u64(flight.ready_at);
-            w.u64(flight.flits);
-            w.u64(flight.uid);
-            w.u32(flight.attempt);
-            w.u64(flight.hops_done);
-            w.u32(flight.crc);
-        }
-        w.usize(self.delivered.len());
-        for (node, packet) in &self.delivered {
-            w.usize(*node);
-            Self::save_packet(packet, w, enc);
-        }
-        w.usize(self.failed.len());
-        for packet in &self.failed {
-            Self::save_packet(packet, w, enc);
-        }
+        self.flights.save(w);
+        self.delivered.save(w);
+        self.failed.save(w);
         self.stats.save(w);
         self.cfg.faults.save(w);
     }
 
     /// Restores state saved by [`save_state`](Self::save_state) onto a
-    /// network freshly built with the same geometry; `dec` decodes the
-    /// opaque payloads `enc` wrote.
+    /// network freshly built with the same geometry.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapError`] on decode failure or a geometry mismatch
     /// (busy-vector lengths disagreeing with this network's config).
-    pub fn restore_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         self.now = r.u64()?;
         let link_busy: Vec<Cycle> = Vec::restore(r)?;
         let inject_busy: Vec<Cycle> = Vec::restore(r)?;
@@ -520,57 +517,12 @@ impl<T> Torus<T> {
         self.link_busy = link_busy;
         self.inject_busy = inject_busy;
         self.eject_busy = eject_busy;
-        let flights = r.usize()?;
-        self.flights = Vec::with_capacity(flights.min(1024));
-        for _ in 0..flights {
-            let packet = Self::restore_packet(r, dec)?;
-            self.flights.push(Flight {
-                packet,
-                at: (r.usize()?, r.usize()?),
-                ready_at: r.u64()?,
-                flits: r.u64()?,
-                uid: r.u64()?,
-                attempt: r.u32()?,
-                hops_done: r.u64()?,
-                crc: r.u32()?,
-            });
-        }
-        let delivered = r.usize()?;
-        self.delivered = VecDeque::with_capacity(delivered.min(1024));
-        for _ in 0..delivered {
-            let node = r.usize()?;
-            self.delivered
-                .push_back((node, Self::restore_packet(r, dec)?));
-        }
-        let failed = r.usize()?;
-        self.failed = VecDeque::with_capacity(failed.min(1024));
-        for _ in 0..failed {
-            self.failed.push_back(Self::restore_packet(r, dec)?);
-        }
+        self.flights = Vec::restore(r)?;
+        self.delivered = VecDeque::restore(r)?;
+        self.failed = VecDeque::restore(r)?;
         self.stats = NocStats::restore(r)?;
         self.cfg.faults = Option::restore(r)?;
         Ok(())
-    }
-
-    fn save_packet(p: &Packet<T>, w: &mut Writer, enc: &mut dyn FnMut(&T, &mut Writer)) {
-        w.usize(p.src);
-        w.usize(p.dst);
-        w.usize(p.payload_bytes);
-        enc(&p.payload, w);
-        w.u64(p.injected_at);
-    }
-
-    fn restore_packet(
-        r: &mut Reader<'_>,
-        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, SnapError>,
-    ) -> Result<Packet<T>, SnapError> {
-        Ok(Packet {
-            src: r.usize()?,
-            dst: r.usize()?,
-            payload_bytes: r.usize()?,
-            payload: dec(r)?,
-            injected_at: r.u64()?,
-        })
     }
 }
 
@@ -824,12 +776,12 @@ mod tests {
         assert!(!net.is_idle(), "want in-flight packets at the snapshot");
 
         let mut w = Writer::new();
-        net.save_state(&mut w, &mut |v, w| w.u32(*v));
+        net.save_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut twin: Torus<u32> = Torus::new(cfg);
         let mut r = Reader::new(&bytes);
-        twin.restore_state(&mut r, &mut |r| r.u32()).unwrap();
+        twin.restore_state(&mut r).unwrap();
         r.finish().unwrap();
 
         let finish = |net: &mut Torus<u32>| {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use vip_isa::Program;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_struct;
 
 /// Identity of one prepared program set.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,23 +31,12 @@ pub struct CacheKey {
     pub batch: usize,
 }
 
-impl Snapshot for CacheKey {
-    fn save(&self, w: &mut Writer) {
-        self.key.save(w);
-        self.encoding.save(w);
-        w.u64(self.fingerprint);
-        w.usize(self.batch);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(CacheKey {
-            key: String::restore(r)?,
-            encoding: String::restore(r)?,
-            fingerprint: r.u64()?,
-            batch: r.usize()?,
-        })
-    }
-}
+snapshot_struct!(CacheKey {
+    key,
+    encoding,
+    fingerprint,
+    batch
+});
 
 /// A concurrent map from [`CacheKey`] to shared prepared programs,
 /// with hit/miss counters. Builds happen under the lock, so a key is

@@ -36,7 +36,7 @@
 use vip_core::FailureClass;
 use vip_faults::FaultConfig;
 use vip_rng::SplitMix64;
-use vip_snap::{Fingerprint, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{snapshot_enum, snapshot_struct, Fingerprint, Snapshot, Writer};
 
 use crate::durable::{DurableConfig, DurableError, PointStore};
 use crate::fanout::fan_out;
@@ -206,25 +206,7 @@ impl FailureKind {
     }
 }
 
-impl Snapshot for FailureKind {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            FailureKind::Crash => w.u8(0),
-            FailureKind::Sim(class) => {
-                w.u8(1);
-                class.save(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => FailureKind::Crash,
-            1 => FailureKind::Sim(FailureClass::restore(r)?),
-            _ => return Err(SnapError::Corrupt("failure kind tag")),
-        })
-    }
-}
+snapshot_enum!(FailureKind, "failure kind tag" { 0 => Crash, 1 => Sim(class) });
 
 /// A request's typed terminal status. Every issued request ends in
 /// exactly one of these; [`Terminal::Pending`] is the in-flight
@@ -265,48 +247,13 @@ impl Terminal {
     }
 }
 
-impl Snapshot for Terminal {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Terminal::Pending => w.u8(0),
-            Terminal::Completed => w.u8(1),
-            Terminal::Recovered {
-                attempts,
-                via_snapshot,
-            } => {
-                w.u8(2);
-                w.u32(*attempts);
-                w.bool(*via_snapshot);
-            }
-            Terminal::Rejected(rejection) => {
-                w.u8(3);
-                rejection.save(w);
-            }
-            Terminal::Failed { kind, attempts } => {
-                w.u8(4);
-                kind.save(w);
-                w.u32(*attempts);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Terminal::Pending,
-            1 => Terminal::Completed,
-            2 => Terminal::Recovered {
-                attempts: r.u32()?,
-                via_snapshot: r.bool()?,
-            },
-            3 => Terminal::Rejected(Rejection::restore(r)?),
-            4 => Terminal::Failed {
-                kind: FailureKind::restore(r)?,
-                attempts: r.u32()?,
-            },
-            _ => return Err(SnapError::Corrupt("terminal status tag")),
-        })
-    }
-}
+snapshot_enum!(Terminal, "terminal status tag" {
+    0 => Pending,
+    1 => Completed,
+    2 => Recovered { attempts, via_snapshot },
+    3 => Rejected(rejection),
+    4 => Failed { kind, attempts },
+});
 
 /// Chaos and recovery counters for one serving run. All zero when
 /// chaos is disabled and nothing faulted.
@@ -345,47 +292,22 @@ pub struct ChaosStats {
     pub failed: u64,
 }
 
-impl Snapshot for ChaosStats {
-    fn save(&self, w: &mut Writer) {
-        for v in [
-            self.crashes,
-            self.induced_hangs,
-            self.hang_failures,
-            self.fault_failures,
-            self.job_retries,
-            self.recoveries_snapshot,
-            self.recoveries_restart,
-            self.quarantines,
-            self.probes,
-            self.probe_failures,
-            self.decommissions,
-            self.timeouts,
-            self.shed,
-            self.failed,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ChaosStats {
-            crashes: r.u64()?,
-            induced_hangs: r.u64()?,
-            hang_failures: r.u64()?,
-            fault_failures: r.u64()?,
-            job_retries: r.u64()?,
-            recoveries_snapshot: r.u64()?,
-            recoveries_restart: r.u64()?,
-            quarantines: r.u64()?,
-            probes: r.u64()?,
-            probe_failures: r.u64()?,
-            decommissions: r.u64()?,
-            timeouts: r.u64()?,
-            shed: r.u64()?,
-            failed: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(ChaosStats {
+    crashes,
+    induced_hangs,
+    hang_failures,
+    fault_failures,
+    job_retries,
+    recoveries_snapshot,
+    recoveries_restart,
+    quarantines,
+    probes,
+    probe_failures,
+    decommissions,
+    timeouts,
+    shed,
+    failed
+});
 
 /// One chaos sweep's shape: a fixed closed-loop workload replayed at
 /// increasing chaos intensity.

@@ -42,7 +42,10 @@ use vip_core::{RunOutcome, SimError, System, SystemConfig};
 use vip_faults::{FaultConfig, PPM_SCALE};
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
-use vip_snap::{read_header, write_header, Fingerprint, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{
+    read_header, save_sorted, snapshot_enum, snapshot_struct, write_header, Fingerprint, Reader,
+    SnapError, Snapshot, Writer,
+};
 
 use crate::cache::{CacheKey, ProgramCache};
 use crate::chaos::{ChaosConfig, ChaosStats, FailureKind, Terminal};
@@ -162,45 +165,11 @@ pub enum Rejection {
     },
 }
 
-impl Snapshot for Rejection {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            Rejection::QueueFull { priority, depth } => {
-                w.u8(0);
-                w.u8(priority);
-                w.usize(depth);
-            }
-            Rejection::Timeout { deadline, waited } => {
-                w.u8(1);
-                w.u64(deadline);
-                w.u64(waited);
-            }
-            Rejection::Shed { healthy, devices } => {
-                w.u8(2);
-                w.usize(healthy);
-                w.usize(devices);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Rejection::QueueFull {
-                priority: r.u8()?,
-                depth: r.usize()?,
-            },
-            1 => Rejection::Timeout {
-                deadline: r.u64()?,
-                waited: r.u64()?,
-            },
-            2 => Rejection::Shed {
-                healthy: r.usize()?,
-                devices: r.usize()?,
-            },
-            _ => return Err(SnapError::Corrupt("rejection tag")),
-        })
-    }
-}
+snapshot_enum!(Rejection, "rejection tag" {
+    0 => QueueFull { priority, depth },
+    1 => Timeout { deadline, waited },
+    2 => Shed { healthy, devices },
+});
 
 /// The full life of one request, as the report records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,49 +221,25 @@ impl RequestRecord {
     }
 }
 
-impl Snapshot for RequestRecord {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.client.save(w);
-        self.class.save(w);
-        self.key.save(w);
-        w.u8(self.priority);
-        w.u64(self.arrival);
-        self.dispatch.save(w);
-        self.completion.save(w);
-        self.device.save(w);
-        w.usize(self.batch);
-        w.u32(self.migrations);
-        w.u32(self.retries);
-        self.rejection.save(w);
-        w.u32(self.attempts);
-        self.devices.save(w);
-        self.status.save(w);
-        w.u64(self.result_hash);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(RequestRecord {
-            id: r.u64()?,
-            client: Option::restore(r)?,
-            class: TileClass::restore(r)?,
-            key: String::restore(r)?,
-            priority: r.u8()?,
-            arrival: r.u64()?,
-            dispatch: Option::restore(r)?,
-            completion: Option::restore(r)?,
-            device: Option::restore(r)?,
-            batch: r.usize()?,
-            migrations: r.u32()?,
-            retries: r.u32()?,
-            rejection: Option::restore(r)?,
-            attempts: r.u32()?,
-            devices: Vec::restore(r)?,
-            status: Terminal::restore(r)?,
-            result_hash: r.u64()?,
-        })
-    }
-}
+snapshot_struct!(RequestRecord {
+    id,
+    client,
+    class,
+    key,
+    priority,
+    arrival,
+    dispatch,
+    completion,
+    device,
+    batch,
+    migrations,
+    retries,
+    rejection,
+    attempts,
+    devices,
+    status,
+    result_hash
+});
 
 /// Everything one serving run produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,39 +273,20 @@ pub struct ServeOutcome {
     pub chaos: ChaosStats,
 }
 
-impl Snapshot for ServeOutcome {
-    fn save(&self, w: &mut Writer) {
-        self.records.save(w);
-        w.u64(self.makespan);
-        w.u64(self.preemptions);
-        w.u64(self.migrations);
-        w.u64(self.batches);
-        w.u64(self.dispatches);
-        self.max_queue_depth.save(w);
-        w.u64(self.rejections);
-        self.device_busy.save(w);
-        w.u64(self.cache_hits);
-        w.u64(self.cache_misses);
-        self.chaos.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(ServeOutcome {
-            records: Vec::restore(r)?,
-            makespan: r.u64()?,
-            preemptions: r.u64()?,
-            migrations: r.u64()?,
-            batches: r.u64()?,
-            dispatches: r.u64()?,
-            max_queue_depth: <[usize; 2]>::restore(r)?,
-            rejections: r.u64()?,
-            device_busy: Vec::restore(r)?,
-            cache_hits: r.u64()?,
-            cache_misses: r.u64()?,
-            chaos: ChaosStats::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(ServeOutcome {
+    records,
+    makespan,
+    preemptions,
+    migrations,
+    batches,
+    dispatches,
+    max_queue_depth,
+    rejections,
+    device_busy,
+    cache_hits,
+    cache_misses,
+    chaos
+});
 
 /// A queued request awaiting dispatch.
 #[derive(Debug, Clone)]
@@ -369,6 +295,12 @@ struct Pending {
     class: TileClass,
     priority: u8,
 }
+
+snapshot_struct!(Pending {
+    id,
+    class,
+    priority
+});
 
 /// The scheduler's view of one in-flight tile.
 #[derive(Debug)]
@@ -412,6 +344,8 @@ enum SliceEnd {
     Failed(FailureKind),
 }
 
+snapshot_enum!(SliceEnd, "slice end tag" { 0 => Done, 1 => Paused, 2 => Failed(kind) });
+
 struct Running {
     meta: JobMeta,
     sys: Box<System>,
@@ -425,6 +359,8 @@ enum Health {
     Quarantined,
     Dead,
 }
+
+snapshot_enum!(Health, "health tag" { 0 => Healthy, 1 => Quarantined, 2 => Dead });
 
 /// Per-device chaos state: the device's own draw stream, its wired
 /// fault injector (if the flaky draw selected it), and its health.
@@ -1386,63 +1322,8 @@ fn run_slice(fleet: &mut Fleet, ctx: &Ctx<'_>, running: &mut Running, now: u64, 
 // bit-exact snapshot.
 // ---------------------------------------------------------------------------
 
-impl Snapshot for Pending {
-    fn save(&self, w: &mut Writer) {
-        w.u64(self.id);
-        self.class.save(w);
-        w.u8(self.priority);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Pending {
-            id: r.u64()?,
-            class: TileClass::restore(r)?,
-            priority: r.u8()?,
-        })
-    }
-}
-
-impl Snapshot for SliceEnd {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            SliceEnd::Done => w.u8(0),
-            SliceEnd::Paused => w.u8(1),
-            SliceEnd::Failed(kind) => {
-                w.u8(2);
-                kind.save(w);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SliceEnd::Done,
-            1 => SliceEnd::Paused,
-            2 => SliceEnd::Failed(FailureKind::restore(r)?),
-            _ => return Err(SnapError::Corrupt("slice end tag")),
-        })
-    }
-}
-
-impl Snapshot for Health {
-    fn save(&self, w: &mut Writer) {
-        w.u8(match self {
-            Health::Healthy => 0,
-            Health::Quarantined => 1,
-            Health::Dead => 2,
-        });
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Health::Healthy,
-            1 => Health::Quarantined,
-            2 => Health::Dead,
-            _ => return Err(SnapError::Corrupt("health tag")),
-        })
-    }
-}
-
+// Hand-written: the draw stream is `vip-rng`'s `SplitMix64`, persisted
+// as its cursor.
 impl Snapshot for DeviceChaos {
     fn save(&self, w: &mut Writer) {
         w.u64(self.rng.state());
@@ -1472,13 +1353,7 @@ fn save_job(meta: &JobMeta, w: &mut Writer) {
     w.bool(meta.recovered);
     w.bool(meta.via_snapshot);
     meta.last_failure.save(w);
-    match &meta.ckpt {
-        None => w.bool(false),
-        Some(b) => {
-            w.bool(true);
-            w.bytes(b);
-        }
-    }
+    meta.ckpt.save(w);
     w.u32(meta.slices_since_ckpt);
 }
 
@@ -1496,11 +1371,7 @@ fn restore_job(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<JobMeta, SnapError> 
     let recovered = r.bool()?;
     let via_snapshot = r.bool()?;
     let last_failure = Option::restore(r)?;
-    let ckpt = if r.bool()? {
-        Some(r.bytes()?.to_vec())
-    } else {
-        None
-    };
+    let ckpt = Option::restore(r)?;
     let slices_since_ckpt = r.u32()?;
     let reader = class.reader_for(
         reqs.len(),
@@ -1524,26 +1395,14 @@ fn restore_job(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<JobMeta, SnapError> 
 
 fn save_parked(p: &Parked, w: &mut Writer) {
     save_job(&p.meta, w);
-    match &p.snapshot {
-        None => w.bool(false),
-        Some(b) => {
-            w.bool(true);
-            w.bytes(b);
-        }
-    }
+    p.snapshot.save(w);
     w.u64(p.not_before);
 }
 
 fn restore_parked(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<Parked, SnapError> {
-    let meta = restore_job(r, ctx)?;
-    let snapshot = if r.bool()? {
-        Some(r.bytes()?.to_vec())
-    } else {
-        None
-    };
     Ok(Parked {
-        meta,
-        snapshot,
+        meta: restore_job(r, ctx)?,
+        snapshot: Option::restore(r)?,
         not_before: r.u64()?,
     })
 }
@@ -1583,9 +1442,7 @@ fn save_fleet(fleet: &Fleet, ctx: &Ctx<'_>, fingerprint: u64) -> Vec<u8> {
     w.u64(fleet.seq);
     w.u64(fleet.issued);
     w.u64(fleet.events_settled);
-    let mut clients: Vec<(u64, usize)> = fleet.client_of.iter().map(|(&k, &v)| (k, v)).collect();
-    clients.sort_unstable();
-    clients.save(&mut w);
+    save_sorted(&mut w, &fleet.client_of);
     let cursors: Vec<u64> = fleet.think_rngs.iter().map(SplitMix64::state).collect();
     cursors.save(&mut w);
     fleet.queues[0].save(&mut w);
@@ -1604,25 +1461,12 @@ fn save_fleet(fleet: &Fleet, ctx: &Ctx<'_>, fingerprint: u64) -> Vec<u8> {
             }
         }
     }
-    w.usize(fleet.chaos.len());
-    for c in &fleet.chaos {
-        c.save(&mut w);
-    }
+    fleet.chaos.save(&mut w);
     fleet.outcome.save(&mut w);
     ctx.cache.keys().save(&mut w);
     w.u64(ctx.cache.hits());
     w.u64(ctx.cache.misses());
     w.into_bytes()
-}
-
-/// Guards a decoded element count against the bytes actually left —
-/// every element the fleet codec reads occupies at least one byte, so
-/// a larger count can only be a corrupt length prefix.
-fn fleet_len(r: &Reader<'_>, len: usize) -> Result<usize, SnapError> {
-    if len > r.remaining() {
-        return Err(SnapError::Corrupt("fleet element count"));
-    }
-    Ok(len)
 }
 
 /// Decodes a [`save_fleet`] blob back into a live fleet, priming the
@@ -1631,8 +1475,7 @@ fn fleet_len(r: &Reader<'_>, len: usize) -> Result<usize, SnapError> {
 fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet, SnapError> {
     let mut r = Reader::new(bytes);
     read_header(&mut r, fingerprint)?;
-    let n = r.usize()?;
-    let n = fleet_len(&r, n)?;
+    let n = r.count()?;
     let mut heap = EventHeap::with_capacity(n);
     for _ in 0..n {
         let at = r.u64()?;
@@ -1644,11 +1487,10 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
     let seq = r.u64()?;
     let issued = r.u64()?;
     let events_settled = r.u64()?;
-    let clients: Vec<(u64, usize)> = Vec::restore(&mut r)?;
+    let client_of = Vec::restore(&mut r)?.into_iter().collect();
     let cursors: Vec<u64> = Vec::restore(&mut r)?;
     let queues = [VecDeque::restore(&mut r)?, VecDeque::restore(&mut r)?];
-    let n = r.usize()?;
-    let n = fleet_len(&r, n)?;
+    let n = r.count()?;
     let mut parked = VecDeque::with_capacity(n);
     for _ in 0..n {
         parked.push_back(restore_parked(&mut r, ctx)?);
@@ -1665,17 +1507,9 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
             None
         });
     }
-    let n = r.usize()?;
-    if n != if ctx.cfg.chaos.is_some() {
-        ctx.cfg.devices
-    } else {
-        0
-    } {
+    let chaos: Vec<DeviceChaos> = Vec::restore(&mut r)?;
+    if chaos.len() != ctx.cfg.chaos.map_or(0, |_| ctx.cfg.devices) {
         return Err(SnapError::Corrupt("chaos state count mismatch"));
-    }
-    let mut chaos = Vec::with_capacity(n);
-    for _ in 0..n {
-        chaos.push(DeviceChaos::restore(&mut r)?);
     }
     let outcome = ServeOutcome::restore(&mut r)?;
     let cache_keys: Vec<CacheKey> = Vec::restore(&mut r)?;
@@ -1688,7 +1522,7 @@ fn restore_fleet(bytes: &[u8], ctx: &Ctx<'_>, fingerprint: u64) -> Result<Fleet,
         seq,
         issued,
         events_settled,
-        client_of: clients.into_iter().collect(),
+        client_of,
         think_rngs: cursors.into_iter().map(SplitMix64::new).collect(),
         queues,
         parked,

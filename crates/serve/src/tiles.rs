@@ -29,7 +29,7 @@ use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule, Schedule};
 use vip_kernels::schedule_store as store;
 use vip_kernels::sync::i16s_to_bytes;
 use vip_mem::Hmc;
-use vip_snap::{Reader, SnapError, Snapshot, Writer};
+use vip_snap::snapshot_enum;
 
 use crate::cache::{CacheKey, ProgramCache};
 
@@ -380,60 +380,11 @@ impl TileClass {
     }
 }
 
-impl Snapshot for TileClass {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            TileClass::Mlp { inputs, outputs } => {
-                w.u8(0);
-                w.usize(inputs);
-                w.usize(outputs);
-            }
-            TileClass::Cnn {
-                in_channels,
-                out_channels,
-                filters_per_group,
-            } => {
-                w.u8(1);
-                w.usize(in_channels);
-                w.usize(out_channels);
-                w.usize(filters_per_group);
-            }
-            TileClass::Bp {
-                width,
-                height,
-                labels,
-                iters,
-            } => {
-                w.u8(2);
-                w.usize(width);
-                w.usize(height);
-                w.usize(labels);
-                w.usize(iters);
-            }
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => TileClass::Mlp {
-                inputs: r.usize()?,
-                outputs: r.usize()?,
-            },
-            1 => TileClass::Cnn {
-                in_channels: r.usize()?,
-                out_channels: r.usize()?,
-                filters_per_group: r.usize()?,
-            },
-            2 => TileClass::Bp {
-                width: r.usize()?,
-                height: r.usize()?,
-                labels: r.usize()?,
-                iters: r.usize()?,
-            },
-            _ => return Err(SnapError::Corrupt("tile class tag")),
-        })
-    }
-}
+snapshot_enum!(TileClass, "tile class tag" {
+    0 => Mlp { inputs, outputs },
+    1 => Cnn { in_channels, out_channels, filters_per_group },
+    2 => Bp { width, height, labels, iters },
+});
 
 fn fc_layer(inputs: usize, outputs: usize) -> FcLayer {
     FcLayer {

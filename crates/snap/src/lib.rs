@@ -23,10 +23,32 @@
 //! [`SnapError::ConfigMismatch`] instead of garbage state.
 //!
 //! The [`Snapshot`] trait covers value-like state (stats blocks,
-//! requests, banks); components whose restore needs an already
-//! constructed host (the full `System`, a `Torus` with a generic
-//! payload) expose inherent `save_state`/`restore_state` methods built
-//! from the same [`Writer`]/[`Reader`] primitives.
+//! requests, banks). A type's wire layout is written down once, as a
+//! field list next to the type — [`snapshot_struct!`] /
+//! [`snapshot_enum!`] expand it to the `save`-in-order /
+//! `restore`-into-a-literal pair, and the compiler checks the list
+//! against the type (a field or variant missing from it does not
+//! compile):
+//!
+//! ```
+//! struct Chunk { addr: u64, data: Vec<u8>, kind: Kind }
+//! enum Kind { Read, Write { fill: u8 } }
+//! vip_snap::snapshot_struct!(Chunk { addr, data, kind });
+//! vip_snap::snapshot_enum!(Kind, "kind tag" { 0 => Read, 1 => Write { fill } });
+//! ```
+//!
+//! Wire order is the list's order, not the declaration's, so fields can
+//! be reordered for readability without moving a byte. An impl is
+//! written by hand only where it carries an invariant or a foreign type
+//! the list cannot express (sorted hash containers, derived fields, a
+//! validity check), and says so in a comment. Every decoded element
+//! count goes through one guard, [`Reader::count`]; hash containers go
+//! through [`save_sorted`].
+//!
+//! Components whose restore needs an already constructed host (the full
+//! `System`, a `Torus`, a vault controller) expose inherent
+//! `save_state`/`restore_state` methods built from the same pieces: they
+//! restore *into* the host and validate the image against its geometry.
 //!
 //! Images reach disk through [`atomic_write`], the workspace's one
 //! write-to-temp-then-rename.
@@ -212,42 +234,50 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The error for a read of `needed` bytes (or elements) the buffer
+    /// no longer holds.
+    fn truncated(&self, needed: usize) -> SnapError {
+        SnapError::Truncated {
+            needed,
+            available: self.remaining(),
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
-            return Err(SnapError::Truncated {
-                needed: n,
-                available: self.remaining(),
-            });
+            return Err(self.truncated(n));
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let Some(out) = self.buf[self.pos..].first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(*out)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, SnapError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a `usize` encoded as a `u64`.
@@ -262,6 +292,24 @@ impl<'a> Reader<'a> {
             1 => Ok(true),
             _ => Err(SnapError::Corrupt("bool byte not 0 or 1")),
         }
+    }
+
+    /// Reads an element count — the `usize` prefix of every encoded
+    /// collection — and checks it against the bytes left, before the
+    /// caller reserves or loops on it. Every element the codec writes
+    /// occupies at least one byte, so a larger count can only be a
+    /// corrupt or truncated prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] when the count exceeds
+    /// [`remaining`](Self::remaining).
+    pub fn count(&mut self) -> Result<usize, SnapError> {
+        let count = self.usize()?;
+        if count > self.remaining() {
+            return Err(self.truncated(count));
+        }
+        Ok(count)
     }
 
     /// Reads a length-prefixed byte string.
@@ -292,7 +340,8 @@ impl<'a> Reader<'a> {
 /// State that round-trips through the codec by value. Implementations
 /// must be canonical: the same logical state always encodes to the same
 /// bytes (sort unordered containers), and `restore(save(x)) == x`
-/// exactly.
+/// exactly. Declare one with [`snapshot_struct!`] / [`snapshot_enum!`]
+/// unless the layout carries an invariant a field list cannot express.
 pub trait Snapshot: Sized {
     /// Appends this value's encoding to `w`.
     fn save(&self, w: &mut Writer);
@@ -302,6 +351,32 @@ pub trait Snapshot: Sized {
     ///
     /// Returns a [`SnapError`] on truncation or invariant violations.
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError>;
+
+    /// Appends a counted run of values — what `Vec<Self>` encodes to.
+    /// `u8` overrides it (and [`restore_vec`](Self::restore_vec)) with
+    /// one copy to the same bytes, so blob fields are plain `Vec<u8>`.
+    fn save_slice(items: &[Self], w: &mut Writer) {
+        w.usize(items.len());
+        for v in items {
+            v.save(w);
+        }
+    }
+
+    /// Decodes a counted run of values written by
+    /// [`save_slice`](Self::save_slice).
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore); a count larger than the bytes left
+    /// is [`SnapError::Truncated`] before anything is reserved.
+    fn restore_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, SnapError> {
+        let count = r.count()?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(Self::restore(r)?);
+        }
+        Ok(out)
+    }
 }
 
 macro_rules! impl_snapshot_prim {
@@ -317,7 +392,87 @@ macro_rules! impl_snapshot_prim {
     };
 }
 
-impl_snapshot_prim!(u8 => u8, u16 => u16, u32 => u32, u64 => u64, usize => usize, bool => bool);
+impl_snapshot_prim!(u16 => u16, u32 => u32, u64 => u64, usize => usize, bool => bool);
+
+impl Snapshot for u8 {
+    fn save(&self, w: &mut Writer) {
+        w.u8(*self);
+    }
+
+    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        r.u8()
+    }
+
+    fn save_slice(items: &[Self], w: &mut Writer) {
+        w.bytes(items);
+    }
+
+    fn restore_vec(r: &mut Reader<'_>) -> Result<Vec<Self>, SnapError> {
+        Ok(r.bytes()?.to_vec())
+    }
+}
+
+/// Implements [`Snapshot`] for a struct from its wire layout: the
+/// fields, in the order they are written. Expands to `save` calling
+/// each field's `save` in that order and `restore` building the struct
+/// literal from each field's `restore` — so a field missing from the
+/// list does not compile, and reordering the declaration moves no byte.
+/// One type parameter is supported (`Packet<T> { .. }`, `T: Snapshot`).
+#[macro_export]
+macro_rules! snapshot_struct {
+    ($ty:ident $(<$g:ident>)? { $($field:ident),* $(,)? }) => {
+        impl $(<$g: $crate::Snapshot>)? $crate::Snapshot for $ty $(<$g>)? {
+            fn save(&self, w: &mut $crate::Writer) {
+                $($crate::Snapshot::save(&self.$field, w);)*
+            }
+
+            fn restore(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok($ty {
+                    $($field: $crate::Snapshot::restore(r)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Snapshot`] for an enum from its wire layout: a `u8` tag
+/// per variant, then the variant's fields in the order listed. Unit,
+/// tuple (`Variant(a, b)` — the names only label the positions) and
+/// named-field variants are supported. An unknown tag restores to
+/// [`SnapError::Corrupt`] with the message given; a variant missing
+/// from the list does not compile.
+#[macro_export]
+macro_rules! snapshot_enum {
+    ($ty:ident, $corrupt:literal {
+        $($tag:literal => $variant:ident
+            $(($($t:ident),* $(,)?))?
+            $({$($n:ident),* $(,)?})?
+        ),* $(,)?
+    }) => {
+        impl $crate::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($ty::$variant $(($($t),*))? $({$($n),*})? => {
+                        w.u8($tag);
+                        $($($crate::Snapshot::save($t, w);)*)?
+                        $($($crate::Snapshot::save($n, w);)*)?
+                    })*
+                }
+            }
+
+            fn restore(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::SnapError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $t = $crate::Snapshot::restore(r)?;)*)?
+                        $($(let $n = $crate::Snapshot::restore(r)?;)*)?
+                        Ok($ty::$variant $(($($t),*))? $({$($n),*})?)
+                    })*
+                    _ => Err($crate::SnapError::Corrupt($corrupt)),
+                }
+            }
+        }
+    };
+}
 
 impl<T: Snapshot> Snapshot for Option<T> {
     fn save(&self, w: &mut Writer) {
@@ -339,41 +494,13 @@ impl<T: Snapshot> Snapshot for Option<T> {
     }
 }
 
-/// Validates a decoded element count against the bytes actually left in
-/// the reader, before any allocation. Every element type the codec
-/// serializes occupies at least one byte, so `len > remaining` can only
-/// mean a corrupt or truncated length prefix — reject it up front
-/// instead of looping (or worse, reserving) on an attacker-controlled
-/// count.
-fn checked_len(r: &Reader<'_>, len: usize) -> Result<usize, SnapError> {
-    if len > r.remaining() {
-        return Err(SnapError::Truncated {
-            needed: len,
-            available: r.remaining(),
-        });
-    }
-    Ok(len)
-}
-
 impl<T: Snapshot> Snapshot for Vec<T> {
     fn save(&self, w: &mut Writer) {
-        w.usize(self.len());
-        for v in self {
-            v.save(w);
-        }
+        T::save_slice(self, w);
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let len = r.usize()?;
-        let len = checked_len(r, len)?;
-        // Safe to reserve: `len` is bounded by the bytes remaining, so a
-        // corrupt length fails with Truncated above instead of aborting
-        // on an absurd allocation here.
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::restore(r)?);
-        }
-        Ok(out)
+        T::restore_vec(r)
     }
 }
 
@@ -386,13 +513,7 @@ impl<T: Snapshot> Snapshot for VecDeque<T> {
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let len = r.usize()?;
-        let len = checked_len(r, len)?;
-        let mut out = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            out.push_back(T::restore(r)?);
-        }
-        Ok(out)
+        T::restore_vec(r).map(VecDeque::from)
     }
 }
 
@@ -402,8 +523,8 @@ impl Snapshot for String {
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        let raw = r.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| SnapError::Corrupt("string not valid UTF-8"))
+        String::from_utf8(u8::restore_vec(r)?)
+            .map_err(|_| SnapError::Corrupt("string not valid UTF-8"))
     }
 }
 
@@ -435,6 +556,23 @@ impl<T: Snapshot, const N: usize> Snapshot for [T; N] {
     }
 }
 
+/// Writes a hash container's entries as the `Vec<(K, V)>` of them sorted
+/// by key, so the bytes do not depend on iteration order. Restore is
+/// `Vec::<(K, V)>::restore(r)?.into_iter().collect()`.
+pub fn save_sorted<'a, K, V>(w: &mut Writer, entries: impl IntoIterator<Item = (&'a K, &'a V)>)
+where
+    K: Snapshot + Ord + 'a,
+    V: Snapshot + 'a,
+{
+    let mut entries: Vec<(&K, &V)> = entries.into_iter().collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    w.usize(entries.len());
+    for (k, v) in entries {
+        k.save(w);
+        v.save(w);
+    }
+}
+
 /// Writes the snapshot header: magic, format version, and the structural
 /// configuration fingerprint of the machine being saved.
 pub fn write_header(w: &mut Writer, fingerprint: u64) {
@@ -451,7 +589,17 @@ pub fn write_header(w: &mut Writer, fingerprint: u64) {
 /// [`SnapError::ConfigMismatch`] (plus truncation) when the snapshot
 /// cannot be restored onto this machine.
 pub fn read_header(r: &mut Reader<'_>, expected_fingerprint: u64) -> Result<(), SnapError> {
-    if r.raw(MAGIC.len())? != MAGIC {
+    check_header(r, &MAGIC, expected_fingerprint)
+}
+
+/// The one header validator, for snapshots and journal segments alike:
+/// `magic`, then [`FORMAT_VERSION`], then the expected fingerprint.
+fn check_header(
+    r: &mut Reader<'_>,
+    magic: &[u8; 8],
+    expected_fingerprint: u64,
+) -> Result<(), SnapError> {
+    if r.raw(magic.len())? != magic {
         return Err(SnapError::BadMagic);
     }
     let version = r.u32()?;
@@ -562,24 +710,7 @@ pub fn journal_header(fingerprint: u64) -> Vec<u8> {
 /// [`SnapError::ConfigMismatch`] (plus truncation) when the segment was
 /// not written by this build for this run configuration.
 pub fn read_journal_header(buf: &[u8], expected_fingerprint: u64) -> Result<usize, SnapError> {
-    let mut r = Reader::new(buf);
-    if r.raw(JOURNAL_MAGIC.len())? != JOURNAL_MAGIC {
-        return Err(SnapError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(SnapError::BadVersion {
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    let found = r.u64()?;
-    if found != expected_fingerprint {
-        return Err(SnapError::ConfigMismatch {
-            found,
-            expected: expected_fingerprint,
-        });
-    }
+    check_header(&mut Reader::new(buf), &JOURNAL_MAGIC, expected_fingerprint)?;
     Ok(JOURNAL_HEADER_LEN)
 }
 
@@ -624,27 +755,22 @@ pub struct JournalScan<'a> {
 #[must_use]
 pub fn scan_frames(buf: &[u8]) -> JournalScan<'_> {
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &buf[pos..];
-        if rest.len() < FRAME_OVERHEAD {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        let Some(payload) = rest.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
+    let mut r = Reader::new(buf);
+    let mut valid_len = 0;
+    while let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) {
+        let Ok(payload) = r.raw(len as usize) else {
             break;
         };
         if crc32(payload) != crc {
             break;
         }
         frames.push(payload);
-        pos += FRAME_OVERHEAD + len;
+        valid_len = buf.len() - r.remaining();
     }
     JournalScan {
         frames,
-        valid_len: pos,
-        torn: pos != buf.len(),
+        valid_len,
+        torn: valid_len != buf.len(),
     }
 }
 
@@ -903,6 +1029,182 @@ mod tests {
             VecDeque::<u64>::restore(&mut r),
             Err(SnapError::Truncated { .. })
         ));
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Probe {
+        id: u64,
+        blob: Vec<u8>,
+        at: (usize, usize),
+        tail: Option<Shape>,
+    }
+    // Wire order differs from declaration order on purpose.
+    snapshot_struct!(Probe { blob, id, tail, at });
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        Dot,
+        Pair(u16, bool),
+        Rect { w: u32, h: u32 },
+    }
+    snapshot_enum!(Shape, "shape tag" { 0 => Dot, 3 => Pair(a, b), 7 => Rect { w, h } });
+
+    #[derive(Debug, PartialEq)]
+    struct Tagged<T> {
+        tag: u8,
+        body: T,
+    }
+    snapshot_struct!(Tagged<T> { tag, body });
+
+    fn encode<T: Snapshot>(v: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode<T: Snapshot>(bytes: &[u8]) -> Result<T, SnapError> {
+        let mut r = Reader::new(bytes);
+        let v = T::restore(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn declared_struct_encodes_its_fields_in_list_order() {
+        let probe = Probe {
+            id: 0x0102_0304_0506_0708,
+            blob: vec![9, 8, 7],
+            at: (5, 6),
+            tail: Some(Shape::Rect { w: 640, h: 480 }),
+        };
+        let mut w = Writer::new();
+        w.bytes(&[9, 8, 7]);
+        w.u64(0x0102_0304_0506_0708);
+        w.bool(true);
+        w.u8(7);
+        w.u32(640);
+        w.u32(480);
+        w.usize(5);
+        w.usize(6);
+        let by_hand = w.into_bytes();
+        assert_eq!(encode(&probe), by_hand);
+        assert_eq!(decode::<Probe>(&by_hand), Ok(probe));
+    }
+
+    #[test]
+    fn declared_enum_roundtrips_every_variant_shape() {
+        for (shape, by_hand) in [
+            (Shape::Dot, vec![0]),
+            (Shape::Pair(0xbeef, true), vec![3, 0xef, 0xbe, 1]),
+            (Shape::Rect { w: 1, h: 2 }, vec![7, 1, 0, 0, 0, 2, 0, 0, 0]),
+        ] {
+            assert_eq!(encode(&shape), by_hand, "{shape:?}");
+            assert_eq!(decode::<Shape>(&by_hand), Ok(shape));
+        }
+        // Tags are the declared ones, not ordinals.
+        for tag in [1, 2, 4, 8, 0xff] {
+            assert_eq!(
+                decode::<Shape>(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]),
+                Err(SnapError::Corrupt("shape tag"))
+            );
+        }
+        assert!(matches!(
+            decode::<Shape>(&[7, 1, 0, 0, 0]),
+            Err(SnapError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn declared_generic_struct_roundtrips() {
+        let v = Tagged {
+            tag: 4,
+            body: vec![Shape::Dot, Shape::Pair(1, false)],
+        };
+        assert_eq!(encode(&v), [4, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0]);
+        assert_eq!(decode::<Tagged<Vec<Shape>>>(&encode(&v)), Ok(v));
+    }
+
+    #[test]
+    fn byte_vectors_take_the_bulk_path_to_the_same_bytes() {
+        // A one-byte element with no override: the provided per-element
+        // `save_slice` / `restore_vec`.
+        #[derive(Debug, PartialEq)]
+        struct Byte {
+            b: u8,
+        }
+        snapshot_struct!(Byte { b });
+
+        let pool = vip_rng::SplitMix64::new(0xb10b).bytes(1_000);
+        for len in [0, 1, 7, 8, 1_000] {
+            let bulk = pool[..len].to_vec();
+            let slow: Vec<Byte> = bulk.iter().map(|&b| Byte { b }).collect();
+            let bytes = encode(&bulk);
+            assert_eq!(bytes, encode(&slow), "len {len}");
+            assert_eq!(bytes, encode(&Some(bulk.clone()))[1..], "len {len}");
+            assert_eq!(decode::<Vec<u8>>(&bytes), Ok(bulk));
+            assert_eq!(decode::<Vec<Byte>>(&bytes), Ok(slow));
+        }
+    }
+
+    #[test]
+    fn restore_vec_rejects_a_count_past_the_input_before_reserving() {
+        // Reserving `usize::MAX / 2` elements would abort, not return.
+        let mut w = Writer::new();
+        w.usize(usize::MAX / 2);
+        w.u64(0);
+        let buf = w.into_bytes();
+        let truncated = SnapError::Truncated {
+            needed: usize::MAX / 2,
+            available: 8,
+        };
+        assert_eq!(
+            u8::restore_vec(&mut Reader::new(&buf)),
+            Err(truncated.clone())
+        );
+        assert_eq!(
+            Shape::restore_vec(&mut Reader::new(&buf)),
+            Err(truncated.clone())
+        );
+        assert_eq!(Reader::new(&buf).count(), Err(truncated));
+        // One past the bytes left is already too many; exactly the
+        // bytes left is not.
+        let mut w = Writer::new();
+        w.usize(3);
+        w.raw(&[0, 0]);
+        assert!(Shape::restore_vec(&mut Reader::new(&w.into_bytes())).is_err());
+        let mut w = Writer::new();
+        w.usize(3);
+        w.raw(&[0, 0, 0]);
+        assert_eq!(
+            Shape::restore_vec(&mut Reader::new(&w.into_bytes())),
+            Ok(vec![Shape::Dot; 3])
+        );
+    }
+
+    #[test]
+    fn save_sorted_is_independent_of_insertion_order() {
+        use std::collections::HashMap;
+        let entries: Vec<(u64, Shape)> = (0..200)
+            .map(|i| (i * 0x9e37_79b9 % 1_009, Shape::Pair(i as u16, i % 2 == 0)))
+            .collect();
+        let forward: HashMap<u64, Shape> = entries.iter().copied().collect();
+        let backward: HashMap<u64, Shape> = entries.iter().rev().copied().collect();
+        let mut sorted = entries.clone();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+
+        let save = |map: &HashMap<u64, Shape>| {
+            let mut w = Writer::new();
+            save_sorted(&mut w, map);
+            w.into_bytes()
+        };
+        // The bytes are the sorted `Vec<(K, V)>`'s, whatever the order.
+        assert_eq!(save(&forward), encode(&sorted));
+        assert_eq!(save(&backward), encode(&sorted));
+        let back: HashMap<u64, Shape> = decode::<Vec<(u64, Shape)>>(&save(&forward))
+            .unwrap()
+            .into_iter()
+            .collect();
+        assert_eq!(back, forward);
     }
 
     #[test]

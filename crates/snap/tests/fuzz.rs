@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vip_rng::{for_each_seed, seed_override, SplitMix64};
 use vip_snap::{
-    frame, journal_header, read_header, read_journal_header, scan_frames, write_header, Reader,
-    SnapError, Snapshot, Writer, FRAME_OVERHEAD, JOURNAL_HEADER_LEN,
+    frame, journal_header, read_header, read_journal_header, scan_frames, snapshot_enum,
+    snapshot_struct, write_header, Reader, SnapError, Snapshot, Writer, FRAME_OVERHEAD,
+    JOURNAL_HEADER_LEN,
 };
 
 /// Counts every mutated input the suite pushes through a decoder, so the
@@ -22,8 +23,24 @@ use vip_snap::{
 /// assumed.
 static MUTATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// How a job's last slice ended — every variant shape the enum macro
+/// takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum End {
+    Done,
+    Failed(u8, bool),
+    Rejected { depth: usize, waited: u64 },
+}
+
+snapshot_enum!(End, "slice end tag" {
+    0 => Done,
+    1 => Failed(class, induced),
+    2 => Rejected { depth, waited },
+});
+
 /// A checkpoint-shaped value exercising every codec construct: nested
-/// containers, strings, optional byte blobs, tuples, fixed arrays.
+/// containers, strings, optional byte blobs, tuples, fixed arrays, and
+/// both declaration macros.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Job {
     id: u64,
@@ -31,27 +48,17 @@ struct Job {
     attempts: u8,
     snapshot: Option<Vec<u8>>,
     trail: Vec<u16>,
+    end: End,
 }
 
-impl Snapshot for Job {
-    fn save(&self, w: &mut Writer) {
-        self.id.save(w);
-        self.key.save(w);
-        self.attempts.save(w);
-        self.snapshot.save(w);
-        self.trail.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(Job {
-            id: u64::restore(r)?,
-            key: String::restore(r)?,
-            attempts: u8::restore(r)?,
-            snapshot: Option::restore(r)?,
-            trail: Vec::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(Job {
+    id,
+    key,
+    attempts,
+    snapshot,
+    trail,
+    end
+});
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FleetImage {
@@ -63,27 +70,14 @@ struct FleetImage {
     pairs: Vec<(u64, bool)>,
 }
 
-impl Snapshot for FleetImage {
-    fn save(&self, w: &mut Writer) {
-        self.seq.save(w);
-        self.queues.save(w);
-        self.jobs.save(w);
-        self.flags.save(w);
-        self.blob.save(w);
-        self.pairs.save(w);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
-        Ok(FleetImage {
-            seq: u64::restore(r)?,
-            queues: <[VecDeque<u64>; 2]>::restore(r)?,
-            jobs: Vec::restore(r)?,
-            flags: Vec::restore(r)?,
-            blob: Vec::restore(r)?,
-            pairs: Vec::restore(r)?,
-        })
-    }
-}
+snapshot_struct!(FleetImage {
+    seq,
+    queues,
+    jobs,
+    flags,
+    blob,
+    pairs
+});
 
 fn random_image(rng: &mut SplitMix64) -> FleetImage {
     let job = |rng: &mut SplitMix64| Job {
@@ -99,6 +93,14 @@ fn random_image(rng: &mut SplitMix64) -> FleetImage {
         trail: (0..rng.usize_in(0..6))
             .map(|_| rng.next_u64() as u16)
             .collect(),
+        end: match rng.below(3) {
+            0 => End::Done,
+            1 => End::Failed(rng.next_u64() as u8, rng.bool()),
+            _ => End::Rejected {
+                depth: rng.usize_in(0..64),
+                waited: rng.next_u64(),
+            },
+        },
     };
     FleetImage {
         seq: rng.next_u64(),
@@ -230,6 +232,29 @@ fn absurd_length_prefixes_fail_before_any_reservation() {
                 String::restore(&mut r),
                 Err(SnapError::Truncated { .. })
             ));
+            // The shapes that used to clamp their reservation instead
+            // of checking the count: a list of declared structs (torus
+            // flights, parked jobs), the delivered queue's pairs, a
+            // sorted map's entries (LSU ops, the fleet's client map),
+            // and the bare count a hand-written loop starts from (the
+            // fleet's event heap, a PE's program).
+            let mut r = Reader::new(&buf);
+            assert!(matches!(
+                Vec::<Job>::restore(&mut r),
+                Err(SnapError::Truncated { .. })
+            ));
+            let mut r = Reader::new(&buf);
+            assert!(matches!(
+                VecDeque::<(usize, Job)>::restore(&mut r),
+                Err(SnapError::Truncated { .. })
+            ));
+            let mut r = Reader::new(&buf);
+            assert!(matches!(
+                Vec::<(u64, End)>::restore(&mut r),
+                Err(SnapError::Truncated { .. })
+            ));
+            let mut r = Reader::new(&buf);
+            assert!(matches!(r.count(), Err(SnapError::Truncated { .. })));
         }
     });
 }
