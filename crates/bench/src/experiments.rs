@@ -6,16 +6,17 @@ use vip_kernels::bp::{
     MrfParams, StripParams, Sweep, VectorMachineStyle,
 };
 use vip_kernels::cnn::{
-    self, conv_tile_programs, pool_tile_programs, ConvLayer, ConvLayout, ConvMode, FcLayer,
-    LayerCosts, PoolLayer, PoolLayout, VggLayer,
+    self, conv_tile_programs, pool_tile_programs, ConvLayer, ConvLayout, FcLayer, LayerCosts,
+    PoolLayer, PoolLayout, VggLayer,
 };
 use vip_kernels::mlp::{self, FcBatchLayout, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule, Schedule};
 use vip_kernels::schedule_store;
 use vip_kernels::sync::i16s_to_bytes;
 use vip_mem::MemConfig;
 
-use crate::{pattern, vault_system_config};
+use crate::vault_system_config;
 
 /// Vaults in the full machine.
 pub const VAULTS: u64 = 32;
@@ -581,15 +582,7 @@ fn conv_tile_sim_with(
     );
     let weights = pattern(layer.weights(), 1, 3);
     let bias = pattern(layer.out_channels, 1, 2);
-    let layout = ConvLayout {
-        layer: *layer,
-        input_base: 0,
-        weights_base: 0x40_0100,
-        bias_base: 0x80_0200,
-        output_base: 0xc0_0300,
-        filters_per_group: sched.filters_per_group,
-        mode: ConvMode::Full,
-    };
+    let layout = ConvLayout::timing_tile(*layer, sched.filters_per_group);
     let mut sys = System::new(cfg);
     layout.load_into(sys.hmc_mut(), &input, &weights, &bias);
     PreparedTile::new(sys, conv_tile_programs(&layout, sched), 80_000_000)
@@ -671,14 +664,7 @@ fn fc_tile_sim_with(
     layer: &FcLayer,
     sched: &FcSchedule,
 ) -> PreparedTile {
-    let layout = FcLayout {
-        layer: *layer,
-        input_base: 0,
-        weights_base: 0x10_0100,
-        bias_base: 0x80_0200,
-        output_base: 0x90_0300,
-        relu: true,
-    };
+    let layout = FcLayout::timing_tile(*layer);
     let mut sys = System::new(cfg);
     layout.load_into_scheduled(
         sys.hmc_mut(),
@@ -754,16 +740,7 @@ pub fn fc_batch_tile_run(mem: MemConfig, batch: usize) -> TileRun {
         inputs: 2048,
         outputs: 64,
     };
-    let layout = FcBatchLayout {
-        layer,
-        batch,
-        kc: 64,
-        input_base: 0,
-        weights_base: 0x10_0100,
-        bias_base: 0x80_0200,
-        output_base: 0x90_0300,
-        relu: true,
-    };
+    let layout = FcBatchLayout::timing_tile(layer, batch, 64);
     let mut sys = System::new(vault_system_config(mem));
     layout.load_into(
         sys.hmc_mut(),

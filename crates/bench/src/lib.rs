@@ -35,11 +35,3 @@ use vip_mem::MemConfig;
 pub fn vault_system_config(mem: MemConfig) -> SystemConfig {
     SystemConfig::single_vault(mem)
 }
-
-/// Deterministic small-magnitude test values (weights/activations).
-#[must_use]
-pub fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}

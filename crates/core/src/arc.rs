@@ -67,7 +67,9 @@ impl ArcTable {
         if len == 0 {
             return false;
         }
-        let end = start + len;
+        // `start` is a guest register value: the end saturates, it never
+        // wraps.
+        let end = start.saturating_add(len);
         for (word, &bits) in self.occupied.iter().enumerate() {
             let mut bits = bits;
             while bits != 0 {

@@ -6,7 +6,7 @@
 //! [`SimError::NocDeliveryFailed`], and a run that exhausts its cycle
 //! budget as [`SimError::Hang`] carrying a structured [`HangReport`] —
 //! which PEs are parked on which full-empty words, what the network
-//! still holds, how deep each vault queue is — mirroring the reference
+//! still holds, how deep each vault queue is — shaped like the reference
 //! interpreter's deadlock report so the two can be compared.
 
 use std::fmt;

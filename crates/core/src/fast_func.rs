@@ -10,11 +10,21 @@
 //! contents and full-empty bits — plus the retirement counters. No LSU,
 //! no ARC, no queues, no clock.
 //!
+//! This module also holds the PE datapath itself. [`execute`] is the
+//! one routine that says what a compute instruction *does* — operands,
+//! [`vip_isa::alu`], writeback, retirement counters, trap checks in the
+//! reference interpreter's order — and [`vector_ranges`] the one that
+//! says where its operands lie. The cycle model (`Pe::dispatch`) issues
+//! into the same routine and adds vector-unit occupancy, the ARC
+//! interlock and the LSU around it; this tier adds only memory
+//! operations that take effect at once. `vip-ref`'s interpreter is
+//! deliberately a separate implementation: it is what both are
+//! checked against.
+//!
 //! Correctness contract: for fault-free programs, the architectural
 //! state after a functional run is **bit-identical** to the
-//! cycle-accurate engines'. The executor reuses the exact ALU
-//! ([`vip_isa::alu`]) and replays trap checks in the reference
-//! interpreter's order; full-empty operations resolve atomically
+//! cycle-accurate engines' — compute instructions retire through the
+//! same code, and full-empty operations resolve atomically
 //! against the same backing store the vault controllers use. Cycle
 //! counts, by contrast, are *estimates* — extrapolated from sampled
 //! accurate windows — and stall/active-cycle breakdowns are not
@@ -29,11 +39,11 @@
 //! typed error with identical statistics.
 
 use vip_faults::{fault_fires, fault_value, FaultDomain};
-use vip_isa::{alu, Block, BlockEnd, Instruction, Reg, Trap};
+use vip_isa::{alu, Block, BlockEnd, ElemType, Instruction, Reg, Trap};
 use vip_mem::Storage;
 
 use crate::pe::FuncParts;
-use crate::stats::PeStats;
+use crate::scalar::ScalarRegs;
 use crate::vector::VectorUnit;
 use crate::Cycle;
 
@@ -84,8 +94,8 @@ impl Default for FuncConfig {
 
 /// Reusable scratch buffers for vector operands — the executor performs
 /// no per-instruction allocation once these are warm. Sources are copied
-/// out before the destination is written, preserving the cycle-level
-/// model's overlap semantics.
+/// out before the destination is written, so operands may overlap.
+/// Scratch: each PE owns a set and none of it is ever serialized.
 #[derive(Debug, Default)]
 pub(crate) struct ExecBufs {
     a: Vec<u8>,
@@ -109,28 +119,91 @@ pub(crate) enum BlockOutcome {
     Trapped,
 }
 
-fn retire_front_end(st: &mut PeStats) {
-    st.instructions += 1;
-    st.work_units += 1;
+/// What the front end needs to time an instruction [`execute`] retired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Retired {
+    /// Done at issue; nothing occupies the vector unit.
+    Next,
+    /// A vector operation streaming `beats` beats through the datapath:
+    /// through the multiplier array if `multiply`, and on into the
+    /// horizontal reduction tree if `reduce` (`m.v`).
+    Vector {
+        beats: u64,
+        multiply: bool,
+        reduce: bool,
+    },
 }
 
-fn retire_scalar(st: &mut PeStats) {
-    st.instructions += 1;
-    st.scalar_instructions += 1;
-    st.work_units += 1;
+/// The scratchpad ranges `(address, bytes)` of a vector instruction's
+/// operands: sources first, destination last — the order the reference
+/// interpreter checks them in. `v.s` has one source; its second range
+/// is empty. This is the only place operand geometry is written: the
+/// executor fetches through it and the issue stage's ARC interlock
+/// checks the same ranges. The lengths are products of guest values,
+/// so they saturate — an oversize operand fails the range check like
+/// any other out-of-range one and never wraps into a legal length.
+#[inline(always)]
+pub(crate) fn vector_ranges(
+    regs: &ScalarRegs,
+    vec: &VectorUnit,
+    inst: &Instruction,
+) -> [(usize, usize); 3] {
+    use Instruction::*;
+    let at = |r: Reg| regs.read(r) as usize;
+    let row = |ty: ElemType| vec.vl().saturating_mul(ty.size_bytes());
+    match *inst {
+        MatVec {
+            ty,
+            rd,
+            rs_mat,
+            rs_vec,
+            ..
+        } => [
+            (at(rs_mat), vec.mr().saturating_mul(row(ty))),
+            (at(rs_vec), row(ty)),
+            (at(rd), vec.mr().saturating_mul(ty.size_bytes())),
+        ],
+        VecVec {
+            ty, rd, rs1, rs2, ..
+        } => [(at(rs1), row(ty)), (at(rs2), row(ty)), (at(rd), row(ty))],
+        VecScalar { ty, rd, rs_vec, .. } => [(at(rs_vec), row(ty)), (0, 0), (at(rd), row(ty))],
+        _ => unreachable!("{inst} has no vector operands"),
+    }
 }
 
-fn retire_ldst(st: &mut PeStats) {
-    st.instructions += 1;
-    st.ldst_instructions += 1;
-    st.work_units += 1;
+/// The operands of `ld.sram` / `st.sram` as `(scratchpad address, DRAM
+/// address, bytes)`; the length saturates like [`vector_ranges`]'.
+#[inline(always)]
+pub(crate) fn sram_operands(regs: &ScalarRegs, inst: &Instruction) -> (usize, u64, usize) {
+    use Instruction::*;
+    let (LdSram {
+        ty,
+        rd_sp: r_sp,
+        rs_addr,
+        rs_len,
+    }
+    | StSram {
+        ty,
+        rs_sp: r_sp,
+        rs_addr,
+        rs_len,
+    }) = *inst
+    else {
+        unreachable!("{inst} is not a scratchpad transfer")
+    };
+    let len = (regs.read(rs_len) as usize).saturating_mul(ty.size_bytes());
+    (regs.read(r_sp) as usize, regs.read(rs_addr), len)
 }
 
-/// Mirrors `Pe::scalar_writeback` exactly — including the fault roll at
-/// the `(pe, retired-count)` coordinate. The functional tier only runs
-/// with inert fault wiring, so the roll never fires; keeping it makes
-/// "wired at rate zero" runs bit-identical to "disabled" runs in every
-/// counter, which the fault-determinism suite asserts.
+/// Writes a scalar result, possibly flipping one bit if the PE
+/// writeback injector fires at this (pe, retired-count) coordinate, and
+/// retires the instruction. The register file has no ECC — this is the
+/// one injector with no graceful-degradation net under it. The
+/// functional tier only runs with inert fault wiring, so there the roll
+/// never fires; rolling anyway keeps "wired at rate zero" runs
+/// bit-identical to "disabled" runs in every counter, which the
+/// fault-determinism suite asserts.
+#[inline(always)]
 fn scalar_writeback(p: &mut FuncParts<'_>, rd: Reg, v: u64) {
     let v = match p.faults {
         Some(f)
@@ -154,194 +227,167 @@ fn scalar_writeback(p: &mut FuncParts<'_>, rd: Reg, v: u64) {
         _ => v,
     };
     p.regs.write(rd, v);
+    p.stats.retire_scalar(1);
 }
 
-/// Executes one straight-line body instruction architecturally, bumping
-/// the same retirement counters (`instructions`, per-group counts,
-/// `lane_ops`, `sp_beats`, `work_units`…) with the same formulas as
-/// `Pe::dispatch`. Does **not** advance `pc` — the block loop owns it.
-fn exec_inst(
+/// The body every vector operation shares: fetch the sources, `compute`
+/// the destination lanes, write them back and charge the lane work.
+/// All three ranges are checked — the destination before its buffer is
+/// sized from it — ahead of the first write, so a trapping instruction
+/// leaves no trace.
+#[inline(always)]
+fn vector_op(
     p: &mut FuncParts<'_>,
     inst: &Instruction,
-    mem: &mut Storage,
-    bufs: &mut ExecBufs,
-) -> Result<(), Trap> {
+    ty: ElemType,
+    multiply: bool,
+    reduce: bool,
+    compute: impl FnOnce(&mut [u8], &[u8], &[u8]),
+) -> Result<Retired, Trap> {
+    let [a, b, d] = vector_ranges(p.regs, p.vec, inst);
+    let bufs = &mut *p.bufs;
+    bufs.a.clear();
+    bufs.a.extend_from_slice(p.sp.slice(a.0, a.1)?);
+    bufs.b.clear();
+    bufs.b.extend_from_slice(p.sp.slice(b.0, b.1)?);
+    Trap::check_sp_range(d.0, d.1, p.sp.len())?;
+    bufs.d.clear();
+    bufs.d.resize(d.1, 0);
+    compute(&mut bufs.d, &bufs.a, &bufs.b);
+    p.sp.slice_mut(d.0, d.1)?.copy_from_slice(&bufs.d);
+
+    // `m.v` streams `mr` rows and follows each lane's vertical
+    // operation with a horizontal one.
+    let rows = if reduce { p.vec.mr() } else { 1 };
+    let beats = rows as u64 * VectorUnit::beats(p.vec.vl(), ty);
+    let lanes = (rows * p.vec.vl()) as u64;
+    let lane_ops = if reduce { 2 * lanes } else { lanes };
+    let mul_ops = if multiply { lanes } else { 0 };
+    // One scratchpad port per operand: a read per source, the writeback.
+    let ports = if b.1 == 0 { 2 } else { 3 };
+    p.stats.retire_vector_op(lane_ops, mul_ops, ports, beats);
+    Ok(Retired::Vector {
+        beats,
+        multiply,
+        reduce,
+    })
+}
+
+/// The PE datapath: executes one compute instruction architecturally —
+/// operands read, [`vip_isa::alu`] applied, result written, retirement
+/// counters bumped — with trap checks in the reference interpreter's
+/// order, and reports what the front end needs to time it. Every
+/// engine retires compute instructions here; the cycle model wraps
+/// issue gating and vector-unit occupancy around it, the functional
+/// tier nothing. Memory and control instructions are the caller's:
+/// `other` handles whichever of them the caller has not already routed
+/// elsewhere. Does **not** advance `pc`.
+///
+/// Inlined into both callers, resolvers and writeback included, so each
+/// keeps a single `match` per instruction: the functional tier retires
+/// one in about 15 ns, and a second, out-of-line level of dispatch
+/// measured 2–3 % of its host time on the dense tiles.
+#[inline(always)]
+pub(crate) fn execute(
+    p: &mut FuncParts<'_>,
+    inst: &Instruction,
+    other: impl FnOnce(&mut FuncParts<'_>) -> Result<(), Trap>,
+) -> Result<Retired, Trap> {
     use Instruction::*;
     match *inst {
         SetVl { rs } => {
             p.vec.set_vl(p.regs.read(rs) as usize)?;
-            p.stats.work_units += 1;
-            p.stats.instructions += 1;
-            p.stats.vector_instructions += 1;
+            p.stats.retire_vector(1);
         }
         SetMr { rs } => {
             p.vec.set_mr(p.regs.read(rs) as usize)?;
-            p.stats.work_units += 1;
-            p.stats.instructions += 1;
-            p.stats.vector_instructions += 1;
+            p.stats.retire_vector(1);
         }
-        MatVec {
-            vop,
-            hop,
-            ty,
-            rd,
-            rs_mat,
-            rs_vec,
-        } => {
+        MatVec { vop, hop, ty, .. } => {
             let (vl, mr) = (p.vec.vl(), p.vec.mr());
-            let es = ty.size_bytes();
-            let d = p.regs.read(rd) as usize;
-            let m = p.regs.read(rs_mat) as usize;
-            let v = p.regs.read(rs_vec) as usize;
-            let (mat_len, vec_len, dst_len) = (mr * vl * es, vl * es, mr * es);
-            // Source reads (and their range checks) before the
-            // destination write — reference order, and overlap-safe.
-            bufs.a.clear();
-            bufs.a.extend_from_slice(p.sp.slice(m, mat_len)?);
-            bufs.b.clear();
-            bufs.b.extend_from_slice(p.sp.slice(v, vec_len)?);
-            bufs.d.clear();
-            bufs.d.resize(dst_len, 0);
-            alu::mat_vec(vop, hop, ty, &mut bufs.d, &bufs.a, &bufs.b, mr, vl);
-            p.sp.slice_mut(d, dst_len)?.copy_from_slice(&bufs.d);
-
-            let beats = mr as u64 * VectorUnit::beats(vl, ty);
-            let st = &mut *p.stats;
-            st.lane_ops += 2 * (mr * vl) as u64;
-            if vop.is_multiply() {
-                st.lane_mul_ops += (mr * vl) as u64;
-            }
-            st.sp_beats += 3 * beats;
-            st.work_units += beats;
-            st.instructions += 1;
-            st.vector_instructions += 1;
+            return vector_op(p, inst, ty, vop.is_multiply(), true, |d, m, v| {
+                alu::mat_vec(vop, hop, ty, d, m, v, mr, vl);
+            });
         }
-        VecVec {
-            op,
-            ty,
-            rd,
-            rs1,
-            rs2,
-        } => {
+        VecVec { op, ty, .. } => {
             let vl = p.vec.vl();
-            let len = vl * ty.size_bytes();
-            let d = p.regs.read(rd) as usize;
-            let a = p.regs.read(rs1) as usize;
-            let b = p.regs.read(rs2) as usize;
-            bufs.a.clear();
-            bufs.a.extend_from_slice(p.sp.slice(a, len)?);
-            bufs.b.clear();
-            bufs.b.extend_from_slice(p.sp.slice(b, len)?);
-            bufs.d.clear();
-            bufs.d.resize(len, 0);
-            alu::vec_vec(op, ty, &mut bufs.d, &bufs.a, &bufs.b, vl);
-            p.sp.slice_mut(d, len)?.copy_from_slice(&bufs.d);
-
-            let beats = VectorUnit::beats(vl, ty);
-            let st = &mut *p.stats;
-            st.lane_ops += vl as u64;
-            if op.is_multiply() {
-                st.lane_mul_ops += vl as u64;
-            }
-            st.sp_beats += 3 * beats;
-            st.work_units += beats;
-            st.instructions += 1;
-            st.vector_instructions += 1;
+            return vector_op(p, inst, ty, op.is_multiply(), false, |d, a, b| {
+                alu::vec_vec(op, ty, d, a, b, vl);
+            });
         }
         VecScalar {
-            op,
-            ty,
-            rd,
-            rs_vec,
-            rs_scalar,
+            op, ty, rs_scalar, ..
         } => {
-            let vl = p.vec.vl();
-            let len = vl * ty.size_bytes();
-            let d = p.regs.read(rd) as usize;
-            let a = p.regs.read(rs_vec) as usize;
-            let s = p.regs.read(rs_scalar);
-            bufs.a.clear();
-            bufs.a.extend_from_slice(p.sp.slice(a, len)?);
-            bufs.d.clear();
-            bufs.d.resize(len, 0);
-            alu::vec_scalar(op, ty, &mut bufs.d, &bufs.a, s, vl);
-            p.sp.slice_mut(d, len)?.copy_from_slice(&bufs.d);
-
-            let beats = VectorUnit::beats(vl, ty);
-            let st = &mut *p.stats;
-            st.lane_ops += vl as u64;
-            if op.is_multiply() {
-                st.lane_mul_ops += vl as u64;
-            }
-            st.sp_beats += 2 * beats;
-            st.work_units += beats;
-            st.instructions += 1;
-            st.vector_instructions += 1;
+            let (vl, s) = (p.vec.vl(), p.regs.read(rs_scalar));
+            return vector_op(p, inst, ty, op.is_multiply(), false, |d, a, _| {
+                alu::vec_scalar(op, ty, d, a, s, vl);
+            });
         }
         Scalar { op, rd, rs1, rs2 } => {
             let v = op.eval(p.regs.read(rs1), p.regs.read(rs2));
             scalar_writeback(p, rd, v);
-            retire_scalar(p.stats);
         }
         ScalarImm { op, rd, rs1, imm } => {
             let v = op.eval(p.regs.read(rs1), imm as i64 as u64);
             scalar_writeback(p, rd, v);
-            retire_scalar(p.stats);
         }
         Mov { rd, rs } => {
             let v = p.regs.read(rs);
             scalar_writeback(p, rd, v);
-            retire_scalar(p.stats);
         }
-        MovImm { rd, imm } => {
-            scalar_writeback(p, rd, imm as u64);
-            retire_scalar(p.stats);
-        }
-        LdSram {
-            ty,
-            rd_sp,
-            rs_addr,
-            rs_len,
-        } => {
-            let sp = p.regs.read(rd_sp) as usize;
-            let dram = p.regs.read(rs_addr);
-            let len = p.regs.read(rs_len) as usize * ty.size_bytes();
-            mem.read(dram, p.sp.slice_mut(sp, len)?);
-            retire_ldst(p.stats);
-        }
-        StSram {
-            ty,
-            rs_sp,
-            rs_addr,
-            rs_len,
-        } => {
-            let sp = p.regs.read(rs_sp) as usize;
-            let dram = p.regs.read(rs_addr);
-            let len = p.regs.read(rs_len) as usize * ty.size_bytes();
-            mem.write(dram, p.sp.slice(sp, len)?);
-            retire_ldst(p.stats);
-        }
-        LdReg { rd, rs_addr } => {
-            let dram = p.regs.read(rs_addr);
-            Trap::check_reg_addr(dram)?;
-            // Completion fills bypass the writeback fault roll in the
-            // cycle model too (the LSU writes the register directly).
-            let v = mem.read_u64(dram);
-            p.regs.write(rd, v);
-            retire_ldst(p.stats);
-        }
-        StReg { rs, rs_addr } => {
-            let dram = p.regs.read(rs_addr);
-            Trap::check_reg_addr(dram)?;
-            mem.write_u64(dram, p.regs.read(rs));
-            retire_ldst(p.stats);
-        }
-        VDrain | MemFence | Nop => retire_front_end(p.stats),
-        Branch { .. } | Jmp { .. } | LdRegFe { .. } | StRegFf { .. } | Halt => {
-            unreachable!("block bodies contain only straight-line instructions")
-        }
+        MovImm { rd, imm } => scalar_writeback(p, rd, imm as u64),
+        VDrain | MemFence | Nop => p.stats.retire_front_end(),
+        _ => other(p)?,
     }
-    Ok(())
+    Ok(Retired::Next)
+}
+
+/// Retires a branch (`jmp` is one that is always taken) and moves `pc`;
+/// a taken branch's work includes the front-end bubble behind it.
+pub(crate) fn exec_branch(p: &mut FuncParts<'_>, taken: bool, target: u32) {
+    if taken {
+        p.stats.retire_scalar(1 + p.branch_penalty);
+        *p.pc = target as usize;
+    } else {
+        p.stats.retire_scalar(1);
+        *p.pc += 1;
+    }
+}
+
+/// Executes one straight-line body instruction: [`execute`], plus what
+/// is the functional tier's own — memory operations take effect at
+/// once against `mem`, with no LSU, ARC or vault in between. (Register
+/// fills bypass the writeback fault roll, as the LSU's completion path
+/// does.)
+fn exec_inst(p: &mut FuncParts<'_>, inst: &Instruction, mem: &mut Storage) -> Result<(), Trap> {
+    execute(p, inst, |p| {
+        use Instruction::*;
+        match *inst {
+            LdSram { .. } => {
+                let (sp, dram, len) = sram_operands(p.regs, inst);
+                mem.read(dram, p.sp.slice_mut(sp, len)?);
+            }
+            StSram { .. } => {
+                let (sp, dram, len) = sram_operands(p.regs, inst);
+                mem.write(dram, p.sp.slice(sp, len)?);
+            }
+            LdReg { rd, rs_addr } => {
+                let dram = p.regs.read(rs_addr);
+                Trap::check_reg_addr(dram)?;
+                let v = mem.read_u64(dram);
+                p.regs.write(rd, v);
+            }
+            StReg { rs, rs_addr } => {
+                let dram = p.regs.read(rs_addr);
+                Trap::check_reg_addr(dram)?;
+                mem.write_u64(dram, p.regs.read(rs));
+            }
+            _ => unreachable!("block bodies contain only straight-line instructions"),
+        }
+        p.stats.retire_ldst();
+        Ok(())
+    })
+    .map(drop)
 }
 
 /// Executes one decoded block against a PE's architectural state.
@@ -349,20 +395,16 @@ fn exec_inst(
 /// Precondition: `*p.pc == block.start` and the PE is live. On return,
 /// `pc` points wherever the outcome says; statistics reflect exactly the
 /// instructions that retired.
-pub(crate) fn exec_block(
-    p: &mut FuncParts<'_>,
-    block: &Block,
-    mem: &mut Storage,
-    bufs: &mut ExecBufs,
-) -> BlockOutcome {
+pub(crate) fn exec_block(p: &mut FuncParts<'_>, block: &Block, mem: &mut Storage) -> BlockOutcome {
     debug_assert_eq!(*p.pc, block.start);
     for (i, inst) in block.body.iter().enumerate() {
-        if exec_inst(p, inst, mem, bufs).is_err() {
+        if exec_inst(p, inst, mem).is_err() {
             *p.pc = block.start + i;
             return BlockOutcome::Trapped;
         }
     }
-    let end_pc = block.end_pc();
+    // The ender moves `pc` off itself only by retiring.
+    *p.pc = block.end_pc();
     match block.end {
         BlockEnd::Branch {
             cond,
@@ -371,65 +413,50 @@ pub(crate) fn exec_block(
             target,
         } => {
             let taken = cond.eval(p.regs.read(rs1), p.regs.read(rs2));
-            let st = &mut *p.stats;
-            st.instructions += 1;
-            st.scalar_instructions += 1;
-            st.work_units += if taken { 1 + p.branch_penalty } else { 1 };
-            *p.pc = if taken { target as usize } else { end_pc + 1 };
+            exec_branch(p, taken, target);
             BlockOutcome::Continue
         }
         BlockEnd::Jmp { target } => {
-            let st = &mut *p.stats;
-            st.instructions += 1;
-            st.scalar_instructions += 1;
-            st.work_units += 1 + p.branch_penalty;
-            *p.pc = target as usize;
+            exec_branch(p, true, target);
             BlockOutcome::Continue
         }
         BlockEnd::LdRegFe { rd, rs_addr } => {
             let dram = p.regs.read(rs_addr);
             if Trap::check_reg_addr(dram).is_err() {
-                *p.pc = end_pc;
                 return BlockOutcome::Trapped;
             }
             if !mem.is_full(dram) {
-                *p.pc = end_pc;
                 return BlockOutcome::Blocked;
             }
             let v = mem.read_u64(dram);
             mem.set_full(dram, false);
             p.regs.write(rd, v);
-            retire_ldst(p.stats);
-            *p.pc = end_pc + 1;
+            p.stats.retire_ldst();
+            *p.pc += 1;
             BlockOutcome::Continue
         }
         BlockEnd::StRegFf { rs, rs_addr } => {
             let dram = p.regs.read(rs_addr);
             if Trap::check_reg_addr(dram).is_err() {
-                *p.pc = end_pc;
                 return BlockOutcome::Trapped;
             }
             if mem.is_full(dram) {
-                *p.pc = end_pc;
                 return BlockOutcome::Blocked;
             }
             mem.write_u64(dram, p.regs.read(rs));
             mem.set_full(dram, true);
-            retire_ldst(p.stats);
-            *p.pc = end_pc + 1;
+            p.stats.retire_ldst();
+            *p.pc += 1;
             BlockOutcome::Continue
         }
         BlockEnd::Halt => {
-            p.stats.instructions += 1;
-            p.stats.work_units += 1;
-            *p.pc = end_pc;
+            p.stats.retire_front_end();
             *p.halted = true;
             BlockOutcome::Halted
         }
         BlockEnd::ProgramEnd => {
-            // Falling off the end halts without retiring anything —
-            // exactly what `Pe::tick` does.
-            *p.pc = end_pc;
+            // Falling off the end halts without retiring anything, as
+            // `Pe::tick` does.
             *p.halted = true;
             BlockOutcome::Halted
         }

@@ -1,14 +1,19 @@
-//! The VIP processing engine: front end, issue logic, and functional
-//! execution.
+//! The VIP processing engine: front end, issue logic and timing.
+//!
+//! What an instruction *does* is `crate::fast_func::execute`, the
+//! datapath every engine shares. This module decides when it may issue
+//! ([`Pe::tick`]'s gating), sends memory operations to the LSU, and
+//! times what the datapath retired.
 
-use vip_faults::{fault_fires, fault_value, FaultDomain, PeFaultConfig};
-use vip_isa::{alu, ElemType, Instruction, Program, Reg, Trap, VerticalOp};
+use vip_faults::PeFaultConfig;
+use vip_isa::{Instruction, Program, Reg, Trap};
 use vip_mem::{MemRequest, MemResponse};
 use vip_snap::{Reader, SnapError, Snapshot, Writer};
 
 use crate::arc::ArcTable;
 use crate::config::SystemConfig;
 use crate::error::SimError;
+use crate::fast_func::{exec_branch, execute, sram_operands, vector_ranges, ExecBufs, Retired};
 use crate::lsu::{LoadStoreUnit, LsuError};
 use crate::scalar::ScalarRegs;
 use crate::scratchpad::Scratchpad;
@@ -89,11 +94,13 @@ pub struct PeArchState {
     pub scratchpad: Vec<u8>,
 }
 
-/// Mutable views of exactly the PE state the functional execution tier
-/// touches (see `crate::fast_func`): the architectural state plus the
-/// statistics, split apart so the executor can borrow them alongside
-/// the system's DRAM storage. Timing state (LSU, ARC, stall bookkeeping)
-/// is deliberately absent — the functional tier never consults it.
+/// Mutable views of exactly the PE state the datapath touches (see
+/// `crate::fast_func::execute`): the architectural state, the
+/// statistics and the operand scratch, split apart so the functional
+/// tier can borrow them alongside the system's DRAM storage. Timing
+/// state (LSU, ARC, stall bookkeeping) is deliberately absent — it
+/// belongs to the cycle model's front end, which wraps the datapath,
+/// and the functional tier never consults it.
 pub(crate) struct FuncParts<'a> {
     pub id: usize,
     pub pc: &'a mut usize,
@@ -102,6 +109,7 @@ pub(crate) struct FuncParts<'a> {
     pub sp: &'a mut Scratchpad,
     pub vec: &'a mut VectorUnit,
     pub stats: &'a mut PeStats,
+    pub bufs: &'a mut ExecBufs,
     pub faults: Option<PeFaultConfig>,
     pub branch_penalty: u64,
 }
@@ -139,6 +147,8 @@ pub struct Pe {
     multiply_latency: u64,
     reduce_latency: u64,
     stats: PeStats,
+    /// Vector-operand scratch for the datapath. Never serialized.
+    bufs: ExecBufs,
     faults: Option<PeFaultConfig>,
     trace: Option<Vec<TraceEvent>>,
     trace_limit: usize,
@@ -181,6 +191,7 @@ impl Pe {
             multiply_latency: cfg.multiply_latency,
             reduce_latency: cfg.reduce_latency,
             stats: PeStats::default(),
+            bufs: ExecBufs::default(),
             faults: cfg.pe_faults,
             trace: None,
             trace_limit: 0,
@@ -277,7 +288,7 @@ impl Pe {
         self.stats.active_cycles = c;
     }
 
-    /// Splits this PE into the parts the functional executor needs.
+    /// Splits this PE into the parts the datapath needs.
     pub(crate) fn func_parts(&mut self) -> FuncParts<'_> {
         self.wake();
         FuncParts {
@@ -288,6 +299,7 @@ impl Pe {
             sp: &mut self.sp,
             vec: &mut self.vec,
             stats: &mut self.stats,
+            bufs: &mut self.bufs,
             faults: self.faults,
             branch_penalty: self.branch_penalty,
         }
@@ -482,94 +494,31 @@ impl Pe {
                     IssueState::StalledUntil(StallReason::Drain, self.vec.complete_at())
                 }
             }
-            MatVec {
-                ty,
-                rd,
-                rs_mat,
-                rs_vec,
-                ..
-            } => {
+            MatVec { .. } | VecVec { .. } | VecScalar { .. } => {
                 if !self.vec.ready(now) {
                     return IssueState::StalledUntil(
                         StallReason::VectorBusy,
                         self.vec.busy_until(),
                     );
                 }
-                let (vl, mr) = (self.vec.vl(), self.vec.mr());
-                let es = ty.size_bytes();
-                let d = self.regs.read(rd) as usize;
-                let m = self.regs.read(rs_mat) as usize;
-                let v = self.regs.read(rs_vec) as usize;
-                if self.arc.overlaps(m, mr * vl * es)
-                    || self.arc.overlaps(v, vl * es)
-                    || self.arc.overlaps(d, mr * es)
+                if vector_ranges(&self.regs, &self.vec, inst)
+                    .iter()
+                    .any(|&(addr, len)| self.arc.overlaps(addr, len))
                 {
                     return IssueState::Stalled(StallReason::ArcOverlap);
                 }
                 IssueState::Ready
             }
-            VecVec {
-                ty, rd, rs1, rs2, ..
-            } => {
-                if !self.vec.ready(now) {
-                    return IssueState::StalledUntil(
-                        StallReason::VectorBusy,
-                        self.vec.busy_until(),
-                    );
-                }
-                let len = self.vec.vl() * ty.size_bytes();
-                let d = self.regs.read(rd) as usize;
-                let a = self.regs.read(rs1) as usize;
-                let b = self.regs.read(rs2) as usize;
-                if self.arc.overlaps(a, len)
-                    || self.arc.overlaps(b, len)
-                    || self.arc.overlaps(d, len)
-                {
-                    return IssueState::Stalled(StallReason::ArcOverlap);
-                }
-                IssueState::Ready
-            }
-            VecScalar { ty, rd, rs_vec, .. } => {
-                if !self.vec.ready(now) {
-                    return IssueState::StalledUntil(
-                        StallReason::VectorBusy,
-                        self.vec.busy_until(),
-                    );
-                }
-                let len = self.vec.vl() * ty.size_bytes();
-                let d = self.regs.read(rd) as usize;
-                let a = self.regs.read(rs_vec) as usize;
-                if self.arc.overlaps(a, len) || self.arc.overlaps(d, len) {
-                    return IssueState::Stalled(StallReason::ArcOverlap);
-                }
-                IssueState::Ready
-            }
-            LdSram {
-                ty, rd_sp, rs_len, ..
-            } => {
-                let sp = self.regs.read(rd_sp) as usize;
-                let len = self.regs.read(rs_len) as usize * ty.size_bytes();
+            LdSram { .. } | StSram { .. } => {
+                let (sp, _, len) = sram_operands(&self.regs, inst);
                 if self.arc.overlaps(sp, len) {
                     return IssueState::Stalled(StallReason::ArcOverlap);
                 }
                 if !self.lsq_has_room() {
                     return IssueState::Stalled(StallReason::LsqBusy);
                 }
-                if !self.arc.has_free_entry() {
+                if matches!(inst, LdSram { .. }) && !self.arc.has_free_entry() {
                     return IssueState::Stalled(StallReason::ArcFull);
-                }
-                IssueState::Ready
-            }
-            StSram {
-                ty, rs_sp, rs_len, ..
-            } => {
-                let sp = self.regs.read(rs_sp) as usize;
-                let len = self.regs.read(rs_len) as usize * ty.size_bytes();
-                if self.arc.overlaps(sp, len) {
-                    return IssueState::Stalled(StallReason::ArcOverlap);
-                }
-                if !self.lsq_has_room() {
-                    return IssueState::Stalled(StallReason::LsqBusy);
                 }
                 IssueState::Ready
             }
@@ -723,70 +672,22 @@ impl Pe {
         Ok(())
     }
 
-    /// Executes one issuing instruction. Trap checks run in the same
+    /// Issues one instruction: memory operations go to the LSU, control
+    /// flow moves the front end, and everything else retires through the
+    /// shared datapath ([`execute`]), which this then times — a vector
+    /// operation occupies the vector unit for its beats plus the depth
+    /// of the pipelines it runs through. Trap checks run in the same
     /// order as the `vip-ref` interpreter so both report the same trap
     /// for the same program.
     fn dispatch(&mut self, now: Cycle, inst: Instruction) -> Result<(), Trap> {
         use Instruction::*;
         match inst {
-            SetVl { rs } => {
-                self.vec.set_vl(self.regs.read(rs) as usize)?;
-                self.stats.work_units += 1;
-                self.retire_vector();
-            }
-            SetMr { rs } => {
-                self.vec.set_mr(self.regs.read(rs) as usize)?;
-                self.stats.work_units += 1;
-                self.retire_vector();
-            }
-            VDrain => self.retire_front_end(),
-            MatVec {
-                vop,
-                hop,
-                ty,
-                rd,
-                rs_mat,
-                rs_vec,
-            } => {
-                self.issue_mat_vec(now, vop, hop, ty, rd, rs_mat, rs_vec)?;
-            }
-            VecVec {
-                op,
-                ty,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                self.issue_vec_vec(now, op, ty, rd, rs1, rs2)?;
-            }
-            VecScalar {
-                op,
-                ty,
-                rd,
-                rs_vec,
-                rs_scalar,
-            } => {
-                self.issue_vec_scalar(now, op, ty, rd, rs_vec, rs_scalar)?;
-            }
-            Scalar { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.regs.read(rs1), self.regs.read(rs2));
-                self.scalar_writeback(rd, v);
-                self.retire_scalar();
-            }
-            ScalarImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.regs.read(rs1), imm as i64 as u64);
-                self.scalar_writeback(rd, v);
-                self.retire_scalar();
-            }
-            Mov { rd, rs } => {
-                let v = self.regs.read(rs);
-                self.scalar_writeback(rd, v);
-                self.retire_scalar();
-            }
-            MovImm { rd, imm } => {
-                self.scalar_writeback(rd, imm as u64);
-                self.retire_scalar();
-            }
+            LdSram { .. } => self.issue_ld_sram(&inst)?,
+            StSram { .. } => self.issue_st_sram(&inst)?,
+            LdReg { rd, rs_addr } => self.issue_ld_reg(rd, rs_addr, false)?,
+            LdRegFe { rd, rs_addr } => self.issue_ld_reg(rd, rs_addr, true)?,
+            StReg { rs, rs_addr } => self.issue_st_reg(rs, rs_addr, false)?,
+            StRegFf { rs, rs_addr } => self.issue_st_reg(rs, rs_addr, true)?,
             Branch {
                 cond,
                 rs1,
@@ -794,107 +695,42 @@ impl Pe {
                 target,
             } => {
                 let taken = cond.eval(self.regs.read(rs1), self.regs.read(rs2));
-                self.stats.instructions += 1;
-                self.stats.scalar_instructions += 1;
-                self.stats.work_units += if taken { 1 + self.branch_penalty } else { 1 };
-                if taken {
-                    self.pc = target as usize;
-                    self.stall_until = now + 1 + self.branch_penalty;
-                } else {
-                    self.pc += 1;
-                }
+                self.branch(now, taken, target);
             }
-            Jmp { target } => {
-                self.stats.instructions += 1;
-                self.stats.scalar_instructions += 1;
-                self.stats.work_units += 1 + self.branch_penalty;
-                self.pc = target as usize;
-                self.stall_until = now + 1 + self.branch_penalty;
-            }
-            LdSram {
-                ty,
-                rd_sp,
-                rs_addr,
-                rs_len,
-            } => {
-                self.issue_ld_sram(ty, rd_sp, rs_addr, rs_len)?;
-            }
-            StSram {
-                ty,
-                rs_sp,
-                rs_addr,
-                rs_len,
-            } => {
-                self.issue_st_sram(ty, rs_sp, rs_addr, rs_len)?;
-            }
-            LdReg { rd, rs_addr } => self.issue_ld_reg(rd, rs_addr, false)?,
-            LdRegFe { rd, rs_addr } => self.issue_ld_reg(rd, rs_addr, true)?,
-            StReg { rs, rs_addr } => self.issue_st_reg(rs, rs_addr, false)?,
-            StRegFf { rs, rs_addr } => self.issue_st_reg(rs, rs_addr, true)?,
-            MemFence | Nop => self.retire_front_end(),
+            Jmp { target } => self.branch(now, true, target),
             Halt => {
-                self.stats.instructions += 1;
-                self.stats.work_units += 1;
+                self.stats.retire_front_end();
                 self.halted = true;
+            }
+            _ => {
+                let retired = execute(&mut self.func_parts(), &inst, |_| {
+                    unreachable!("memory and control instructions are routed above")
+                })?;
+                if let Retired::Vector {
+                    beats,
+                    multiply,
+                    reduce,
+                } = retired
+                {
+                    let vert = if multiply { self.multiply_latency } else { 1 };
+                    let horiz = if reduce { self.reduce_latency } else { 0 };
+                    self.vec.issue(now, beats, vert + horiz);
+                }
+                self.pc += 1;
             }
         }
         Ok(())
     }
 
-    /// Writes a scalar result, possibly flipping one bit if the PE
-    /// writeback injector fires at this (pe, retired-count) coordinate.
-    /// The register file has no ECC — this is the one injector with no
-    /// graceful-degradation net under it.
-    fn scalar_writeback(&mut self, rd: Reg, v: u64) {
-        let v = match self.faults {
-            Some(f)
-                if fault_fires(
-                    f.seed,
-                    FaultDomain::PeWriteback,
-                    self.id as u64,
-                    self.stats.instructions,
-                    f.writeback_flip_ppm,
-                ) =>
-            {
-                self.stats.writeback_flips += 1;
-                let bit = fault_value(
-                    f.seed,
-                    FaultDomain::PeWriteback,
-                    self.id as u64,
-                    self.stats.instructions,
-                ) % 64;
-                v ^ 1u64 << bit
-            }
-            _ => v,
-        };
-        self.regs.write(rd, v);
-    }
-
-    fn retire_front_end(&mut self) {
-        self.stats.instructions += 1;
-        self.stats.work_units += 1;
-        self.pc += 1;
-    }
-
-    fn retire_scalar(&mut self) {
-        self.stats.instructions += 1;
-        self.stats.scalar_instructions += 1;
-        self.stats.work_units += 1;
-        self.pc += 1;
-    }
-
-    // Vector retires charge their work (beats) at the issue site, so no
-    // `work_units` bump here.
-    fn retire_vector(&mut self) {
-        self.stats.instructions += 1;
-        self.stats.vector_instructions += 1;
-        self.pc += 1;
+    fn branch(&mut self, now: Cycle, taken: bool, target: u32) {
+        exec_branch(&mut self.func_parts(), taken, target);
+        if taken {
+            self.stall_until = now + 1 + self.branch_penalty;
+        }
     }
 
     fn retire_ldst(&mut self) {
-        self.stats.instructions += 1;
-        self.stats.ldst_instructions += 1;
-        self.stats.work_units += 1;
+        self.stats.retire_ldst();
         self.pc += 1;
     }
 
@@ -902,158 +738,30 @@ impl Pe {
         self.lsu.outstanding() < 64
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn issue_mat_vec(
-        &mut self,
-        now: Cycle,
-        vop: VerticalOp,
-        hop: vip_isa::HorizontalOp,
-        ty: ElemType,
-        rd: Reg,
-        rs_mat: Reg,
-        rs_vec: Reg,
-    ) -> Result<(), Trap> {
-        debug_assert!(self.vec.ready(now));
-        let (vl, mr) = (self.vec.vl(), self.vec.mr());
-        let es = ty.size_bytes();
-        let d = self.regs.read(rd) as usize;
-        let m = self.regs.read(rs_mat) as usize;
-        let v = self.regs.read(rs_vec) as usize;
-        let (mat_len, vec_len, dst_len) = (mr * vl * es, vl * es, mr * es);
-        // Source reads before the destination write: the reference
-        // interpreter checks in this order, and trap parity requires it.
-        let mat = self.sp.read(m, mat_len)?;
-        let vec = self.sp.read(v, vec_len)?;
-        let mut dst = vec![0u8; dst_len];
-        alu::mat_vec(vop, hop, ty, &mut dst, &mat, &vec, mr, vl);
-        self.sp.write(d, &dst)?;
-
-        let beats = mr as u64 * VectorUnit::beats(vl, ty);
-        let vert = if vop.is_multiply() {
-            self.multiply_latency
-        } else {
-            1
-        };
-        self.vec.issue(now, beats, vert + self.reduce_latency);
-        self.stats.lane_ops += 2 * (mr * vl) as u64; // vertical + horizontal
-        if vop.is_multiply() {
-            self.stats.lane_mul_ops += (mr * vl) as u64;
-        }
-        self.stats.sp_beats += 3 * beats; // 2 reads + result writeback
-        self.stats.work_units += beats;
-        self.retire_vector();
-        Ok(())
-    }
-
-    fn issue_vec_vec(
-        &mut self,
-        now: Cycle,
-        op: VerticalOp,
-        ty: ElemType,
-        rd: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    ) -> Result<(), Trap> {
-        debug_assert!(self.vec.ready(now));
-        let vl = self.vec.vl();
-        let len = vl * ty.size_bytes();
-        let d = self.regs.read(rd) as usize;
-        let a = self.regs.read(rs1) as usize;
-        let b = self.regs.read(rs2) as usize;
-        let av = self.sp.read(a, len)?;
-        let bv = self.sp.read(b, len)?;
-        let mut dst = vec![0u8; len];
-        alu::vec_vec(op, ty, &mut dst, &av, &bv, vl);
-        self.sp.write(d, &dst)?;
-
-        let beats = VectorUnit::beats(vl, ty);
-        let vert = if op.is_multiply() {
-            self.multiply_latency
-        } else {
-            1
-        };
-        self.vec.issue(now, beats, vert);
-        self.stats.lane_ops += vl as u64;
-        if op.is_multiply() {
-            self.stats.lane_mul_ops += vl as u64;
-        }
-        self.stats.sp_beats += 3 * beats;
-        self.stats.work_units += beats;
-        self.retire_vector();
-        Ok(())
-    }
-
-    fn issue_vec_scalar(
-        &mut self,
-        now: Cycle,
-        op: VerticalOp,
-        ty: ElemType,
-        rd: Reg,
-        rs_vec: Reg,
-        rs_scalar: Reg,
-    ) -> Result<(), Trap> {
-        debug_assert!(self.vec.ready(now));
-        let vl = self.vec.vl();
-        let len = vl * ty.size_bytes();
-        let d = self.regs.read(rd) as usize;
-        let a = self.regs.read(rs_vec) as usize;
-        let s = self.regs.read(rs_scalar);
-        let av = self.sp.read(a, len)?;
-        let mut dst = vec![0u8; len];
-        alu::vec_scalar(op, ty, &mut dst, &av, s, vl);
-        self.sp.write(d, &dst)?;
-
-        let beats = VectorUnit::beats(vl, ty);
-        let vert = if op.is_multiply() {
-            self.multiply_latency
-        } else {
-            1
-        };
-        self.vec.issue(now, beats, vert);
-        self.stats.lane_ops += vl as u64;
-        if op.is_multiply() {
-            self.stats.lane_mul_ops += vl as u64;
-        }
-        self.stats.sp_beats += 2 * beats; // 1 read + writeback
-        self.stats.work_units += beats;
-        self.retire_vector();
-        Ok(())
-    }
-
-    fn issue_ld_sram(
-        &mut self,
-        ty: ElemType,
-        rd_sp: Reg,
-        rs_addr: Reg,
-        rs_len: Reg,
-    ) -> Result<(), Trap> {
-        let sp = self.regs.read(rd_sp) as usize;
-        let dram = self.regs.read(rs_addr);
-        let len = self.regs.read(rs_len) as usize * ty.size_bytes();
+    fn issue_ld_sram(&mut self, inst: &Instruction) -> Result<(), Trap> {
+        let (sp, dram, len) = sram_operands(&self.regs, inst);
         // Range check before allocating the ARC entry so a trapping
         // instruction leaves no dangling range.
         Trap::check_sp_range(sp, len, self.sp.len())?;
-        let arc_id = self
-            .arc
-            .insert(sp, len)
-            .expect("issue_state checked for a free ARC entry");
-        self.lsu.push_load_sram(dram, sp, len, arc_id);
+        // A zero-length transfer moves nothing: it retires without an
+        // ARC entry or an LSU operation (which must have a chunk to send).
+        if len != 0 {
+            let arc_id = self
+                .arc
+                .insert(sp, len)
+                .expect("issue_state checked for a free ARC entry");
+            self.lsu.push_load_sram(dram, sp, len, arc_id);
+        }
         self.retire_ldst();
         Ok(())
     }
 
-    fn issue_st_sram(
-        &mut self,
-        ty: ElemType,
-        rs_sp: Reg,
-        rs_addr: Reg,
-        rs_len: Reg,
-    ) -> Result<(), Trap> {
-        let sp = self.regs.read(rs_sp) as usize;
-        let dram = self.regs.read(rs_addr);
-        let len = self.regs.read(rs_len) as usize * ty.size_bytes();
+    fn issue_st_sram(&mut self, inst: &Instruction) -> Result<(), Trap> {
+        let (sp, dram, len) = sram_operands(&self.regs, inst);
         let data = self.sp.read(sp, len)?;
-        self.lsu.push_store_sram(dram, data);
+        if !data.is_empty() {
+            self.lsu.push_store_sram(dram, data);
+        }
         self.retire_ldst();
         Ok(())
     }
@@ -1137,7 +845,7 @@ impl Pe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vip_isa::Asm;
+    use vip_isa::{alu, Asm, ElemType, VerticalOp};
 
     fn pe() -> Pe {
         Pe::new(0, 0, &SystemConfig::small_test())
@@ -1331,6 +1039,37 @@ mod tests {
                 }
             }
         );
+
+        // Sources in range, destination two bytes over the end: the
+        // trap names the destination, and nothing was written or
+        // counted on the way to it.
+        let mut p = pe();
+        p.scratchpad_mut().write(0, &[1; 64]).unwrap();
+        let mut asm = Asm::new();
+        asm.mov_imm(r(1), 16)
+            .set_vl(r(1))
+            .mov_imm(r(2), 0)
+            .mov_imm(r(3), 4096 - 30)
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(3), r(2), r(2))
+            .halt();
+        p.load_program(&asm.assemble().unwrap());
+        let err = (1..100)
+            .find_map(|now| p.tick(now).err())
+            .expect("the vector op must trap");
+        assert_eq!(
+            err,
+            SimError::Trap {
+                pe: 0,
+                pc: 4,
+                trap: Trap::ScratchpadOutOfBounds {
+                    addr: 4096 - 30,
+                    len: 32,
+                    capacity: 4096
+                }
+            }
+        );
+        assert_eq!(p.scratchpad().slice(4096 - 30, 30).unwrap(), [0; 30]);
+        assert_eq!((p.stats().instructions, p.stats().lane_ops), (4, 0));
     }
 
     #[test]

@@ -55,6 +55,47 @@ impl PeStats {
         self.stalls[reason as usize]
     }
 
+    /// Retires `nop`, `memfence`, `v.drain` or `halt`: one front-end
+    /// slot, no group counter.
+    pub(crate) fn retire_front_end(&mut self) {
+        self.instructions += 1;
+        self.work_units += 1;
+    }
+
+    /// Retires a scalar-group instruction that holds the front end for
+    /// `work` cycles: one, plus the bubble for a taken branch.
+    pub(crate) fn retire_scalar(&mut self, work: u64) {
+        self.instructions += 1;
+        self.scalar_instructions += 1;
+        self.work_units += work;
+    }
+
+    /// Retires a load-store-group instruction.
+    pub(crate) fn retire_ldst(&mut self) {
+        self.instructions += 1;
+        self.ldst_instructions += 1;
+        self.work_units += 1;
+    }
+
+    /// Retires a vector-group instruction worth `work` units: one for
+    /// `set.vl` / `set.mr`, its beat count for a vector operation.
+    pub(crate) fn retire_vector(&mut self, work: u64) {
+        self.instructions += 1;
+        self.vector_instructions += 1;
+        self.work_units += work;
+    }
+
+    /// Charges a vector operation's lane work — `lane_ops` ALU
+    /// operations, `mul_ops` of them on the multiplier array, `beats`
+    /// datapath beats through each of `ports` scratchpad ports — and
+    /// retires it.
+    pub(crate) fn retire_vector_op(&mut self, lane_ops: u64, mul_ops: u64, ports: u64, beats: u64) {
+        self.lane_ops += lane_ops;
+        self.lane_mul_ops += mul_ops;
+        self.sp_beats += ports * beats;
+        self.retire_vector(beats);
+    }
+
     /// Accumulates another PE's counters.
     pub fn merge(&mut self, other: &PeStats) {
         self.active_cycles = self.active_cycles.max(other.active_cycles);

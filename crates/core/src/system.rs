@@ -12,7 +12,7 @@ use vip_snap::{read_header, snapshot_enum, write_header, Reader, SnapError, Snap
 
 use crate::config::SystemConfig;
 use crate::error::{BlockedPe, HangReport, SimError};
-use crate::fast_func::{exec_block, BlockOutcome, ExecBufs, FuncConfig};
+use crate::fast_func::{exec_block, BlockOutcome, FuncConfig};
 use crate::pe::Pe;
 use crate::stats::{FuncStats, PeStats, SystemStats};
 use crate::Cycle;
@@ -129,8 +129,6 @@ pub struct System {
     /// never serve stale code. Derived state: never snapshotted, and it
     /// survives a restore because the keys do.
     block_cache: HashMap<(u64, u64), Arc<Block>>,
-    /// Vector-operand scratch for the functional executor.
-    exec_bufs: ExecBufs,
     /// Duty-cycle knobs for [`run_functional`](System::run_functional).
     func_cfg: FuncConfig,
     /// Functional-tier counters (block cache, window, drain activity).
@@ -203,7 +201,6 @@ impl System {
             unhalted: 0,
             inflight_msgs: 0,
             block_cache: HashMap::new(),
-            exec_bufs: ExecBufs::default(),
             func_cfg: FuncConfig::default(),
             func_stats: FuncStats::default(),
             func_rate: None,
@@ -955,7 +952,6 @@ impl System {
                         &mut self.pes[i].func_parts(),
                         &block,
                         self.hmc.storage_mut(),
-                        &mut self.exec_bufs,
                     );
                     match outcome {
                         BlockOutcome::Continue => {

@@ -112,31 +112,50 @@ fn trapping_programs_report_the_identical_error() {
     a.mov_imm(r(3), 4);
     a.ld_sram(ElemType::I16, r(1), r(2), r(3));
     a.halt();
-    let p = a.assemble().unwrap();
+    let dma = a.assemble().unwrap();
+    // A vector op whose sources are in range and whose destination
+    // alone runs off the end.
+    let mut a = Asm::new();
+    a.mov_imm(r(1), 16);
+    a.set_vl(r(1));
+    a.mov_imm(r(2), 0);
+    a.mov_imm(r(3), 4096 - 30);
+    a.vec_vec(VerticalOp::Add, ElemType::I16, r(3), r(2), r(2));
+    a.halt();
+    let vector = a.assemble().unwrap();
 
-    let run = |mode: u8| -> (SimError, u64) {
-        let mut sys = System::new(SystemConfig::small_test());
-        sys.load_program(0, &p);
-        let err = match mode {
-            0 => sys.run_naive(100_000),
-            1 => sys.run(100_000),
-            _ => sys.run_functional(100_000),
-        }
-        .unwrap_err();
-        (err, sys.stats().pe.instructions)
-    };
-    let (naive_err, naive_insts) = run(0);
-    let (fast_err, fast_insts) = run(1);
-    let (func_err, func_insts) = run(2);
-    assert!(
-        matches!(naive_err, SimError::Trap { pe: 0, pc: 3, .. }),
-        "{naive_err:?}"
-    );
-    assert_eq!(naive_err, fast_err);
-    assert_eq!(naive_err, func_err);
-    // The trapping instruction retires nothing in any tier.
-    assert_eq!(naive_insts, fast_insts);
-    assert_eq!(naive_insts, func_insts);
+    for (p, pc) in [(&dma, 3), (&vector, 4)] {
+        let run = |mode: u8| -> (SimError, vip_core::PeStats, Vec<u8>) {
+            let mut sys = System::new(SystemConfig::small_test());
+            sys.load_program(0, p);
+            sys.pe_mut(0).scratchpad_mut().write(0, &[1; 64]).unwrap();
+            let err = match mode {
+                0 => sys.run_naive(100_000),
+                1 => sys.run(100_000),
+                _ => sys.run_functional(100_000),
+            }
+            .unwrap_err();
+            (err, sys.stats().pe, sys.pe(0).arch_state().scratchpad)
+        };
+        let (naive_err, naive_stats, naive_sp) = run(0);
+        let (fast_err, fast_stats, fast_sp) = run(1);
+        let (func_err, func_stats, func_sp) = run(2);
+        assert!(
+            matches!(naive_err, SimError::Trap { pe: 0, pc: at, .. } if at == pc),
+            "{naive_err:?}"
+        );
+        assert_eq!(naive_err, fast_err);
+        assert_eq!(naive_err, func_err);
+        // The trapping instruction retires nothing, counts nothing and
+        // writes nothing in any tier.
+        assert_eq!(naive_stats.instructions, pc as u64);
+        assert_eq!(naive_stats.lane_ops, 0);
+        assert_eq!(naive_stats, fast_stats);
+        assert_eq!(naive_stats, func_stats);
+        assert_eq!(naive_sp[64..], [0; 4096 - 64]);
+        assert_eq!(naive_sp, fast_sp);
+        assert_eq!(naive_sp, func_sp);
+    }
 }
 
 #[test]

@@ -56,6 +56,24 @@ pub struct ConvLayout {
 }
 
 impl ConvLayout {
+    /// The memory map of the synthetic timing tile: one full (not
+    /// sharded) convolution staged alone in a vault. The bench
+    /// experiments and the serving layer stage this, and a
+    /// fleet-checkpoint restore rebuilds it to read a finished tile
+    /// back.
+    #[must_use]
+    pub fn timing_tile(layer: ConvLayer, filters_per_group: usize) -> Self {
+        ConvLayout {
+            layer,
+            input_base: 0,
+            weights_base: 0x40_0100,
+            bias_base: 0x80_0200,
+            output_base: 0xc0_0300,
+            filters_per_group,
+            mode: ConvMode::Full,
+        }
+    }
+
     /// The largest filter-group size the 4 KiB scratchpad supports for
     /// `layer` (power-of-two capped at `out_channels`).
     #[must_use]

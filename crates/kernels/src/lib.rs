@@ -39,3 +39,13 @@ pub const ELEM: vip_isa::ElemType = vip_isa::ElemType::I16;
 
 /// Bytes per element.
 pub const ELEM_BYTES: usize = 2;
+
+/// Deterministic small-magnitude operand values (weights, activations,
+/// biases) that exercise signs without instantly saturating — what the
+/// timing tiles, the serving layer and the kernel tests all stage.
+#[must_use]
+pub fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
+    (0..n)
+        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
+        .collect()
+}

@@ -175,6 +175,22 @@ pub struct FcLayout {
 }
 
 impl FcLayout {
+    /// The memory map of the synthetic timing tile: one layer staged
+    /// alone in a vault, ReLU applied. The bench experiments and the
+    /// serving layer stage this, and a fleet-checkpoint restore
+    /// rebuilds it to read a finished tile back.
+    #[must_use]
+    pub fn timing_tile(layer: FcLayer) -> Self {
+        FcLayout {
+            layer,
+            input_base: 0,
+            weights_base: 0x10_0100,
+            bias_base: 0x80_0200,
+            output_base: 0x90_0300,
+            relu: true,
+        }
+    }
+
     /// Stages inputs, packed weights, and biases (host side), packed
     /// for the default schedule.
     pub fn load_into(&self, hmc: &mut Hmc, input: &[i16], weights: &[i16], bias: &[i16]) {
@@ -357,6 +373,23 @@ pub struct FcBatchLayout {
 }
 
 impl FcBatchLayout {
+    /// [`FcLayout::timing_tile`]'s memory map for a batch of `batch`
+    /// inputs at column-chunk width `kc`.
+    #[must_use]
+    pub fn timing_tile(layer: FcLayer, batch: usize, kc: usize) -> Self {
+        let single = FcLayout::timing_tile(layer);
+        FcBatchLayout {
+            layer,
+            batch,
+            kc,
+            input_base: single.input_base,
+            weights_base: single.weights_base,
+            bias_base: single.bias_base,
+            output_base: single.output_base,
+            relu: single.relu,
+        }
+    }
+
     /// Stages inputs (concatenated batch), packed weights, and biases.
     pub fn load_into(&self, hmc: &mut Hmc, inputs: &[i16], weights: &[i16], bias: &[i16]) {
         assert_eq!(inputs.len(), self.layer.inputs * self.batch);

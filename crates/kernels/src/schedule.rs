@@ -579,98 +579,6 @@ pub enum KernelShape {
 }
 
 impl SearchSpace {
-    /// Serializes the grid as a flat JSON object with array fields
-    /// (same shape as the schedule artifact, lists instead of
-    /// scalars).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn nums(v: &[usize]) -> String {
-            let items: Vec<String> = v.iter().map(ToString::to_string).collect();
-            format!("[{}]", items.join(", "))
-        }
-        match self {
-            SearchSpace::Fc(s) => format!(
-                "{{\"kernel\": \"fc\", \"kc\": {}, \"mr\": {}, \"rc_block\": {}, \"pes\": {}}}\n",
-                nums(&s.kc),
-                nums(&s.mr),
-                nums(&s.rc_block),
-                nums(&s.pes)
-            ),
-            SearchSpace::Conv(s) => {
-                let flags: Vec<&str> = s
-                    .interleave_rows
-                    .iter()
-                    .map(|b| if *b { "true" } else { "false" })
-                    .collect();
-                format!(
-                    "{{\"kernel\": \"conv\", \"filters_per_group\": {}, \"ring\": {}, \
-                     \"interleave_rows\": [{}], \"pes\": {}}}\n",
-                    nums(&s.filters_per_group),
-                    nums(&s.ring),
-                    flags.join(", "),
-                    nums(&s.pes)
-                )
-            }
-            SearchSpace::Bp(s) => {
-                let styles: Vec<String> = s
-                    .style
-                    .iter()
-                    .map(|st| format!("\"{}\"", st.label()))
-                    .collect();
-                format!(
-                    "{{\"kernel\": \"bp\", \"style\": [{}], \"row_pad\": {}, \"pes\": {}, \
-                     \"group_bufs\": {}}}\n",
-                    styles.join(", "),
-                    nums(&s.row_pad),
-                    nums(&s.pes),
-                    nums(&s.group_bufs)
-                )
-            }
-        }
-    }
-
-    /// Parses the grid format written by [`to_json`](Self::to_json).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScheduleError`] for malformed JSON, missing or
-    /// mistyped fields, or an unknown kernel discriminant.
-    pub fn from_json(text: &str) -> Result<SearchSpace, ScheduleError> {
-        let obj = json::parse_object(text)?;
-        match obj.str_field("kernel")? {
-            "fc" => Ok(SearchSpace::Fc(FcSearchSpace {
-                kc: obj.usize_list_field("kc")?,
-                mr: obj.usize_list_field("mr")?,
-                rc_block: obj.usize_list_field("rc_block")?,
-                pes: obj.usize_list_field("pes")?,
-            })),
-            "conv" => Ok(SearchSpace::Conv(ConvSearchSpace {
-                filters_per_group: obj.usize_list_field("filters_per_group")?,
-                ring: obj.usize_list_field("ring")?,
-                interleave_rows: obj.bool_list_field("interleave_rows")?,
-                pes: obj.usize_list_field("pes")?,
-            })),
-            "bp" => {
-                let mut styles = Vec::new();
-                for label in obj.str_list_field("style")? {
-                    styles.push(VectorMachineStyle::from_label(&label).ok_or_else(|| {
-                        ScheduleError::BadField {
-                            field: "style",
-                            why: format!("unknown machine style `{label}`"),
-                        }
-                    })?);
-                }
-                Ok(SearchSpace::Bp(BpSearchSpace {
-                    style: styles,
-                    row_pad: obj.usize_list_field("row_pad")?,
-                    pes: obj.usize_list_field("pes")?,
-                    group_bufs: obj.usize_list_field("group_bufs")?,
-                }))
-            }
-            other => Err(ScheduleError::UnknownKernel(other.to_owned())),
-        }
-    }
-
     /// Every valid combination for `shape`, in stable (row-major over
     /// the knob lists) order. Invalid combinations are silently
     /// filtered — an empty result means the grid and shape are
@@ -751,8 +659,8 @@ impl SearchSpace {
 // ---------------------------------------------------------------------
 
 /// A tiny parser for the flat one-level JSON objects the schedule
-/// artifacts use: string keys mapping to strings, integers, booleans,
-/// or homogeneous arrays thereof. No nesting, no floats, no escapes
+/// artifacts use: string keys mapping to strings, integers or
+/// booleans. No nesting, no arrays, no floats, no escapes
 /// beyond `\"` and `\\` — deliberately only what the artifact format
 /// emits, so the whole round trip stays dependency-free.
 mod json {
@@ -763,7 +671,6 @@ mod json {
         Str(String),
         Num(i64),
         Bool(bool),
-        List(Vec<Value>),
     }
 
     #[derive(Debug, Clone)]
@@ -799,43 +706,6 @@ mod json {
                 Value::Bool(b) => Ok(*b),
                 other => Err(bad(field, "expected a boolean", other)),
             }
-        }
-
-        fn list_field(&self, field: &'static str) -> Result<&[Value], ScheduleError> {
-            match self.get(field)? {
-                Value::List(items) => Ok(items),
-                other => Err(bad(field, "expected an array", other)),
-            }
-        }
-
-        pub fn usize_list_field(&self, field: &'static str) -> Result<Vec<usize>, ScheduleError> {
-            self.list_field(field)?
-                .iter()
-                .map(|v| match v {
-                    Value::Num(n) if *n >= 0 => Ok(*n as usize),
-                    other => Err(bad(field, "expected non-negative integers", other)),
-                })
-                .collect()
-        }
-
-        pub fn bool_list_field(&self, field: &'static str) -> Result<Vec<bool>, ScheduleError> {
-            self.list_field(field)?
-                .iter()
-                .map(|v| match v {
-                    Value::Bool(b) => Ok(*b),
-                    other => Err(bad(field, "expected booleans", other)),
-                })
-                .collect()
-        }
-
-        pub fn str_list_field(&self, field: &'static str) -> Result<Vec<String>, ScheduleError> {
-            self.list_field(field)?
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
-                    other => Err(bad(field, "expected strings", other)),
-                })
-                .collect()
         }
     }
 
@@ -908,7 +778,7 @@ mod json {
             }
         }
 
-        fn value(&mut self, depth: usize) -> Result<Value, ScheduleError> {
+        fn value(&mut self) -> Result<Value, ScheduleError> {
             match self.peek() {
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') | Some(b'f') => {
@@ -919,25 +789,6 @@ mod json {
                         }
                     }
                     Err(self.err("expected `true` or `false`"))
-                }
-                Some(b'[') if depth == 0 => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                        return Ok(Value::List(items));
-                    }
-                    loop {
-                        items.push(self.value(depth + 1)?);
-                        match self.peek() {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Value::List(items));
-                            }
-                            _ => return Err(self.err("expected `,` or `]`")),
-                        }
-                    }
                 }
                 Some(c) if c == b'-' || c.is_ascii_digit() => {
                     let start = self.pos;
@@ -972,7 +823,7 @@ mod json {
             loop {
                 let key = c.string()?;
                 c.expect(b':')?;
-                let value = c.value(0)?;
+                let value = c.value()?;
                 fields.push((key, value));
                 match c.peek() {
                     Some(b',') => c.pos += 1,
@@ -1080,14 +931,6 @@ mod tests {
 
     #[test]
     fn search_space_round_trips_and_enumerates() {
-        for space in [
-            SearchSpace::Fc(FcSearchSpace::stock()),
-            SearchSpace::Conv(ConvSearchSpace::stock()),
-            SearchSpace::Bp(BpSearchSpace::stock()),
-        ] {
-            let text = space.to_json();
-            assert_eq!(SearchSpace::from_json(&text).expect("parses"), space);
-        }
         let cands = SearchSpace::Fc(FcSearchSpace::stock()).enumerate(&KernelShape::Fc(fc_layer()));
         assert!(!cands.is_empty());
         assert!(cands.contains(&Schedule::Fc(FcSchedule::default())));
@@ -1110,6 +953,11 @@ mod tests {
         ));
         assert!(matches!(
             Schedule::from_json("not json"),
+            Err(ScheduleError::Json { .. })
+        ));
+        // The artifact format has no arrays.
+        assert!(matches!(
+            Schedule::from_json("{\"kernel\": \"fc\", \"kc\": [256]}"),
             Err(ScheduleError::Json { .. })
         ));
         assert!(matches!(

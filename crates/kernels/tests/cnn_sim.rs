@@ -7,16 +7,9 @@ use vip_kernels::cnn::{
     ConvLayout, ConvMode, FcLayer, PoolLayer, PoolLayout,
 };
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
 use vip_kernels::sync::i16s_to_bytes;
-
-/// Small deterministic values that exercise signs without instantly
-/// saturating.
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 fn run_on(sys: &mut System, programs: &[vip_isa::Program], max: u64) {
     for (pe, p) in programs.iter().enumerate() {

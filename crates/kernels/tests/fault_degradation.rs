@@ -8,13 +8,8 @@ use vip_core::{System, SystemConfig, SystemStats};
 use vip_faults::{DramFaultConfig, FaultConfig};
 use vip_kernels::cnn::FcLayer;
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 fn run_fc_under_faults(faults: &FaultConfig) -> (SystemStats, Vec<i16>, Vec<i16>) {
     let layer = FcLayer {

@@ -15,13 +15,8 @@ use vip_kernels::bp::{
 };
 use vip_kernels::cnn::{self, conv_tile_programs, ConvLayer, ConvLayout, ConvMode, FcLayer};
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 /// Runs `programs` on a system built by `setup` and returns the full
 /// statistics record plus whatever output `read` extracts. With

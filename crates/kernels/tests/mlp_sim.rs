@@ -7,14 +7,9 @@ use vip_core::{System, SystemConfig};
 use vip_isa::Program;
 use vip_kernels::cnn::FcLayer;
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
 use vip_kernels::sync::bytes_to_i16s;
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 fn run_on(sys: &mut System, programs: &[Program], max: u64) {
     for (pe, p) in programs.iter().enumerate() {

@@ -8,13 +8,8 @@ use vip_kernels::bp::{
 };
 use vip_kernels::cnn::{self, conv_tile_programs, ConvLayer, ConvLayout, ConvMode, FcLayer};
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule};
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 fn run_on(sys: &mut System, programs: &[vip_isa::Program], max: u64) {
     for (pe, p) in programs.iter().enumerate() {

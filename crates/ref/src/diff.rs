@@ -4,7 +4,11 @@
 //! interpreter AND on every cycle-level stepping engine, and compare
 //! the complete final architectural state — all 64 scalar registers and
 //! the full scratchpad of every PE, plus the bytes *and* full-empty
-//! bits of every DRAM window the generator declared architectural. Any
+//! bits of every DRAM window the generator declared architectural —
+//! and then, engine against engine, every PE's retirement counters
+//! (the reference keeps none, and they feed the power model). A case
+//! the reference traps on must end in the identical typed trap on
+//! every engine. Any
 //! mismatch is a conformance bug in one of the models; the harness
 //! greedily minimizes the program (segments are the removal unit; ring
 //! rounds drop on every PE at once) and reports the seed plus the
@@ -13,7 +17,7 @@
 
 use std::fmt;
 
-use vip_core::{PeArchState, System, SystemConfig};
+use vip_core::{PeArchState, PeStats, SimError, System, SystemConfig};
 use vip_isa::Reg;
 
 use crate::gen::{generate, GenConfig, Materialized, SegmentSpec, TestCase};
@@ -147,19 +151,32 @@ pub fn run_ref(m: &Materialized) -> Result<ArchSnapshot, RefRunError> {
     })
 }
 
-/// Runs `m` on one cycle-level stepping engine.
-///
-/// # Errors
-///
-/// Returns a description if the simulation fails to quiesce in
-/// [`MAX_CYCLES`] — itself a conformance failure for a program the
-/// reference completed.
+/// One PE's retirement counters — `instructions`, the group counts,
+/// `lane_ops`, `lane_mul_ops`, `sp_beats`, `work_units`,
+/// `writeback_flips`: its statistics with the timing-dependent fields
+/// (active cycles, the stall breakdown), which the functional engine
+/// does not maintain, zeroed.
+fn retired(stats: &PeStats) -> PeStats {
+    PeStats {
+        active_cycles: 0,
+        stalls: Default::default(),
+        ..*stats
+    }
+}
+
+/// Runs `m` on one cycle-level stepping engine: how the run ended —
+/// the final architectural state, or the typed error it stopped on
+/// (failing to quiesce in [`MAX_CYCLES`] is one) — and each PE's
+/// retirement counters at that point.
 ///
 /// # Panics
 ///
 /// Panics if `m` targets more PEs than [`SystemConfig::small_test`]
 /// provides.
-pub fn run_engine(m: &Materialized, engine: Engine) -> Result<ArchSnapshot, String> {
+pub fn run_engine(
+    m: &Materialized,
+    engine: Engine,
+) -> (Result<ArchSnapshot, SimError>, Vec<PeStats>) {
     let mut sys = System::new(SystemConfig::small_test());
     assert!(
         m.programs.len() <= sys.total_pes(),
@@ -198,8 +215,12 @@ pub fn run_engine(m: &Materialized, engine: Engine) -> Result<ArchSnapshot, Stri
             sys.run_functional(MAX_CYCLES)
         }
     };
-    res.map_err(|e| format!("{engine} engine: {e}"))?;
-    Ok(ArchSnapshot {
+    let counters = (0..m.programs.len())
+        .map(|i| retired(sys.pe(i).stats()))
+        .collect();
+    // After an error fills may still be in flight: there is no settled
+    // architectural state to read.
+    let end = res.map(|_| ArchSnapshot {
         pes: (0..m.programs.len())
             .map(|i| sys.pe(i).arch_state())
             .collect(),
@@ -220,7 +241,8 @@ pub fn run_engine(m: &Materialized, engine: Engine) -> Result<ArchSnapshot, Stri
                 )
             })
             .collect(),
-    })
+    });
+    (end, counters)
 }
 
 /// Describes the first few differences between two snapshots, or `None`
@@ -280,6 +302,72 @@ pub fn diff_snapshots(reference: &ArchSnapshot, observed: &ArchSnapshot) -> Opti
     }
 }
 
+/// Describes the first PE in `pes` whose retirement counters differ
+/// between two engines.
+fn diff_retired(
+    mut pes: std::ops::Range<usize>,
+    base: &[PeStats],
+    observed: &[PeStats],
+) -> Option<String> {
+    pes.find(|&pe| base[pe] != observed[pe]).map(|pe| {
+        format!(
+            "pe{pe} retirement counters: {} engine {:?} vs this engine {:?}",
+            Engine::all()[0],
+            base[pe],
+            observed[pe]
+        )
+    })
+}
+
+/// Runs `m` on the reference and on every engine and describes the
+/// first disagreement. If the reference completes, every engine must
+/// complete in the same architectural state; if it traps, every engine
+/// must stop on the identical typed trap. Either way the engines'
+/// retirement counters must agree with each other — for every PE of a
+/// completed run, for the trapping PE otherwise (the others stop
+/// wherever the trap's timing caught them).
+///
+/// # Errors
+///
+/// The reference's deadlock or step-limit error: such a case has no
+/// outcome to compare.
+fn divergence(m: &Materialized) -> Result<Option<(Engine, String)>, RefRunError> {
+    let (reference, counted) = match run_ref(m) {
+        Ok(s) => (Ok(s), 0..m.programs.len()),
+        Err(RefRunError::Trap { pe, pc, trap, .. }) => {
+            (Err(SimError::Trap { pe, pc, trap }), pe..pe + 1)
+        }
+        Err(e) => return Err(e),
+    };
+    let mut base: Option<Vec<PeStats>> = None;
+    for engine in Engine::all() {
+        let (observed, counters) = run_engine(m, engine);
+        let detail = match (&reference, &observed) {
+            (Ok(want), Ok(got)) => diff_snapshots(want, got),
+            (Err(want), Err(got)) if want == got => None,
+            (Ok(_), Err(got)) => Some(format!("{engine} engine: {got}")),
+            (Err(want), Ok(_)) => Some(format!("reference: {want}; the engine completed")),
+            (Err(want), Err(got)) => Some(format!("reference: {want}; engine: {got}")),
+        }
+        .or_else(|| diff_retired(counted.clone(), base.as_ref()?, &counters));
+        if let Some(detail) = detail {
+            return Ok(Some((engine, detail)));
+        }
+        base.get_or_insert(counters);
+    }
+    Ok(None)
+}
+
+/// [`divergence`] of a case that must finish, cleanly or in a trap.
+///
+/// # Panics
+///
+/// Panics if the reference deadlocks or runs away: a generator (or
+/// corpus) bug.
+fn first_divergence(m: &Materialized) -> Option<(Engine, String)> {
+    divergence(m).unwrap_or_else(|e| panic!("reference cannot finish the program: {e}"))
+}
+
 /// Checks one materialized case against every engine (used by corpus
 /// regression tests, where there is no seed to minimize from).
 ///
@@ -289,49 +377,17 @@ pub fn diff_snapshots(reference: &ArchSnapshot, observed: &ArchSnapshot) -> Opti
 ///
 /// # Panics
 ///
-/// Panics if the reference run itself fails — corpus programs are
-/// expected to be legal and deadlock-free.
+/// Panics if the reference deadlocks or runs away — corpus programs
+/// are expected to finish, cleanly or in a trap.
 pub fn check_materialized(m: &Materialized) -> Result<(), (Engine, String)> {
-    let reference = run_ref(m).expect("reference run of a legal program succeeds");
-    for engine in Engine::all() {
-        let observed = run_engine(m, engine).map_err(|e| (engine, e))?;
-        if let Some(detail) = diff_snapshots(&reference, &observed) {
-            return Err((engine, detail));
-        }
-    }
-    Ok(())
+    first_divergence(m).map_or(Ok(()), Err)
 }
 
-/// How one fuzzing case fared.
-fn first_divergence(m: &Materialized) -> Option<(Engine, String)> {
-    let reference = match run_ref(m) {
-        Ok(s) => s,
-        // Generator bug: it must only emit legal, terminating programs.
-        Err(e) => panic!("reference rejected a generated program: {e}"),
-    };
-    for engine in Engine::all() {
-        match run_engine(m, engine) {
-            Ok(observed) => {
-                if let Some(detail) = diff_snapshots(&reference, &observed) {
-                    return Some((engine, detail));
-                }
-            }
-            Err(e) => return Some((engine, e)),
-        }
-    }
-    None
-}
-
-/// Re-checks a masked case against one engine only (minimization).
+/// Re-checks a masked case (minimization): whether it still diverges
+/// on `engine`. A subset the reference cannot finish has lost the
+/// property; keep looking.
 fn still_diverges(case: &TestCase, mask: &[Vec<bool>], engine: Engine) -> bool {
-    let m = case.materialize(mask);
-    let Ok(reference) = run_ref(&m) else {
-        return false; // the subset lost the property; keep looking
-    };
-    match run_engine(&m, engine) {
-        Ok(observed) => diff_snapshots(&reference, &observed).is_some(),
-        Err(_) => true,
-    }
+    matches!(divergence(&case.materialize(mask)), Ok(Some((e, _))) if e == engine)
 }
 
 /// Greedily minimizes a diverging case: tries removing each segment
@@ -414,6 +470,16 @@ mod tests {
         let a = run_ref(&m).unwrap();
         let b = run_ref(&m).unwrap();
         assert_eq!(diff_snapshots(&a, &b), None);
+    }
+
+    #[test]
+    fn diff_reports_a_counter_mismatch() {
+        let base = vec![PeStats::default(); 2];
+        let mut other = base.clone();
+        other[1].sp_beats = 3;
+        assert_eq!(diff_retired(0..1, &base, &other), None);
+        let detail = diff_retired(0..2, &base, &other).unwrap();
+        assert!(detail.starts_with("pe1 retirement counters"), "{detail}");
     }
 
     #[test]

@@ -61,6 +61,16 @@ pub fn ring_addr(round: usize, i: usize, n: usize) -> u64 {
     RING_BASE + ((round * n + i) * 8) as u64
 }
 
+/// What the operand-extremes flavour draws address and length registers
+/// from, given the scratchpad capacity: both ends of the legal range,
+/// one past it, and values whose products with an element size wrap or
+/// overflow 64 bits.
+#[must_use]
+pub fn extremes(sp_bytes: usize) -> [u64; 6] {
+    let cap = sp_bytes as u64;
+    [0, cap - 1, cap, 1 << 32, 1 << 63, u64::MAX]
+}
+
 /// Scratch registers r1–r5 hold addresses and configuration; r6/r7 are
 /// loop state; r16–r31 carry data between segments.
 const DATA_REG_BASE: u8 = 16;
@@ -81,6 +91,12 @@ pub struct GenConfig {
     pub max_segments: usize,
     /// Maximum ring-handoff rounds (0 disables the ring).
     pub max_ring_rounds: usize,
+    /// The operand-extremes flavour: zero-length DMAs are sprinkled in,
+    /// and half the cases end one PE's program in an instruction whose
+    /// address and length registers are drawn from [`extremes`]. It
+    /// nearly always traps — identically on the reference and every
+    /// engine, or the case diverges.
+    pub extremes: bool,
 }
 
 impl Default for GenConfig {
@@ -90,6 +106,7 @@ impl Default for GenConfig {
             scratchpad_bytes: 4096,
             max_segments: 10,
             max_ring_rounds: 3,
+            extremes: false,
         }
     }
 }
@@ -122,6 +139,12 @@ pub enum SegmentSpec {
     /// One round of the cross-PE ring handoff. Present on every PE;
     /// removable only on every PE at once.
     FeRing { sub_seed: u64, round: usize },
+    /// A zero-length `ld.sram` or `st.sram`: legal anywhere up to and
+    /// including the capacity, and a no-op.
+    SramEmpty { sub_seed: u64 },
+    /// The last segment of one PE: an instruction with every operand
+    /// register drawn from [`extremes`], which nearly always traps.
+    Extreme { sub_seed: u64 },
 }
 
 impl SegmentSpec {
@@ -225,6 +248,21 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> TestCase {
             pe_specs.insert(at, SegmentSpec::FeRing { sub_seed, round });
         }
         specs.push(pe_specs);
+    }
+    // Drawn after everything else, so the flavour never perturbs what a
+    // seed generates without it.
+    if cfg.extremes {
+        for pe_specs in &mut specs {
+            for _ in 0..rng.below(3) {
+                let at = rng.usize_in(0..pe_specs.len() + 1);
+                let sub_seed = rng.next_u64();
+                pe_specs.insert(at, SegmentSpec::SramEmpty { sub_seed });
+            }
+        }
+        if rng.bool() {
+            let sub_seed = rng.next_u64();
+            specs[rng.usize_in(0..cfg.num_pes)].push(SegmentSpec::Extreme { sub_seed });
+        }
     }
 
     TestCase {
@@ -487,6 +525,70 @@ impl SegmentSpec {
                 asm.mov_imm(r2, pred as i64);
                 asm.ld_reg_fe(rd, r2);
             }
+            SegmentSpec::SramEmpty { sub_seed } => {
+                let mut rng = SplitMix64::new(sub_seed);
+                let ty = ElemType::all()[rng.below(4) as usize];
+                asm.mov_imm(r1, rng.usize_in(0..sp_bytes + 1) as i64);
+                asm.mov_imm(r2, (arena_base(pe) + rng.below(ARENA_LEN as u64)) as i64);
+                asm.mov_imm(r3, 0);
+                if rng.bool() {
+                    asm.ld_sram(ty, r1, r2, r3);
+                } else {
+                    asm.st_sram(ty, r1, r2, r3);
+                }
+            }
+            SegmentSpec::Extreme { sub_seed } => {
+                let mut rng = SplitMix64::new(sub_seed);
+                emit_extreme(&mut rng, pe, sp_bytes, asm);
+            }
+        }
+    }
+}
+
+/// Loads `value` — one of [`extremes`] — into `rd`.
+fn load_extreme(asm: &mut Asm, rd: Reg, value: u64) {
+    if value == 1 << 63 {
+        // Past `mov.imm`'s 40-bit immediate.
+        asm.mov_imm(rd, 1).slli(rd, rd, 63);
+    } else {
+        asm.mov_imm(rd, value as i64);
+    }
+}
+
+/// Emits one vector or DMA instruction whose `vl` / `mr` / length and
+/// address registers all hold [`extremes`] values. Nearly every draw
+/// traps — a zero `vl` at its `set.vl`, a range past the capacity, a
+/// product past 64 bits. The few that are legal (a zero-length DMA at
+/// the capacity, one-byte lanes over the whole scratchpad) are ordinary
+/// deterministic instructions; the reference decides which is which.
+fn emit_extreme(rng: &mut SplitMix64, pe: usize, sp_bytes: usize, asm: &mut Asm) {
+    let regs @ [r1, r2, r3, r4, r5] = [1, 2, 3, 4, 5].map(Reg::new);
+    let values = extremes(sp_bytes);
+    for reg in regs {
+        load_extreme(asm, reg, values[rng.below(values.len() as u64) as usize]);
+    }
+    let ty = ElemType::all()[rng.below(4) as usize];
+    match rng.below(5) {
+        0 => {
+            let vop = VerticalOp::all()[rng.below(6) as usize];
+            let hop = HorizontalOp::all()[rng.below(3) as usize];
+            asm.set_vl(r4).set_mr(r5).mat_vec(vop, hop, ty, r3, r1, r2);
+        }
+        1 => {
+            asm.set_vl(r4).vec_vec(non_nop_vop(rng), ty, r3, r1, r2);
+        }
+        2 => {
+            let s = data_reg(rng);
+            asm.set_vl(r4).vec_scalar(non_nop_vop(rng), ty, r2, r1, s);
+        }
+        // `r4` elements between `r1` and the PE's own arena.
+        kind => {
+            asm.mov_imm(r5, arena_base(pe) as i64);
+            if kind == 3 {
+                asm.ld_sram(ty, r1, r5, r4);
+            } else {
+                asm.st_sram(ty, r1, r5, r4);
+            }
         }
     }
 }
@@ -539,6 +641,37 @@ mod tests {
         let cut = case.materialize(&mask);
         assert_eq!(full.programs[1], cut.programs[1]);
         assert!(cut.programs[0].len() <= full.programs[0].len());
+    }
+
+    #[test]
+    fn the_extremes_flavour_only_adds_segments() {
+        // Its draws come last: the same seed generates the same case
+        // with the flavour's segments taken back out.
+        let plain = GenConfig::default();
+        let flavoured = GenConfig {
+            extremes: true,
+            ..plain
+        };
+        let (mut extreme, mut empties) = (0, 0);
+        for seed in 0..64 {
+            let mut with = generate(seed, &flavoured);
+            for specs in &mut with.specs {
+                specs.retain(|s| match s {
+                    SegmentSpec::Extreme { .. } => {
+                        extreme += 1;
+                        false
+                    }
+                    SegmentSpec::SramEmpty { .. } => {
+                        empties += 1;
+                        false
+                    }
+                    _ => true,
+                });
+            }
+            assert_eq!(with.specs, generate(seed, &plain).specs, "seed {seed}");
+        }
+        assert!((16..=48).contains(&extreme), "{extreme} of 64 cases");
+        assert!(empties > 64, "{empties} zero-length transfers");
     }
 
     #[test]

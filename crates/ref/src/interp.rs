@@ -23,7 +23,7 @@
 use std::fmt;
 
 use vip_core::PeArchState;
-use vip_isa::{alu, Instruction, Program, Reg, Trap, NUM_REGS};
+use vip_isa::{alu, ElemType, Instruction, Program, Reg, Trap, NUM_REGS};
 use vip_mem::Storage;
 
 /// What one interpreted step did.
@@ -77,6 +77,14 @@ impl fmt::Display for RefRunError {
 }
 
 impl std::error::Error for RefRunError {}
+
+/// Bytes in `elems` elements of `ty`. Element counts are guest register
+/// values: a product past the address space pins at `usize::MAX`, so it
+/// fails the scratchpad range check (and is reported as that length)
+/// rather than wrapping into a legal one.
+fn byte_len(elems: usize, ty: ElemType) -> usize {
+    elems.saturating_mul(ty.size_bytes())
+}
 
 /// One PE of the reference machine: registers, scratchpad, PC, and the
 /// vector configuration — nothing else, because nothing else is
@@ -207,11 +215,14 @@ impl RefPe {
                 rs_mat,
                 rs_vec,
             } => {
-                let (vl, mr, es) = (self.vl, self.mr, ty.size_bytes());
+                let (vl, mr) = (self.vl, self.mr);
+                let row = byte_len(vl, ty);
                 let d = self.regs[rd.index()] as usize;
-                let mat = self.sp_read(self.regs[rs_mat.index()] as usize, mr * vl * es)?;
-                let vec = self.sp_read(self.regs[rs_vec.index()] as usize, vl * es)?;
-                let mut dst = vec![0u8; mr * es];
+                let mat =
+                    self.sp_read(self.regs[rs_mat.index()] as usize, mr.saturating_mul(row))?;
+                let vec = self.sp_read(self.regs[rs_vec.index()] as usize, row)?;
+                // No longer than the matrix just read (`vl` is at least 1).
+                let mut dst = vec![0u8; byte_len(mr, ty)];
                 alu::mat_vec(vop, hop, ty, &mut dst, &mat, &vec, mr, vl);
                 self.sp_write(d, &dst)?;
             }
@@ -222,7 +233,7 @@ impl RefPe {
                 rs1,
                 rs2,
             } => {
-                let len = self.vl * ty.size_bytes();
+                let len = byte_len(self.vl, ty);
                 let d = self.regs[rd.index()] as usize;
                 let a = self.sp_read(self.regs[rs1.index()] as usize, len)?;
                 let b = self.sp_read(self.regs[rs2.index()] as usize, len)?;
@@ -237,7 +248,7 @@ impl RefPe {
                 rs_vec,
                 rs_scalar,
             } => {
-                let len = self.vl * ty.size_bytes();
+                let len = byte_len(self.vl, ty);
                 let d = self.regs[rd.index()] as usize;
                 let a = self.sp_read(self.regs[rs_vec.index()] as usize, len)?;
                 let s = self.regs[rs_scalar.index()];
@@ -278,7 +289,7 @@ impl RefPe {
             } => {
                 let sp = self.regs[rd_sp.index()] as usize;
                 let dram = self.regs[rs_addr.index()];
-                let len = self.regs[rs_len.index()] as usize * ty.size_bytes();
+                let len = byte_len(self.regs[rs_len.index()] as usize, ty);
                 Trap::check_sp_range(sp, len, self.sp.len())?;
                 let data = mem.read_vec(dram, len);
                 self.sp_write(sp, &data)?;
@@ -291,7 +302,7 @@ impl RefPe {
             } => {
                 let sp = self.regs[rs_sp.index()] as usize;
                 let dram = self.regs[rs_addr.index()];
-                let len = self.regs[rs_len.index()] as usize * ty.size_bytes();
+                let len = byte_len(self.regs[rs_len.index()] as usize, ty);
                 let data = self.sp_read(sp, len)?;
                 mem.write(dram, &data);
             }
@@ -435,7 +446,7 @@ impl RefSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vip_isa::{Asm, ElemType};
+    use vip_isa::Asm;
 
     #[test]
     fn scalar_loop_sums() {
@@ -543,6 +554,51 @@ mod tests {
                 assert!(matches!(trap, Trap::ScratchpadOutOfBounds { .. }));
             }
             other => panic!("expected a trap, got {other:?}"),
+        }
+
+        // Lengths are products of guest registers. 2^63 i16 elements
+        // are 2^64 bytes: the length pins at the top of the address
+        // space and fails the range check; it does not wrap to zero.
+        let mut a = Asm::new();
+        a.mov_imm(Reg::new(1), 1);
+        a.slli(Reg::new(1), Reg::new(1), 63);
+        a.set_vl(Reg::new(1));
+        a.vec_vec(
+            vip_isa::VerticalOp::Add,
+            ElemType::I16,
+            Reg::new(2),
+            Reg::new(2),
+            Reg::new(2),
+        );
+        a.halt();
+        let mut sys = RefSystem::new(1, 4096);
+        sys.load_program(0, &a.assemble().unwrap());
+        let Err(RefRunError::Trap { pc: 3, trap, .. }) = sys.run(10_000) else {
+            panic!("vl = 2^63 must trap at the vector op");
+        };
+        assert_eq!(
+            trap,
+            Trap::ScratchpadOutOfBounds {
+                addr: 0,
+                len: usize::MAX,
+                capacity: 4096
+            }
+        );
+    }
+
+    #[test]
+    fn a_zero_length_transfer_is_a_no_op_up_to_the_capacity() {
+        for (sp, ok) in [(0, true), (4096, true), (4097, false)] {
+            let mut a = Asm::new();
+            a.mov_imm(Reg::new(1), sp);
+            a.mov_imm(Reg::new(2), 0x100);
+            a.ld_sram(ElemType::I64, Reg::new(1), Reg::new(2), Reg::new(3));
+            a.st_sram(ElemType::I64, Reg::new(1), Reg::new(2), Reg::new(3));
+            a.halt();
+            let mut sys = RefSystem::new(1, 4096);
+            sys.load_program(0, &a.assemble().unwrap());
+            assert_eq!(sys.run(10_000).is_ok(), ok, "scratchpad address {sp}");
+            assert!(sys.pes()[0].scratchpad().iter().all(|&b| b == 0));
         }
     }
 }

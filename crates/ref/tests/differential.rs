@@ -61,6 +61,23 @@ fn differential_single_pe_cases() {
 }
 
 #[test]
+fn differential_operand_extremes() {
+    // Zero-length DMAs among the ordinary segments, and every other
+    // case ends one PE in an instruction whose operand registers hold
+    // 0, cap - 1, cap, 2^32, 2^63 or u64::MAX: where the reference
+    // traps, every engine must stop on the identical typed trap.
+    let cfg = GenConfig {
+        extremes: true,
+        ..GenConfig::default()
+    };
+    for_each_seed("differential_operand_extremes", 0x6000, 128, |seed| {
+        if let Err(d) = fuzz_one(seed, &cfg) {
+            panic!("{d}");
+        }
+    });
+}
+
+#[test]
 fn differential_sync_heavy_cases() {
     // Bias toward full-empty traffic: many ring rounds, few segments.
     let cfg = GenConfig {

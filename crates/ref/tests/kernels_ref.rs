@@ -7,15 +7,10 @@
 
 use vip_kernels::cnn::FcLayer;
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
 use vip_kernels::sync::{bytes_to_i16s, i16s_to_bytes};
 use vip_ref::RefSystem;
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 /// The interpreter-side equivalent of [`FcLayout::load_into`].
 fn stage(sys: &mut RefSystem, layout: &FcLayout, input: &[i16], weights: &[i16], bias: &[i16]) {

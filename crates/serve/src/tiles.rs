@@ -23,8 +23,9 @@ use std::sync::Arc;
 use vip_core::{System, SystemConfig};
 use vip_isa::Program;
 use vip_kernels::bp::{self, bp_iteration_programs, BpLayout, Messages, Mrf, MrfParams};
-use vip_kernels::cnn::{self, conv_tile_programs, ConvLayer, ConvLayout, ConvMode, FcLayer};
+use vip_kernels::cnn::{self, conv_tile_programs, ConvLayer, ConvLayout, FcLayer};
 use vip_kernels::mlp::{self, FcBatchLayout, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule, Schedule};
 use vip_kernels::schedule_store as store;
 use vip_kernels::sync::i16s_to_bytes;
@@ -43,15 +44,6 @@ pub const MAX_MLP_BATCH: usize = 16;
 /// than the single-image default so the batch fits the scratchpad —
 /// the value the paper's batch-16 experiments use).
 const BATCH_KC: usize = 64;
-
-/// Deterministic small-magnitude test values (weights/activations) —
-/// the bench crate's `pattern` re-rolled here (this crate sits below
-/// it in the dependency order).
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 /// One servable inference tile shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,85 +146,46 @@ impl TileClass {
             "batch {batch} outside this class's limit"
         );
         let fingerprint = cfg.snapshot_fingerprint();
-        let key = self.key();
-        match *self {
-            TileClass::Mlp { inputs, outputs } => {
-                let layer = fc_layer(inputs, outputs);
-                if batch == 1 {
-                    let sched = fc_schedule(sched_dir, &layer, fingerprint);
-                    let layout = FcLayout {
-                        layer,
-                        input_base: 0,
-                        weights_base: 0x10_0100,
-                        bias_base: 0x80_0200,
-                        output_base: 0x90_0300,
-                        relu: true,
-                    };
-                    let mut sys = System::new(cfg.clone());
-                    layout.load_into_scheduled(
-                        sys.hmc_mut(),
-                        &sched,
-                        &pattern(inputs, 1, 5),
-                        &pattern(inputs * outputs, 1, 5),
-                        &pattern(outputs, 1, 2),
-                    );
-                    let programs = cache.get_or_build(
-                        CacheKey {
-                            key,
-                            encoding: Schedule::Fc(sched).encoding(),
-                            fingerprint,
-                            batch,
-                        },
-                        || mlp::fc_tile_programs(&layout, &sched),
-                    );
-                    StagedJob {
-                        sys,
-                        programs,
-                        limit: self.cycle_limit(batch),
-                        reader: ResultReader::Fc(layout),
-                    }
-                } else {
-                    let layout = FcBatchLayout {
-                        layer,
-                        batch,
-                        kc: BATCH_KC,
-                        input_base: 0,
-                        weights_base: 0x10_0100,
-                        bias_base: 0x80_0200,
-                        output_base: 0x90_0300,
-                        relu: true,
-                    };
-                    let mut sys = System::new(cfg.clone());
-                    layout.load_into(
-                        sys.hmc_mut(),
-                        &pattern(inputs * batch, 1, 5),
-                        &pattern(inputs * outputs, 1, 5),
-                        &pattern(outputs, 1, 2),
-                    );
-                    let programs = cache.get_or_build(
-                        CacheKey {
-                            key,
-                            encoding: format!("batch-kc{BATCH_KC}"),
-                            fingerprint,
-                            batch,
-                        },
-                        || mlp::fc_batch_tile_programs(&layout, 4),
-                    );
-                    StagedJob {
-                        sys,
-                        programs,
-                        limit: self.cycle_limit(batch),
-                        reader: ResultReader::FcBatch(layout),
-                    }
-                }
+        let (reader, sched) = self.plan(batch, sched_dir, fingerprint);
+        let mut sys = System::new(cfg.clone());
+        let cache_key = |encoding: String| CacheKey {
+            key: self.key(),
+            encoding,
+            fingerprint,
+            batch,
+        };
+        let programs = match (&reader, sched) {
+            (ResultReader::Fc(layout), Some(Schedule::Fc(sched))) => {
+                let FcLayer {
+                    inputs, outputs, ..
+                } = layout.layer;
+                layout.load_into_scheduled(
+                    sys.hmc_mut(),
+                    &sched,
+                    &pattern(inputs, 1, 5),
+                    &pattern(inputs * outputs, 1, 5),
+                    &pattern(outputs, 1, 2),
+                );
+                cache.get_or_build(cache_key(Schedule::Fc(sched).encoding()), || {
+                    mlp::fc_tile_programs(layout, &sched)
+                })
             }
-            TileClass::Cnn {
-                in_channels,
-                out_channels,
-                filters_per_group,
-            } => {
-                let layer = conv_layer(in_channels, out_channels);
-                let sched = conv_schedule(sched_dir, &layer, filters_per_group, fingerprint);
+            (ResultReader::FcBatch(layout), None) => {
+                let FcLayer {
+                    inputs, outputs, ..
+                } = layout.layer;
+                layout.load_into(
+                    sys.hmc_mut(),
+                    &pattern(inputs * batch, 1, 5),
+                    &pattern(inputs * outputs, 1, 5),
+                    &pattern(outputs, 1, 2),
+                );
+                cache.get_or_build(cache_key(format!("batch-kc{BATCH_KC}")), || {
+                    mlp::fc_batch_tile_programs(layout, 4)
+                })
+            }
+            (ResultReader::Conv(layout), Some(Schedule::Conv(sched))) => {
+                let layer = layout.layer;
                 let input = cnn::pad_input(
                     layer.width,
                     layer.height,
@@ -240,108 +193,69 @@ impl TileClass {
                     layer.pad,
                     &pattern(layer.width * layer.height * layer.in_channels, 1, 5),
                 );
-                let layout = ConvLayout {
-                    layer,
-                    input_base: 0,
-                    weights_base: 0x40_0100,
-                    bias_base: 0x80_0200,
-                    output_base: 0xc0_0300,
-                    filters_per_group: sched.filters_per_group,
-                    mode: ConvMode::Full,
-                };
-                let mut sys = System::new(cfg.clone());
                 layout.load_into(
                     sys.hmc_mut(),
                     &input,
                     &pattern(layer.weights(), 1, 3),
                     &pattern(layer.out_channels, 1, 2),
                 );
-                let programs = cache.get_or_build(
-                    CacheKey {
-                        key,
-                        encoding: Schedule::Conv(sched).encoding(),
-                        fingerprint,
-                        batch,
-                    },
-                    || conv_tile_programs(&layout, &sched),
-                );
-                StagedJob {
-                    sys,
-                    programs,
-                    limit: self.cycle_limit(batch),
-                    reader: ResultReader::Conv(layout),
-                }
+                cache.get_or_build(cache_key(Schedule::Conv(sched).encoding()), || {
+                    conv_tile_programs(layout, &sched)
+                })
             }
-            TileClass::Bp {
-                width,
-                height,
-                labels,
-                iters,
-            } => {
+            (ResultReader::Bp(layout), Some(Schedule::Bp(sched))) => {
+                let TileClass::Bp { iters, .. } = *self else {
+                    unreachable!("only BP classes plan a BP layout");
+                };
+                let (width, height, labels) = (layout.width, layout.height, layout.labels);
                 let costs = bp::stereo_data_costs(width, height, labels, 7);
                 let mrf = Mrf::new(
                     MrfParams::truncated_linear(width, height, labels, 2, 12),
                     costs,
                 );
-                let sched = bp_schedule(sched_dir, width, height, labels, fingerprint);
-                let layout = BpLayout::with_row_pad(0, width, height, labels, sched.row_pad);
-                let mut sys = System::new(cfg.clone());
                 layout.load_into(
                     sys.hmc_mut(),
                     &mrf,
                     &Messages::new_unnormalized(&mrf.params),
                 );
-                let programs = cache.get_or_build(
-                    CacheKey {
-                        key,
-                        encoding: Schedule::Bp(sched).encoding(),
-                        fingerprint,
-                        batch,
-                    },
-                    || bp_iteration_programs(&layout, &sched, iters, false),
-                );
-                StagedJob {
-                    sys,
-                    programs,
-                    limit: self.cycle_limit(batch),
-                    reader: ResultReader::Bp(layout),
-                }
+                cache.get_or_build(cache_key(Schedule::Bp(sched).encoding()), || {
+                    bp_iteration_programs(layout, &sched, iters, false)
+                })
             }
+            _ => unreachable!("`plan` pairs each layout with its family's schedule"),
+        };
+        StagedJob {
+            sys,
+            programs,
+            limit: self.cycle_limit(batch),
+            reader,
         }
     }
-}
 
-impl TileClass {
-    /// Rebuilds the [`ResultReader`] a dispatch of `batch` requests of
-    /// this class would have been staged with — the piece of job state
-    /// a fleet checkpoint cannot serialize (layouts carry static
-    /// names), reconstructed instead from the class, the batch size,
-    /// and the same schedule resolution [`TileClass::stage`] performs.
-    #[must_use]
-    pub fn reader_for(&self, batch: usize, sched_dir: &Path, fingerprint: u64) -> ResultReader {
+    /// Where a dispatch of `batch` requests of this class keeps its
+    /// operands and results, and the schedule that was resolved to
+    /// decide it (the tuned artifact under `sched_dir` for this shape
+    /// and configuration, else the hand-picked default; the batched
+    /// fully-connected tile has one fixed schedule and reports none).
+    /// [`stage`](Self::stage) stages exactly this and
+    /// [`reader_for`](Self::reader_for) rebuilds exactly this, so what a
+    /// restored fleet reads back is what was staged.
+    fn plan(
+        &self,
+        batch: usize,
+        sched_dir: &Path,
+        fingerprint: u64,
+    ) -> (ResultReader, Option<Schedule>) {
         match *self {
             TileClass::Mlp { inputs, outputs } => {
                 let layer = fc_layer(inputs, outputs);
                 if batch == 1 {
-                    ResultReader::Fc(FcLayout {
-                        layer,
-                        input_base: 0,
-                        weights_base: 0x10_0100,
-                        bias_base: 0x80_0200,
-                        output_base: 0x90_0300,
-                        relu: true,
-                    })
+                    let sched = fc_schedule(sched_dir, &layer, fingerprint);
+                    let layout = FcLayout::timing_tile(layer);
+                    (ResultReader::Fc(layout), Some(Schedule::Fc(sched)))
                 } else {
-                    ResultReader::FcBatch(FcBatchLayout {
-                        layer,
-                        batch,
-                        kc: BATCH_KC,
-                        input_base: 0,
-                        weights_base: 0x10_0100,
-                        bias_base: 0x80_0200,
-                        output_base: 0x90_0300,
-                        relu: true,
-                    })
+                    let layout = FcBatchLayout::timing_tile(layer, batch, BATCH_KC);
+                    (ResultReader::FcBatch(layout), None)
                 }
             }
             TileClass::Cnn {
@@ -351,15 +265,8 @@ impl TileClass {
             } => {
                 let layer = conv_layer(in_channels, out_channels);
                 let sched = conv_schedule(sched_dir, &layer, filters_per_group, fingerprint);
-                ResultReader::Conv(ConvLayout {
-                    layer,
-                    input_base: 0,
-                    weights_base: 0x40_0100,
-                    bias_base: 0x80_0200,
-                    output_base: 0xc0_0300,
-                    filters_per_group: sched.filters_per_group,
-                    mode: ConvMode::Full,
-                })
+                let layout = ConvLayout::timing_tile(layer, sched.filters_per_group);
+                (ResultReader::Conv(layout), Some(Schedule::Conv(sched)))
             }
             TileClass::Bp {
                 width,
@@ -368,15 +275,20 @@ impl TileClass {
                 ..
             } => {
                 let sched = bp_schedule(sched_dir, width, height, labels, fingerprint);
-                ResultReader::Bp(BpLayout::with_row_pad(
-                    0,
-                    width,
-                    height,
-                    labels,
-                    sched.row_pad,
-                ))
+                let layout = BpLayout::with_row_pad(0, width, height, labels, sched.row_pad);
+                (ResultReader::Bp(layout), Some(Schedule::Bp(sched)))
             }
         }
+    }
+
+    /// Rebuilds the [`ResultReader`] a dispatch of `batch` requests of
+    /// this class would have been staged with — the piece of job state
+    /// a fleet checkpoint cannot serialize (layouts carry static
+    /// names), reconstructed instead from the class, the batch size,
+    /// and the same schedule resolution [`TileClass::stage`] performs.
+    #[must_use]
+    pub fn reader_for(&self, batch: usize, sched_dir: &Path, fingerprint: u64) -> ResultReader {
+        self.plan(batch, sched_dir, fingerprint).0
     }
 }
 

@@ -39,14 +39,7 @@ fn main() {
         .collect();
     let bias: Vec<i16> = (0..layer.outputs).map(|i| (i as i16 % 17) - 8).collect();
 
-    let layout = FcLayout {
-        layer,
-        input_base: 0,
-        weights_base: 0x10_0100,
-        bias_base: 0x80_0200,
-        output_base: 0x90_0300,
-        relu: true,
-    };
+    let layout = FcLayout::timing_tile(layer);
     let mut sys = System::new(SystemConfig::small_test());
     layout.load_into(sys.hmc_mut(), &input, &weights, &bias);
     for (pe, p) in mlp::fc_tile_programs(&layout, &FcSchedule::default())

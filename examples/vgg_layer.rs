@@ -14,12 +14,7 @@
 
 use vip_core::{cycles_to_ms, System, SystemConfig};
 use vip_kernels::cnn::{self, conv_tile_programs, ConvLayer, ConvLayout, ConvMode};
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
+use vip_kernels::pattern;
 
 fn main() {
     // An independent tile of a c2_x-like layer: 64 input channels, 8

@@ -7,13 +7,8 @@ use vip_core::{System, SystemConfig};
 use vip_kernels::cnn::{
     self, accumulate_program, conv_tile_programs, AccumulateLayout, ConvLayer, ConvLayout, ConvMode,
 };
+use vip_kernels::pattern;
 use vip_kernels::sync::{bytes_to_i16s, i16s_to_bytes};
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 #[test]
 fn shards_on_two_vaults_accumulate_remotely() {

@@ -8,13 +8,8 @@ use vip_kernels::cnn::{
     PoolLayer, PoolLayout,
 };
 use vip_kernels::mlp::{self, FcLayout};
+use vip_kernels::pattern;
 use vip_kernels::schedule::FcSchedule;
-
-fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
-    (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
-        .collect()
-}
 
 #[test]
 fn conv_pool_fc_pipeline_matches_golden() {
