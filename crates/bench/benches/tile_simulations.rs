@@ -10,12 +10,10 @@ fn main() {
         experiments::bp_tile_run(MemConfig::baseline(), 1).cycles
     });
     harness::time("tile_simulations/conv_tile_c64", 5, || {
-        let layer = experiments::conv_sim_layer(64, 8);
-        experiments::conv_tile_run(MemConfig::baseline(), &layer, 2).cycles
+        experiments::conv_tile_run(MemConfig::baseline(), 64, 8, 2).cycles
     });
     harness::time("tile_simulations/conv_tile_c1_1_regime", 5, || {
-        let layer = experiments::conv_sim_layer(4, 8);
-        experiments::conv_tile_run(MemConfig::baseline(), &layer, 8).cycles
+        experiments::conv_tile_run(MemConfig::baseline(), 4, 8, 8).cycles
     });
     harness::time("tile_simulations/pool_tile", 5, || {
         experiments::pool_tile_run(MemConfig::baseline()).cycles

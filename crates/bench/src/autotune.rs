@@ -7,11 +7,11 @@
 //! confirmation. Concretely, per kernel:
 //!
 //! 1. **Seed** — the stock grid is enumerated (invalid points are
-//!    already fenced off by `Schedule::validate`) and, when larger
+//!    already fenced off by `TileClass::validate`) and, when larger
 //!    than the point budget, sampled without replacement by a
 //!    [`SplitMix64`] shuffle of the fixed `--seed`.
 //! 2. **Halving rungs (functional tier)** — every candidate runs on
-//!    [`run_functional`](crate::experiments::PreparedTile::run_functional),
+//!    [`Engine::Functional`](vip_core::Engine::Functional),
 //!    first with a stretched duty cycle (few accurate timing windows —
 //!    fast, rough), then the surviving half with the default window
 //!    density (slower, ~1% cycle error). Each rung keeps the better
@@ -35,17 +35,15 @@
 use std::io;
 use std::time::Instant;
 
-use vip_core::FuncConfig;
-use vip_kernels::cnn::ConvLayer;
-use vip_kernels::schedule::{
-    BpSchedule, ConvSchedule, FcSchedule, KernelShape, Schedule, SearchSpace,
-};
+use vip_core::{FuncConfig, SystemConfig};
+use vip_kernels::schedule::{BpSearchSpace, ConvSearchSpace, FcSearchSpace, Schedule, SearchSpace};
 use vip_kernels::schedule_store;
+use vip_kernels::tile::TileClass;
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
 use vip_serve::fan_out;
 
-use crate::experiments::{self, PreparedTile, BP_TILE, FC_TILE_LARGE};
+use crate::experiments::{self, FC_TILE_LARGE};
 use crate::runner::{PointStatus, Runner};
 
 /// One kernel family's tuning target: the dense timing tile the paper's
@@ -74,81 +72,29 @@ impl TuneKernel {
         }
     }
 
-    fn conv_layer() -> ConvLayer {
-        experiments::conv_sim_layer(64, 64)
-    }
-
-    /// The artifact-store shape key ([`vip_kernels::schedule_store`]).
+    /// The timing tile this kernel tunes: its shape, its default
+    /// schedule, its artifact key and its stager.
     #[must_use]
-    pub fn key(self) -> String {
+    pub fn class(self) -> TileClass {
         match self {
-            TuneKernel::Bp => {
-                let (w, h, l) = BP_TILE;
-                schedule_store::bp_key(w, h, l)
-            }
-            TuneKernel::Cnn => schedule_store::conv_key(&Self::conv_layer()),
-            TuneKernel::Mlp => {
-                let layer = vip_kernels::cnn::FcLayer {
-                    name: "tile",
-                    inputs: FC_TILE_LARGE.0,
-                    outputs: FC_TILE_LARGE.1,
-                };
-                schedule_store::fc_key(&layer)
-            }
-        }
-    }
-
-    fn shape(self) -> KernelShape {
-        match self {
-            TuneKernel::Bp => {
-                let (w, h, l) = BP_TILE;
-                KernelShape::Bp(w, h, l)
-            }
-            TuneKernel::Cnn => KernelShape::Conv(Self::conv_layer()),
-            TuneKernel::Mlp => KernelShape::Fc(vip_kernels::cnn::FcLayer {
-                name: "tile",
+            TuneKernel::Bp => experiments::bp_tile(1),
+            TuneKernel::Cnn => TileClass::Cnn {
+                in_channels: 64,
+                out_channels: 64,
+                filters_per_group: 2,
+            },
+            TuneKernel::Mlp => TileClass::Mlp {
                 inputs: FC_TILE_LARGE.0,
                 outputs: FC_TILE_LARGE.1,
-            }),
+            },
         }
     }
 
     fn space(self) -> SearchSpace {
         match self {
-            TuneKernel::Bp => SearchSpace::Bp(vip_kernels::schedule::BpSearchSpace::stock()),
-            TuneKernel::Cnn => SearchSpace::Conv(vip_kernels::schedule::ConvSearchSpace::stock()),
-            TuneKernel::Mlp => SearchSpace::Fc(vip_kernels::schedule::FcSearchSpace::stock()),
-        }
-    }
-
-    /// The hand-picked default schedule the search must beat.
-    #[must_use]
-    pub fn default_schedule(self) -> Schedule {
-        match self {
-            TuneKernel::Bp => Schedule::Bp(BpSchedule::default()),
-            TuneKernel::Cnn => Schedule::Conv(ConvSchedule::default_for(&Self::conv_layer(), 2)),
-            TuneKernel::Mlp => Schedule::Fc(FcSchedule::default()),
-        }
-    }
-
-    /// Stages this kernel's timing tile under `sched`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sched` belongs to a different kernel family.
-    #[must_use]
-    pub fn stage(self, mem: &MemConfig, sched: &Schedule) -> PreparedTile {
-        match (self, sched) {
-            (TuneKernel::Bp, Schedule::Bp(s)) => {
-                experiments::bp_tile_sim_scheduled(mem.clone(), 1, s)
-            }
-            (TuneKernel::Cnn, Schedule::Conv(s)) => {
-                experiments::conv_tile_sim_scheduled(mem.clone(), &Self::conv_layer(), s)
-            }
-            (TuneKernel::Mlp, Schedule::Fc(s)) => {
-                experiments::fc_tile_sim_scheduled(mem.clone(), FC_TILE_LARGE, s)
-            }
-            _ => panic!("schedule family does not match kernel {}", self.label()),
+            TuneKernel::Bp => SearchSpace::Bp(BpSearchSpace::stock()),
+            TuneKernel::Cnn => SearchSpace::Conv(ConvSearchSpace::stock()),
+            TuneKernel::Mlp => SearchSpace::Fc(FcSearchSpace::stock()),
         }
     }
 }
@@ -261,9 +207,11 @@ pub fn tune_kernel(
     runner: &Runner,
 ) -> io::Result<TuneResult> {
     let started = Instant::now();
-    let key = kernel.key();
-    let fingerprint = crate::vault_system_config(cfg.mem.clone()).snapshot_fingerprint();
-    let grid = kernel.space().enumerate(&kernel.shape());
+    let class = kernel.class();
+    let key = class.key();
+    let machine = SystemConfig::single_vault(cfg.mem.clone());
+    let fingerprint = machine.snapshot_fingerprint();
+    let grid = kernel.space().enumerate(&class, &machine);
     let grid_size = grid.len();
     let mut candidates = sample_points(grid, cfg.sample, cfg.seed ^ fingerprint);
     let searched = candidates.len();
@@ -280,7 +228,7 @@ pub fn tune_kernel(
             let sched = candidates[i];
             let name = format!("tune-{key}@func{rung}");
             let res = runner.run_point_functional(&name, &sched.encoding(), fingerprint, || {
-                let tile = kernel.stage(&cfg.mem, &sched);
+                let tile = experiments::tile_sim_scheduled(cfg.mem.clone(), class, 1, &sched);
                 match func {
                     Some(f) => tile.with_func_config(f),
                     None => tile,
@@ -304,7 +252,7 @@ pub fn tune_kernel(
 
     // Cycle-accurate confirmation: survivors plus the hand-picked
     // default (so the winner's margin is measured, not estimated).
-    let default = kernel.default_schedule();
+    let default = class.default_schedule();
     if !candidates.contains(&default) {
         candidates.push(default);
     }
@@ -312,7 +260,7 @@ pub fn tune_kernel(
         let sched = candidates[i];
         let name = format!("tune-{key}@cycle");
         let res = runner.run_point(&name, &sched.encoding(), fingerprint, || {
-            kernel.stage(&cfg.mem, &sched)
+            experiments::tile_sim_scheduled(cfg.mem.clone(), class, 1, &sched)
         })?;
         let cycles = match res.status {
             PointStatus::Completed => res.cycles,

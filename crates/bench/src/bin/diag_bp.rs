@@ -1,5 +1,5 @@
 //! Diagnostic: per-sweep cycle and stall breakdown of the BP tile.
-use vip_core::{StallReason, System};
+use vip_core::{StallReason, System, SystemConfig};
 use vip_kernels::bp::{
     self, bp_iteration_programs, strip_program, BpLayout, Messages, Mrf, MrfParams, StripParams,
     Sweep, VectorMachineStyle,
@@ -24,7 +24,7 @@ fn main() {
 
     for norm in [false, true] {
         for sweep in [Sweep::Down, Sweep::Right] {
-            let mut sys = System::new(vip_bench::vault_system_config(MemConfig::baseline()));
+            let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
             let msgs = Messages::new(&mrf.params);
             layout.load_into(sys.hmc_mut(), &mrf, &msgs);
             let n = if sweep == Sweep::Down { w } else { h };
@@ -60,7 +60,7 @@ fn main() {
         }
     }
     // full iteration with barriers
-    let mut sys = System::new(vip_bench::vault_system_config(MemConfig::baseline()));
+    let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
     layout.load_into(
         sys.hmc_mut(),
         &mrf,

@@ -30,10 +30,10 @@ use std::time::Instant;
 
 use vip_bench::cli::Cli;
 use vip_bench::experiments::{
-    bp_tile_sim, conv_sim_layer, conv_tile_sim, fc_shape_tile_sim, mem_latency_tile_sim,
-    PreparedTile, FC_TILE_LARGE,
+    bp_tile_sim, conv_tile_sim, fc_shape_tile_sim, mem_latency_tile_sim, PreparedTile,
+    FC_TILE_LARGE,
 };
-use vip_core::FuncStats;
+use vip_core::{Engine, FuncStats};
 use vip_mem::MemConfig;
 
 /// Timed repetitions per engine/workload pair (plus one warmup).
@@ -48,27 +48,16 @@ const GATE_MIN_FUNC_SPEEDUP: f64 = 5.0;
 /// a different ceiling.
 const DENSE_TILES: &[&str] = &["bp_tile", "cnn_conv_tile", "mlp_fc_tile"];
 
-#[derive(Clone, Copy)]
-enum EngineSel {
-    Naive,
-    Fast,
-    Functional,
-}
-
-fn run_once(tile: PreparedTile, engine: EngineSel) -> (u64, f64, FuncStats) {
+fn run_once(tile: PreparedTile, engine: Engine) -> (u64, f64, FuncStats) {
     let start = Instant::now();
-    let run = match engine {
-        EngineSel::Naive => tile.run_naive(),
-        EngineSel::Fast => tile.run(),
-        EngineSel::Functional => tile.run_functional(),
-    };
+    let run = tile.run(engine);
     (run.cycles, start.elapsed().as_secs_f64(), run.stats.func)
 }
 
 /// One warmup run, then the median of [`RUNS`] timed runs. The
 /// simulation is deterministic, so every repetition lands on the same
 /// cycle count; only the host time varies.
-fn timed(make: impl Fn() -> PreparedTile, engine: EngineSel) -> (u64, f64, FuncStats) {
+fn timed(make: impl Fn() -> PreparedTile, engine: Engine) -> (u64, f64, FuncStats) {
     let (cycles, _, func) = run_once(make(), engine);
     let mut times: Vec<f64> = (0..RUNS)
         .map(|_| {
@@ -87,7 +76,7 @@ fn main() {
     let cases: &[Case] = &[
         ("bp_tile", || bp_tile_sim(MemConfig::baseline(), 4)),
         ("cnn_conv_tile", || {
-            conv_tile_sim(MemConfig::baseline(), &conv_sim_layer(64, 64), 2)
+            conv_tile_sim(MemConfig::baseline(), 64, 64, 2)
         }),
         // The large FC shape: 4x the matrix of the layer-time tile, so
         // the functional tier's block cache amortizes its decode cost
@@ -112,9 +101,9 @@ fn main() {
     let mut entries = Vec::new();
     let mut dense_passing = 0usize;
     for (name, make) in cases {
-        let (naive_cycles, naive_s, _) = timed(make, EngineSel::Naive);
-        let (fast_cycles, fast_s, _) = timed(make, EngineSel::Fast);
-        let (func_cycles, func_s, func) = timed(make, EngineSel::Functional);
+        let (naive_cycles, naive_s, _) = timed(make, Engine::Naive);
+        let (fast_cycles, fast_s, _) = timed(make, Engine::Fast);
+        let (func_cycles, func_s, func) = timed(make, Engine::Functional);
         assert_eq!(
             naive_cycles, fast_cycles,
             "{name}: cycle-accurate engines disagree on the quiesce cycle"

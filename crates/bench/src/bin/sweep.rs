@@ -26,6 +26,7 @@ use std::time::Duration;
 use vip_bench::cli::Cli;
 use vip_bench::experiments::{self, PreparedTile};
 use vip_bench::runner::{PointStatus, Runner};
+use vip_core::SystemConfig;
 use vip_mem::MemConfig;
 
 type Stage = Box<dyn Fn() -> PreparedTile>;
@@ -38,13 +39,7 @@ fn points(quick: bool) -> Vec<(&'static str, Stage)> {
         ),
         (
             "conv-tile-c4",
-            Box::new(|| {
-                experiments::conv_tile_sim(
-                    MemConfig::baseline(),
-                    &experiments::conv_sim_layer(4, 8),
-                    8,
-                )
-            }),
+            Box::new(|| experiments::conv_tile_sim(MemConfig::baseline(), 4, 8, 8)),
         ),
         (
             "mem-latency-chase",
@@ -58,13 +53,7 @@ fn points(quick: bool) -> Vec<(&'static str, Stage)> {
         ));
         pts.push((
             "conv-tile-c64",
-            Box::new(|| {
-                experiments::conv_tile_sim(
-                    MemConfig::baseline(),
-                    &experiments::conv_sim_layer(64, 8),
-                    2,
-                )
-            }),
+            Box::new(|| experiments::conv_tile_sim(MemConfig::baseline(), 64, 8, 2)),
         ));
     }
     pts
@@ -107,7 +96,7 @@ fn main() {
     // Every point stages against the baseline single-vault config, so
     // one fingerprint identifies them all — computed up front so
     // resumed points skip staging entirely.
-    let fingerprint = vip_bench::vault_system_config(MemConfig::baseline()).snapshot_fingerprint();
+    let fingerprint = SystemConfig::single_vault(MemConfig::baseline()).snapshot_fingerprint();
     for (name, stage) in points(quick) {
         let res = runner
             .run_point(name, "", fingerprint, stage)

@@ -1,22 +1,22 @@
 //! The experiment runners behind every reproduced table and figure.
 
-use vip_core::{cycles_to_ms, power, SimError, System, SystemStats, CLOCK_HZ};
+use std::sync::Arc;
+
+use vip_core::{
+    cycles_to_ms, power, Engine, SimError, System, SystemConfig, SystemStats, CLOCK_HZ,
+};
 use vip_kernels::bp::{
     self, bp_iteration_programs, strip_program, BpExtrapolation, BpLayout, Messages, Mrf,
     MrfParams, StripParams, Sweep, VectorMachineStyle,
 };
-use vip_kernels::cnn::{
-    self, conv_tile_programs, pool_tile_programs, ConvLayer, ConvLayout, FcLayer, LayerCosts,
-    PoolLayer, PoolLayout, VggLayer,
-};
-use vip_kernels::mlp::{self, FcBatchLayout, FcLayout};
+use vip_kernels::cache::ProgramCache;
+use vip_kernels::cnn::{self, pool_tile_programs, LayerCosts, PoolLayer, PoolLayout, VggLayer};
 use vip_kernels::pattern;
-use vip_kernels::schedule::{BpSchedule, ConvSchedule, FcSchedule, Schedule};
+use vip_kernels::schedule::{BpSchedule, Schedule};
 use vip_kernels::schedule_store;
 use vip_kernels::sync::i16s_to_bytes;
+use vip_kernels::tile::{conv_layer, StagedJob, TileClass};
 use vip_mem::MemConfig;
-
-use crate::vault_system_config;
 
 /// Vaults in the full machine.
 pub const VAULTS: u64 = 32;
@@ -35,7 +35,7 @@ pub struct TileRun {
 
 impl TileRun {
     fn run(sys: System, programs: &[vip_isa::Program], limit: u64) -> TileRun {
-        PreparedTile::new(sys, programs.to_vec(), limit).run()
+        PreparedTile::new(sys, programs.to_vec(), limit).run(Engine::Fast)
     }
 
     /// Achieved DRAM bandwidth scaled to the 32-vault machine, GB/s.
@@ -47,22 +47,30 @@ impl TileRun {
 
 /// A tile simulation staged and ready to run: system built, memory
 /// loaded, per-PE programs generated. Lets callers pick the stepping
-/// engine ([`run`](PreparedTile::run) vs
-/// [`run_naive`](PreparedTile::run_naive)) over identical initial state
-/// — the vehicle for the determinism regression tests and the
-/// `sim_throughput` benchmark.
+/// [`Engine`] over identical initial state — the vehicle for the
+/// determinism regression tests and the `sim_throughput` benchmark.
 #[derive(Debug)]
 pub struct PreparedTile {
     sys: System,
-    programs: Vec<vip_isa::Program>,
+    programs: Arc<Vec<vip_isa::Program>>,
     limit: u64,
+}
+
+impl From<StagedJob> for PreparedTile {
+    fn from(job: StagedJob) -> Self {
+        PreparedTile {
+            sys: job.sys,
+            programs: job.programs,
+            limit: job.limit,
+        }
+    }
 }
 
 impl PreparedTile {
     fn new(sys: System, programs: Vec<vip_isa::Program>, limit: u64) -> Self {
         PreparedTile {
             sys,
-            programs,
+            programs: Arc::new(programs),
             limit,
         }
     }
@@ -70,7 +78,7 @@ impl PreparedTile {
     /// Overrides the functional tier's duty-cycle knobs (see
     /// [`vip_core::FuncConfig`]); architectural results are identical
     /// for every value, only the timing-estimate quality and host
-    /// speed change. Ignored by the cycle-accurate entry points.
+    /// speed change. Ignored by the cycle-accurate engines.
     #[must_use]
     pub fn with_func_config(mut self, cfg: vip_core::FuncConfig) -> Self {
         self.sys.set_func_config(cfg);
@@ -107,82 +115,33 @@ impl PreparedTile {
         (self.sys, self.limit)
     }
 
-    /// Runs with the event-driven fast-forward engine, surfacing the
-    /// typed failure (a [`vip_core::HangReport`] for a budget hang) to
-    /// the caller.
+    /// Runs to quiescence on `engine`, surfacing the typed failure (a
+    /// [`vip_core::HangReport`] for a budget hang) to the caller. The
+    /// two exact engines must agree bit-for-bit; on
+    /// [`Engine::Functional`] architectural results are identical and
+    /// the cycle count is an estimate extrapolated from sampled
+    /// accurate windows.
     ///
     /// # Errors
     ///
     /// Returns the [`SimError`] if the simulation traps, loses a
     /// packet, or fails to quiesce within its cycle limit.
-    pub fn try_run(mut self) -> Result<TileRun, SimError> {
+    pub fn try_run(mut self, engine: Engine) -> Result<TileRun, SimError> {
         self.load();
-        let cycles = self.sys.run(self.limit)?;
+        let cycles = engine.run(&mut self.sys, self.limit)?;
         Ok(TileRun {
             cycles,
             stats: self.sys.stats(),
         })
     }
 
-    /// Runs cycle-by-cycle (the reference engine the fast path must
-    /// match bit-for-bit), surfacing the typed failure to the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SimError`] if the simulation traps, loses a
-    /// packet, or fails to quiesce within its cycle limit.
-    pub fn try_run_naive(mut self) -> Result<TileRun, SimError> {
-        self.load();
-        let cycles = self.sys.run_naive(self.limit)?;
-        Ok(TileRun {
-            cycles,
-            stats: self.sys.stats(),
-        })
-    }
-
-    /// Runs on the two-tier functional engine
-    /// ([`System::run_functional`]): architectural results are
-    /// bit-identical to the cycle-level engines', the cycle count is an
-    /// estimate extrapolated from sampled accurate windows.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SimError`] if the simulation traps, loses a
-    /// packet, or fails to quiesce within its cycle limit.
-    pub fn try_run_functional(mut self) -> Result<TileRun, SimError> {
-        self.load();
-        let cycles = self.sys.run_functional(self.limit)?;
-        Ok(TileRun {
-            cycles,
-            stats: self.sys.stats(),
-        })
-    }
-
-    /// Runs with the event-driven fast-forward engine. On failure,
-    /// prints the structured diagnosis (the multi-line hang-watchdog
-    /// report for a stuck tile) to stderr and exits nonzero instead of
-    /// panicking mid-sweep.
+    /// [`try_run`](PreparedTile::try_run) for the bench entry points:
+    /// on failure, prints the structured diagnosis (the multi-line
+    /// hang-watchdog report for a stuck tile) to stderr and exits
+    /// nonzero instead of panicking mid-sweep.
     #[must_use]
-    pub fn run(self) -> TileRun {
-        self.try_run().unwrap_or_else(|e| exit_with_sim_error(&e))
-    }
-
-    /// Runs on the two-tier functional engine. Failure behaviour
-    /// matches [`run`](PreparedTile::run): structured report to stderr,
-    /// nonzero exit.
-    #[must_use]
-    pub fn run_functional(self) -> TileRun {
-        self.try_run_functional()
-            .unwrap_or_else(|e| exit_with_sim_error(&e))
-    }
-
-    /// Runs cycle-by-cycle (the reference engine the fast path must
-    /// match bit-for-bit). Failure behaviour matches
-    /// [`run`](PreparedTile::run): structured report to stderr, nonzero
-    /// exit.
-    #[must_use]
-    pub fn run_naive(self) -> TileRun {
-        self.try_run_naive()
+    pub fn run(self, engine: Engine) -> TileRun {
+        self.try_run(engine)
             .unwrap_or_else(|e| exit_with_sim_error(&e))
     }
 }
@@ -194,6 +153,33 @@ impl PreparedTile {
 pub fn exit_with_sim_error(err: &SimError) -> ! {
     eprintln!("simulation failed: {err}");
     std::process::exit(1);
+}
+
+/// Stages one timing tile of `class` on one vault (4 PEs) under `mem`
+/// without running it, under the tuned schedule artifact for this shape
+/// and configuration when a valid one exists
+/// ([`TileClass::schedule`]), else the hand-picked default.
+#[must_use]
+pub fn tile_sim(mem: MemConfig, class: TileClass) -> PreparedTile {
+    let cfg = SystemConfig::single_vault(mem);
+    class
+        .stage(&cfg, 1, &schedule_store::dir(), &ProgramCache::new())
+        .into()
+}
+
+/// Stages one timing tile of `class` serving `batch` inputs under an
+/// explicit schedule — the autotuner's staging path.
+#[must_use]
+pub fn tile_sim_scheduled(
+    mem: MemConfig,
+    class: TileClass,
+    batch: usize,
+    sched: &Schedule,
+) -> PreparedTile {
+    let cfg = SystemConfig::single_vault(mem);
+    class
+        .stage_scheduled(&cfg, batch, sched, &ProgramCache::new())
+        .into()
 }
 
 // ---------------------------------------------------------------------
@@ -217,44 +203,24 @@ fn bp_sched_for(layout: &BpLayout) -> BpSchedule {
     }
 }
 
-/// Stages `iters` BP-M iterations over a 64×32 tile on one vault
-/// (4 PEs) under `mem` without running them, using the tuned schedule
-/// artifact for this shape and configuration when one exists
-/// ([`vip_kernels::schedule_store`]), else the hand-picked default.
+/// The standard BP timing tile ([`BP_TILE`]) at `iters` BP-M
+/// iterations.
+#[must_use]
+pub fn bp_tile(iters: usize) -> TileClass {
+    let (width, height, labels) = BP_TILE;
+    TileClass::Bp {
+        width,
+        height,
+        labels,
+        iters,
+    }
+}
+
+/// Stages `iters` BP-M iterations over the 64×32 tile without running
+/// them.
 #[must_use]
 pub fn bp_tile_sim(mem: MemConfig, iters: usize) -> PreparedTile {
-    let (w, h, l) = BP_TILE;
-    let cfg = vault_system_config(mem);
-    let sched =
-        match schedule_store::load(&schedule_store::bp_key(w, h, l), cfg.snapshot_fingerprint()) {
-            Some(Schedule::Bp(s)) if s.validate(w, h, l).is_ok() => s,
-            _ => BpSchedule::default(),
-        };
-    bp_tile_sim_with(cfg, iters, &sched)
-}
-
-/// Stages the BP timing tile under an explicit schedule — the
-/// autotuner's staging path.
-#[must_use]
-pub fn bp_tile_sim_scheduled(mem: MemConfig, iters: usize, sched: &BpSchedule) -> PreparedTile {
-    bp_tile_sim_with(vault_system_config(mem), iters, sched)
-}
-
-fn bp_tile_sim_with(cfg: vip_core::SystemConfig, iters: usize, sched: &BpSchedule) -> PreparedTile {
-    let (w, h, l) = BP_TILE;
-    let mrf = bp_tile_mrf(w, h, l);
-    let layout = BpLayout::with_row_pad(0, w, h, l, sched.row_pad);
-    let mut sys = System::new(cfg);
-    // Timing runs use the paper's exact Figure 2 instruction sequence
-    // (unnormalized: 3L + 2L² ops per update); the normalized variant is
-    // exercised by the correctness tests and examples.
-    layout.load_into(
-        sys.hmc_mut(),
-        &mrf,
-        &Messages::new_unnormalized(&mrf.params),
-    );
-    let programs = bp_iteration_programs(&layout, sched, iters, false);
-    PreparedTile::new(sys, programs, 80_000_000)
+    tile_sim(mem, bp_tile(iters))
 }
 
 /// Simulates `iters` BP-M iterations over a 64×32 tile on one vault
@@ -262,7 +228,7 @@ fn bp_tile_sim_with(cfg: vip_core::SystemConfig, iters: usize, sched: &BpSchedul
 /// Figure 3a, and Figure 5a.
 #[must_use]
 pub fn bp_tile_run(mem: MemConfig, iters: usize) -> TileRun {
-    bp_tile_sim(mem, iters).run()
+    bp_tile_sim(mem, iters).run(Engine::Fast)
 }
 
 /// One ablation-study row: a design choice toggled off against the
@@ -294,7 +260,7 @@ pub fn ablations() -> Vec<AblationPoint> {
     let (w, h, l) = BP_TILE;
     let run_layout = |layout: BpLayout, normalize: bool| -> u64 {
         let mrf = bp_tile_mrf(w, h, l);
-        let mut sys = System::new(vault_system_config(MemConfig::baseline()));
+        let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
         layout.load_into(
             sys.hmc_mut(),
             &mrf,
@@ -338,7 +304,7 @@ pub fn construct_tile_run() -> TileRun {
     let mrf = bp_tile_mrf(w, h, l);
     let fine = BpLayout::new(0, w, h, l);
     let coarse = BpLayout::new(1 << 22, w / 2, h / 2, l);
-    let mut sys = System::new(vault_system_config(MemConfig::baseline()));
+    let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
     fine.load_into(
         sys.hmc_mut(),
         &mrf,
@@ -359,7 +325,7 @@ pub fn copy_tile_run() -> TileRun {
     bp::iteration(&coarse_mrf, &mut cmsgs);
     let fine = BpLayout::new(0, w, h, l);
     let coarse = BpLayout::new(1 << 22, w / 2, h / 2, l);
-    let mut sys = System::new(vault_system_config(MemConfig::baseline()));
+    let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
     fine.load_into(
         sys.hmc_mut(),
         &mrf,
@@ -390,7 +356,7 @@ pub fn figure4_style(style: VectorMachineStyle) -> f64 {
     let (w, h, l) = BP_TILE;
     let mrf = bp_tile_mrf(w, h, l);
     let layout = BpLayout::new(0, w, h, l);
-    let mut sys = System::new(vault_system_config(MemConfig::baseline()));
+    let mut sys = System::new(SystemConfig::single_vault(MemConfig::baseline()));
     layout.load_into(
         sys.hmc_mut(),
         &mrf,
@@ -452,14 +418,13 @@ pub fn figure5_bp() -> Vec<Fig5Point> {
 /// move far less than BP's, which this preserves).
 #[must_use]
 pub fn figure5_cnn() -> Vec<Fig5Point> {
-    let layer = conv_sim_layer(64, 8);
-    let base = conv_tile_run(MemConfig::baseline(), &layer, 2);
+    let base = conv_tile_run(MemConfig::baseline(), 64, 8, 2);
     let base_ms = vgg_network_ms(&cnn::vgg16(), 1);
     MemConfig::figure5_sweep()
         .into_iter()
         .map(|cfg| {
             let name = cfg.name;
-            let run = conv_tile_run(cfg, &layer, 2);
+            let run = conv_tile_run(cfg, 64, 8, 2);
             Fig5Point {
                 config: name,
                 bandwidth_gbs: run.machine_bandwidth_gbs(),
@@ -527,71 +492,30 @@ pub fn bp_summary() -> BpSummary {
 // CNN / MLP
 // ---------------------------------------------------------------------
 
-/// The simulated conv tile geometry for a channel shard of `ci`
-/// channels and `co` resident output channels.
+/// Stages one conv tile (a shard of `ci` input channels and `co`
+/// resident output channels) on one vault without running it;
+/// `filters_per_group` is the default schedule's filter grouping.
 #[must_use]
-pub fn conv_sim_layer(ci: usize, co: usize) -> ConvLayer {
-    ConvLayer {
-        name: "tile",
-        in_channels: ci,
-        out_channels: co,
-        width: 16,
-        height: 8,
-        kernel: 3,
-        pad: 1,
-    }
-}
-
-/// Stages one conv tile on one vault without running it, using the
-/// tuned schedule artifact for this shape and configuration when one
-/// exists ([`vip_kernels::schedule_store`]), else the default schedule
-/// around the caller's filter grouping.
-#[must_use]
-pub fn conv_tile_sim(mem: MemConfig, layer: &ConvLayer, filters_per_group: usize) -> PreparedTile {
-    let cfg = vault_system_config(mem);
-    let sched =
-        match schedule_store::load(&schedule_store::conv_key(layer), cfg.snapshot_fingerprint()) {
-            Some(Schedule::Conv(s)) if s.validate(layer).is_ok() => s,
-            _ => ConvSchedule::default_for(layer, filters_per_group),
-        };
-    conv_tile_sim_with(cfg, layer, &sched)
-}
-
-/// Stages one conv tile under an explicit schedule — the autotuner's
-/// staging path. The layout's filter grouping follows the schedule.
-#[must_use]
-pub fn conv_tile_sim_scheduled(
+pub fn conv_tile_sim(
     mem: MemConfig,
-    layer: &ConvLayer,
-    sched: &ConvSchedule,
+    ci: usize,
+    co: usize,
+    filters_per_group: usize,
 ) -> PreparedTile {
-    conv_tile_sim_with(vault_system_config(mem), layer, sched)
-}
-
-fn conv_tile_sim_with(
-    cfg: vip_core::SystemConfig,
-    layer: &ConvLayer,
-    sched: &ConvSchedule,
-) -> PreparedTile {
-    let input = cnn::pad_input(
-        layer.width,
-        layer.height,
-        layer.in_channels,
-        layer.pad,
-        &pattern(layer.width * layer.height * layer.in_channels, 1, 5),
-    );
-    let weights = pattern(layer.weights(), 1, 3);
-    let bias = pattern(layer.out_channels, 1, 2);
-    let layout = ConvLayout::timing_tile(*layer, sched.filters_per_group);
-    let mut sys = System::new(cfg);
-    layout.load_into(sys.hmc_mut(), &input, &weights, &bias);
-    PreparedTile::new(sys, conv_tile_programs(&layout, sched), 80_000_000)
+    tile_sim(
+        mem,
+        TileClass::Cnn {
+            in_channels: ci,
+            out_channels: co,
+            filters_per_group,
+        },
+    )
 }
 
 /// Simulates one conv tile on one vault.
 #[must_use]
-pub fn conv_tile_run(mem: MemConfig, layer: &ConvLayer, filters_per_group: usize) -> TileRun {
-    conv_tile_sim(mem, layer, filters_per_group).run()
+pub fn conv_tile_run(mem: MemConfig, ci: usize, co: usize, filters_per_group: usize) -> TileRun {
+    conv_tile_sim(mem, ci, co, filters_per_group).run(Engine::Fast)
 }
 
 /// Simulates one 2×2 max-pool tile (64-channel shard).
@@ -609,7 +533,7 @@ pub fn pool_tile_run(mem: MemConfig) -> TileRun {
         input_base: 0,
         output_base: 0x40_0100,
     };
-    let mut sys = System::new(vault_system_config(mem));
+    let mut sys = System::new(SystemConfig::single_vault(mem));
     layout.load_into(sys.hmc_mut(), &input);
     TileRun::run(sys, &pool_tile_programs(&layout, 4), 80_000_000)
 }
@@ -624,56 +548,11 @@ pub const FC_TILE: (usize, usize) = (2048, 64);
 /// decodes are paid once and hit 4x as often.
 pub const FC_TILE_LARGE: (usize, usize) = (2048, 256);
 
-fn fc_sim_layer(shape: (usize, usize)) -> FcLayer {
-    FcLayer {
-        name: "tile",
-        inputs: shape.0,
-        outputs: shape.1,
-    }
-}
-
 /// Stages one fully-connected tile of the given `(inputs, outputs)`
-/// shape without running it, using the tuned schedule artifact for
-/// this shape and configuration when one exists
-/// ([`vip_kernels::schedule_store`]), else the hand-picked default.
+/// shape without running it.
 #[must_use]
-pub fn fc_shape_tile_sim(mem: MemConfig, shape: (usize, usize)) -> PreparedTile {
-    let layer = fc_sim_layer(shape);
-    let cfg = vault_system_config(mem);
-    let sched =
-        match schedule_store::load(&schedule_store::fc_key(&layer), cfg.snapshot_fingerprint()) {
-            Some(Schedule::Fc(s)) if s.validate(&layer).is_ok() => s,
-            _ => FcSchedule::default(),
-        };
-    fc_tile_sim_with(cfg, &layer, &sched)
-}
-
-/// Stages one fully-connected tile under an explicit schedule — the
-/// autotuner's staging path.
-#[must_use]
-pub fn fc_tile_sim_scheduled(
-    mem: MemConfig,
-    shape: (usize, usize),
-    sched: &FcSchedule,
-) -> PreparedTile {
-    fc_tile_sim_with(vault_system_config(mem), &fc_sim_layer(shape), sched)
-}
-
-fn fc_tile_sim_with(
-    cfg: vip_core::SystemConfig,
-    layer: &FcLayer,
-    sched: &FcSchedule,
-) -> PreparedTile {
-    let layout = FcLayout::timing_tile(*layer);
-    let mut sys = System::new(cfg);
-    layout.load_into_scheduled(
-        sys.hmc_mut(),
-        sched,
-        &pattern(layer.inputs, 1, 5),
-        &pattern(layer.inputs * layer.outputs, 1, 5),
-        &pattern(layer.outputs, 1, 2),
-    );
-    PreparedTile::new(sys, mlp::fc_tile_programs(&layout, sched), 80_000_000)
+pub fn fc_shape_tile_sim(mem: MemConfig, (inputs, outputs): (usize, usize)) -> PreparedTile {
+    tile_sim(mem, TileClass::Mlp { inputs, outputs })
 }
 
 /// Stages the standard fully-connected timing tile ([`FC_TILE`])
@@ -686,7 +565,7 @@ pub fn fc_tile_sim(mem: MemConfig) -> PreparedTile {
 /// Simulates one fully-connected tile (2048 inputs × 64 outputs).
 #[must_use]
 pub fn fc_tile_run(mem: MemConfig) -> TileRun {
-    fc_tile_sim(mem).run()
+    fc_tile_sim(mem).run(Engine::Fast)
 }
 
 /// Stages a latency-bound pointer chase on one PE of a single-vault
@@ -703,7 +582,7 @@ pub fn mem_latency_tile_sim(mem: MemConfig, chain: u64) -> PreparedTile {
     assert!(chain > 0, "pointer chase needs at least one link");
     let stride = (mem.row_bytes * mem.banks_per_vault) as u64;
     let base = stride; // clear of address 0 so a null link is loud
-    let mut sys = System::new(vault_system_config(mem));
+    let mut sys = System::new(SystemConfig::single_vault(mem));
     for i in 0..chain {
         // The last link wraps to the base; the loop counter ends the run.
         let next = base + (i + 1) % chain * stride;
@@ -729,26 +608,6 @@ pub fn mem_latency_tile_sim(mem: MemConfig, chain: u64) -> PreparedTile {
     let mut programs = vec![idle; sys.config().total_pes()];
     programs[0] = chase;
     PreparedTile::new(sys, programs, 80_000_000)
-}
-
-/// Simulates a batched fully-connected tile (2048×64, batch 16, kc 64):
-/// each weight chunk streams once and serves all 16 inputs.
-#[must_use]
-pub fn fc_batch_tile_run(mem: MemConfig, batch: usize) -> TileRun {
-    let layer = FcLayer {
-        name: "tile",
-        inputs: 2048,
-        outputs: 64,
-    };
-    let layout = FcBatchLayout::timing_tile(layer, batch, 64);
-    let mut sys = System::new(vault_system_config(mem));
-    layout.load_into(
-        sys.hmc_mut(),
-        &pattern(layer.inputs * batch, 1, 5),
-        &pattern(layer.inputs * layer.outputs, 1, 5),
-        &pattern(layer.outputs, 1, 2),
-    );
-    TileRun::run(sys, &mlp::fc_batch_tile_programs(&layout, 4), 160_000_000)
 }
 
 /// One layer's extrapolated numbers.
@@ -786,13 +645,11 @@ impl TileCache {
         if ci <= 8 {
             self.conv_c3.get_or_insert_with(|| {
                 // c1_1 regime: all filters resident (F = out_channels).
-                let layer = conv_sim_layer(4, 8);
-                conv_tile_run(MemConfig::baseline(), &layer, 8)
+                conv_tile_run(MemConfig::baseline(), 4, 8, 8)
             })
         } else {
-            self.conv_c64.get_or_insert_with(|| {
-                conv_tile_run(MemConfig::baseline(), &conv_sim_layer(64, 8), 2)
-            })
+            self.conv_c64
+                .get_or_insert_with(|| conv_tile_run(MemConfig::baseline(), 64, 8, 2))
         }
     }
 
@@ -807,8 +664,14 @@ impl TileCache {
     }
 
     fn fc_b16(&mut self) -> &TileRun {
-        self.fc_b16
-            .get_or_insert_with(|| fc_batch_tile_run(MemConfig::baseline(), 16))
+        // The batched tile (batch 16, kc 64): each weight chunk streams
+        // once and serves all 16 inputs. Its schedule is fixed.
+        self.fc_b16.get_or_insert_with(|| {
+            let (inputs, outputs) = FC_TILE;
+            let class = TileClass::Mlp { inputs, outputs };
+            tile_sim_scheduled(MemConfig::baseline(), class, 16, &class.default_schedule())
+                .run(Engine::Fast)
+        })
     }
 }
 
@@ -821,9 +684,9 @@ pub fn layer_time(layer: &VggLayer, batch: u64, cache: &mut TileCache) -> LayerT
     let ms = match layer {
         VggLayer::Conv(c) => {
             let run = cache.conv(c.in_channels).clone();
-            let tile = conv_sim_layer(c.in_channels.min(64), 8);
+            let tile = conv_layer(c.in_channels.min(64), 8);
             let tile_macs = if c.in_channels <= 8 {
-                conv_sim_layer(4, 8).macs()
+                conv_layer(4, 8).macs()
             } else {
                 tile.macs()
             };
@@ -1009,7 +872,7 @@ pub fn table4() -> Table4 {
         (merged, run.cycles)
     };
     let (bp_pe, bp_cycles) = per_pe_scale(&bp.tile);
-    let conv_run = conv_tile_run(MemConfig::baseline(), &conv_sim_layer(64, 8), 2);
+    let conv_run = conv_tile_run(MemConfig::baseline(), 64, 8, 2);
     let (cnn_pe, cnn_cycles) = per_pe_scale(&conv_run);
 
     Table4 {
@@ -1044,7 +907,7 @@ pub fn rtl_report() -> RtlReport {
     let area = power::AreaModel::vip_pe();
     let energy = power::EnergyModel::tsmc28();
     let bp_run = bp_tile_run(MemConfig::baseline(), 1);
-    let cnn_run = conv_tile_run(MemConfig::baseline(), &conv_sim_layer(64, 8), 2);
+    let cnn_run = conv_tile_run(MemConfig::baseline(), 64, 8, 2);
     let pe_mw = |run: &TileRun| {
         let mut pe = run.stats.pe;
         pe.lane_ops /= 4;

@@ -24,14 +24,3 @@ pub mod experiments;
 pub mod harness;
 pub mod report;
 pub mod runner;
-
-use vip_core::SystemConfig;
-use vip_mem::MemConfig;
-
-/// A single-vault (4-PE) system with the given memory preset — the
-/// independent-tile simulation vehicle (now a thin delegate to
-/// [`SystemConfig::single_vault`], which the serving layer shares).
-#[must_use]
-pub fn vault_system_config(mem: MemConfig) -> SystemConfig {
-    SystemConfig::single_vault(mem)
-}

@@ -32,7 +32,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use vip_core::{RunOutcome, SimError, System, SystemStats};
+use vip_core::{Engine, RunOutcome, SimError, System, SystemStats};
 use vip_snap::{read_header, write_header, Reader, Snapshot, Writer};
 
 use crate::experiments::PreparedTile;
@@ -317,7 +317,7 @@ impl Runner {
             fingerprint,
             "point `{name}`: staged tile does not match the declared fingerprint"
         );
-        match tile.try_run_functional() {
+        match tile.try_run(Engine::Functional) {
             Ok(run) => {
                 self.write_done(&done_path, fingerprint, PointStatus::Completed, &run.stats)?;
                 Ok(PointResult {

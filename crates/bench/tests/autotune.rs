@@ -7,8 +7,10 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use vip_bench::autotune::{tune_kernel, TuneConfig, TuneKernel};
+use vip_bench::autotune::{tune_all, tune_kernel, TuneConfig, TuneKernel};
 use vip_bench::runner::Runner;
+use vip_core::SystemConfig;
+use vip_kernels::schedule_store;
 
 const TUNE: &str = env!("CARGO_BIN_EXE_tune");
 
@@ -44,6 +46,50 @@ fn jobs_do_not_change_the_search_result() {
         outcomes[0], outcomes[1],
         "jobs=4 found a different winner than jobs=1 for the same seed"
     );
+}
+
+/// Writer meets reader: the key and fingerprint `tune` files an
+/// artifact under are the ones the stager looks it up by. A drift
+/// between the two would not fail anything — it would quietly degrade
+/// every tile to its default schedule.
+#[test]
+fn the_stager_resolves_what_the_tuner_writes() {
+    let cfg = TuneConfig {
+        seed: 11,
+        sample: 4,
+        confirm: 1,
+        ..TuneConfig::default()
+    };
+    let machine = SystemConfig::single_vault(cfg.mem.clone());
+
+    // A default that survives its search proves nothing here (the
+    // fallback is the default too), so every kernel is searched and at
+    // least one winner must differ from its default.
+    let dir = scratch_dir("writer-reader");
+    let out = scratch_dir("writer-reader-schedules");
+    let runner = Runner::new(&dir).expect("runner dir");
+    let results = tune_all(&cfg, &runner, &out).expect("search runs");
+    assert!(results
+        .iter()
+        .any(|res| res.best != res.kernel.class().default_schedule()));
+    for res in results {
+        let class = res.kernel.class();
+        assert_eq!(class.schedule(&machine, &out), res.best, "{}", res.key);
+    }
+    for dir in [&dir, &out] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // The checked-in artifacts resolve; none falls back.
+    let checked_in = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schedules");
+    for kernel in TuneKernel::ALL {
+        let class = kernel.class();
+        let filed =
+            schedule_store::load_from(&checked_in, &class.key(), machine.snapshot_fingerprint())
+                .unwrap_or_else(|| panic!("no checked-in artifact for {}", class.key()));
+        assert_eq!(class.validate(&machine, &filed), Ok(()), "{}", class.key());
+        assert_eq!(class.schedule(&machine, &checked_in), filed);
+    }
 }
 
 fn tune_args(dir: &Path, out: &Path, resume: bool) -> Vec<String> {

@@ -5,13 +5,14 @@
 //! accounting, and NoC totals).
 
 use vip_bench::experiments::{
-    bp_tile_sim, conv_sim_layer, conv_tile_sim, fc_tile_sim, mem_latency_tile_sim, PreparedTile,
+    bp_tile_sim, conv_tile_sim, fc_tile_sim, mem_latency_tile_sim, PreparedTile,
 };
+use vip_core::Engine;
 use vip_mem::MemConfig;
 
 fn assert_engines_identical(name: &str, make: &dyn Fn() -> PreparedTile) {
-    let naive = make().run_naive();
-    let fast = make().run();
+    let naive = make().run(Engine::Naive);
+    let fast = make().run(Engine::Fast);
     assert_eq!(
         naive.cycles, fast.cycles,
         "{name}: fast-forward quiesced at a different cycle"
@@ -30,7 +31,7 @@ fn bp_tile_engines_agree() {
 #[test]
 fn cnn_conv_tile_engines_agree() {
     assert_engines_identical("cnn_conv_tile", &|| {
-        conv_tile_sim(MemConfig::baseline(), &conv_sim_layer(4, 8), 8)
+        conv_tile_sim(MemConfig::baseline(), 4, 8, 8)
     });
 }
 

@@ -58,7 +58,8 @@ fn resumed_point_skips_staging() {
 
     let dir = scratch_dir("stagecount");
     let runner = Runner::new(&dir).expect("runner dir").resume(true);
-    let fingerprint = vip_bench::vault_system_config(MemConfig::baseline()).snapshot_fingerprint();
+    let fingerprint =
+        vip_core::SystemConfig::single_vault(MemConfig::baseline()).snapshot_fingerprint();
     let staged = AtomicUsize::new(0);
     let stage = || {
         staged.fetch_add(1, Ordering::Relaxed);

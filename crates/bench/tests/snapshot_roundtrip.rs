@@ -5,24 +5,14 @@
 //! each stepping engine and with live fault injection.
 
 use vip_bench::experiments::{self, PreparedTile};
-use vip_core::{RunOutcome, System};
+use vip_core::{Engine, RunOutcome, System, SystemConfig};
 use vip_faults::{DramFaultConfig, FaultConfig, NocFaultConfig};
 use vip_mem::MemConfig;
 
-#[derive(Debug, Clone, Copy)]
-enum Engine {
-    /// Event-driven fast-forward.
-    Fast,
-    /// Cycle-by-cycle reference stepping.
-    Naive,
-}
-
 fn finish(sys: &mut System, limit: u64, engine: Engine) -> u64 {
-    match engine {
-        Engine::Fast => sys.run(limit),
-        Engine::Naive => sys.run_naive(limit),
-    }
-    .expect("tile quiesces within its limit")
+    engine
+        .run(sys, limit)
+        .expect("tile quiesces within its limit")
 }
 
 /// Runs `stage`'s tile twice — once straight through, once paused at
@@ -85,11 +75,7 @@ fn bp_tile() -> PreparedTile {
 }
 
 fn cnn_tile() -> PreparedTile {
-    experiments::conv_tile_sim(
-        MemConfig::baseline(),
-        &experiments::conv_sim_layer(64, 8),
-        2,
-    )
+    experiments::conv_tile_sim(MemConfig::baseline(), 64, 8, 2)
 }
 
 fn mlp_tile() -> PreparedTile {
@@ -178,7 +164,7 @@ fn restore_rejects_a_mismatched_configuration() {
 
     // Same tile on a different memory configuration: the structural
     // fingerprint differs, so restore must refuse with a typed error.
-    let mut other = System::new(vip_bench::vault_system_config(MemConfig::closed_page()));
+    let mut other = System::new(SystemConfig::single_vault(MemConfig::closed_page()));
     let err = other
         .restore_snapshot(&snapshot)
         .expect_err("fingerprint mismatch is rejected");

@@ -67,6 +67,7 @@
 
 mod arc;
 mod config;
+mod engine;
 mod error;
 mod fast_func;
 mod lsu;
@@ -80,6 +81,7 @@ mod vector;
 
 pub use arc::ArcTable;
 pub use config::SystemConfig;
+pub use engine::Engine;
 pub use error::{BlockedPe, FailureClass, HangReport, SimError};
 pub use fast_func::FuncConfig;
 pub use lsu::{LoadStoreUnit, LsuError};

@@ -246,7 +246,7 @@ impl VectorMachineStyle {
         Self::all().into_iter().find(|s| s.label() == label)
     }
 
-    fn uses_reduction(self) -> bool {
+    pub(crate) fn uses_reduction(self) -> bool {
         matches!(
             self,
             VectorMachineStyle::SpReduce | VectorMachineStyle::RfReduce

@@ -7,7 +7,9 @@
 //! every dispatch of a compatible batch. Keys follow the bench
 //! runner's durable-point idiom (name + structural configuration
 //! fingerprint), extended with the schedule encoding and the batch
-//! size the codegen specialized for.
+//! size the codegen specialized for. The rule the one stager
+//! ([`crate::tile::TileClass::stage_scheduled`]) keeps: every value
+//! codegen reads is in the key.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +24,9 @@ pub struct CacheKey {
     /// The tile's shape key (`fc-2048x64`, `conv-4x8x16x8`, …) — the
     /// same string the schedule store files under.
     pub key: String,
-    /// Encoding of the schedule the programs were generated for.
+    /// Encoding of the schedule the programs were generated for, plus
+    /// whatever else the generator read that the shape key does not
+    /// carry (a BP tile's iteration count).
     pub encoding: String,
     /// Structural configuration fingerprint of the target device
     /// ([`vip_core::SystemConfig::snapshot_fingerprint`]).

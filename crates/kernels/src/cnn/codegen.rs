@@ -57,10 +57,9 @@ pub struct ConvLayout {
 
 impl ConvLayout {
     /// The memory map of the synthetic timing tile: one full (not
-    /// sharded) convolution staged alone in a vault. The bench
-    /// experiments and the serving layer stage this, and a
-    /// fleet-checkpoint restore rebuilds it to read a finished tile
-    /// back.
+    /// sharded) convolution staged alone in a vault.
+    /// [`crate::tile::TileClass`] stages this, and a fleet-checkpoint
+    /// restore rebuilds it to read a finished tile back.
     #[must_use]
     pub fn timing_tile(layer: ConvLayer, filters_per_group: usize) -> Self {
         ConvLayout {

@@ -24,14 +24,22 @@
 //!   template of §IV-B;
 //! * [`mlp`] — fully-connected layers (tiled GEMV) per §IV-C;
 //! * [`sync`] — the full-empty barrier and producer-consumer flag
-//!   snippets shared by the generated programs.
+//!   snippets shared by the generated programs;
+//! * [`schedule`] / [`schedule_store`] — the typed codegen schedules
+//!   the autotuner searches and the artifacts it files;
+//! * [`tile`] / [`cache`] — the §V-A timing tile every report, search
+//!   point and served request runs ([`tile::TileClass`]: shape →
+//!   schedule → staged system + programs), and the prepared-program
+//!   cache its stager shares.
 
 pub mod bp;
+pub mod cache;
 pub mod cnn;
 pub mod mlp;
 pub mod schedule;
 pub mod schedule_store;
 pub mod sync;
+pub mod tile;
 
 /// Fixed-point element type used by every evaluated workload ("16-bit
 /// dynamic fixed point", §IV).
@@ -42,7 +50,7 @@ pub const ELEM_BYTES: usize = 2;
 
 /// Deterministic small-magnitude operand values (weights, activations,
 /// biases) that exercise signs without instantly saturating — what the
-/// timing tiles, the serving layer and the kernel tests all stage.
+/// timing tile ([`tile::TileClass`]) and the kernel tests stage.
 #[must_use]
 pub fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
     (0..n)

@@ -176,9 +176,9 @@ pub struct FcLayout {
 
 impl FcLayout {
     /// The memory map of the synthetic timing tile: one layer staged
-    /// alone in a vault, ReLU applied. The bench experiments and the
-    /// serving layer stage this, and a fleet-checkpoint restore
-    /// rebuilds it to read a finished tile back.
+    /// alone in a vault, ReLU applied. [`crate::tile::TileClass`]
+    /// stages this, and a fleet-checkpoint restore rebuilds it to read
+    /// a finished tile back.
     #[must_use]
     pub fn timing_tile(layer: FcLayer) -> Self {
         FcLayout {
@@ -221,6 +221,14 @@ impl FcLayout {
     pub fn read_output(&self, hmc: &Hmc) -> Vec<i16> {
         bytes_to_i16s(&hmc.host_read(self.output_base, self.layer.outputs * 2))
     }
+}
+
+/// Instructions in each program [`fc_tile_programs`] emits: a block's
+/// row chunks are unrolled, 8 instructions each, around 35 of prologue,
+/// loop control and store-out. [`FcSchedule::validate`] holds this to
+/// the instruction buffer before any code is generated.
+pub(crate) fn fc_program_len(rc_block: usize) -> usize {
+    35 + 8 * rc_block
 }
 
 /// Generates per-PE programs for one fully-connected tile under an
@@ -343,7 +351,9 @@ pub fn fc_tile_programs(layout: &FcLayout, sched: &FcSchedule) -> Vec<Program> {
                 .blt(r_blk, r_blkn, "blk")
                 .memfence()
                 .halt();
-            asm.assemble().expect("fc program assembles")
+            let program = asm.assemble().expect("fc program assembles");
+            debug_assert!(program.len() <= fc_program_len(rb), "stale length model");
+            program
         })
         .collect()
 }

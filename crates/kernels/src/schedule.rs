@@ -8,8 +8,10 @@
 //!
 //! * **validated** against the kernel's shape before any code is
 //!   generated ([`FcSchedule::validate`] and friends check scratchpad
-//!   capacity, divisibility, and PE-split rules, so an invalid search
-//!   point is rejected up front instead of panicking mid-codegen);
+//!   capacity, divisibility, PE-split rules and the code size a knob
+//!   unrolls to, so an invalid search point — or a hostile artifact
+//!   file — is rejected up front instead of panicking mid-codegen;
+//!   [`TileClass::validate`] adds the family and machine checks);
 //! * **serializable** as a small flat JSON object ([`Schedule::to_json`]
 //!   / [`Schedule::from_json`]), the on-disk artifact format the
 //!   autotuner emits under `schedules/` and the bench harness loads by
@@ -20,14 +22,18 @@
 //!
 //! [`SearchSpace`] is the matching per-knob candidate grid; its
 //! [`enumerate`](SearchSpace::enumerate) produces every *valid*
-//! cartesian combination for a concrete kernel shape, in a stable
-//! order, so a seeded search is deterministic.
+//! cartesian combination for a concrete tile class and machine, in a
+//! stable order, so a seeded search is deterministic.
 
 use std::fmt;
+
+use vip_core::SystemConfig;
+use vip_isa::INST_BUFFER_ENTRIES;
 
 use crate::bp::VectorMachineStyle;
 use crate::cnn::ConvLayer;
 use crate::cnn::FcLayer;
+use crate::tile::TileClass;
 
 /// PE scratchpad capacity in bytes — the hard wall every schedule's
 /// working set is validated against.
@@ -73,7 +79,7 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-fn invalid(why: impl Into<String>) -> ScheduleError {
+pub(crate) fn invalid(why: impl Into<String>) -> ScheduleError {
     ScheduleError::Invalid(why.into())
 }
 
@@ -159,6 +165,14 @@ impl FcSchedule {
         if need > SCRATCHPAD_BYTES {
             return Err(invalid(format!(
                 "working set {need} B overflows the {SCRATCHPAD_BYTES} B scratchpad"
+            )));
+        }
+        let len = crate::mlp::fc_program_len(self.rc_block);
+        if len > INST_BUFFER_ENTRIES {
+            return Err(invalid(format!(
+                "rc_block {} unrolls to {len} instructions, over the \
+                 {INST_BUFFER_ENTRIES}-entry instruction buffer",
+                self.rc_block
             )));
         }
         Ok(())
@@ -295,8 +309,9 @@ impl BpSchedule {
     /// # Errors
     ///
     /// Returns [`ScheduleError::Invalid`] if the per-PE strip widths
-    /// violate the generator's alignment rules or the label count
-    /// overflows the scratchpad map.
+    /// violate the generator's alignment rules, the padded row stride
+    /// outgrows the generated code's pointer-step immediates, or the
+    /// label count overflows the scratchpad map.
     pub fn validate(
         &self,
         width: usize,
@@ -320,8 +335,43 @@ impl BpSchedule {
                 )));
             }
         }
-        if self.group_bufs < 2 {
-            return Err(invalid("bp pipeline needs at least two group buffers"));
+        // The strip generator walks the planes with `addi` steps, whose
+        // immediates are 24-bit signed. The widest is a horizontal
+        // strip's wrap to its next column, ∓(pixel + rows-per-PE × row
+        // stride); with at least 8 rows per PE it dominates the 4 × row
+        // stride group step and the vertical strips' row stride +
+        // columns-per-PE × pixel. Checked: `row_pad` is read from an
+        // artifact file and may be anything.
+        let pixel = labels * 2;
+        let widest_step = width
+            .checked_mul(pixel)
+            .and_then(|row| row.checked_add(self.row_pad))
+            .and_then(|row_stride| row_stride.checked_mul(height / self.pes))
+            .and_then(|column| column.checked_add(pixel));
+        if widest_step.is_none_or(|step| step >= 1 << 23) {
+            return Err(invalid(format!(
+                "row pad {} puts a strip's pointer steps outside the 24-bit immediate",
+                self.row_pad
+            )));
+        }
+        // The divide-and-conquer emulation quadruples the update's code
+        // size and a full iteration program then overflows the
+        // instruction buffer: the no-reduction styles exist for the
+        // Figure 4 strip kernels (`StripParams`), not for tiles.
+        if !self.style.uses_reduction() {
+            return Err(invalid(format!(
+                "a {} iteration program overflows the {INST_BUFFER_ENTRIES}-entry \
+                 instruction buffer",
+                self.style.label()
+            )));
+        }
+        // Two is the ping-pong; the flat pipeline rotates through at
+        // most four buffer registers.
+        if !(2..=4).contains(&self.group_bufs) {
+            return Err(invalid(format!(
+                "{} group buffers: the strip generator rotates 2 to 4",
+                self.group_bufs
+            )));
         }
         // A buffer deeper than every strip's group count can never be
         // filled (and prefetching that far ahead would overrun the
@@ -567,88 +617,69 @@ pub enum SearchSpace {
     Bp(BpSearchSpace),
 }
 
-/// The concrete kernel shape a search space is enumerated against.
-#[derive(Debug, Clone, Copy)]
-pub enum KernelShape {
-    /// FC layer geometry.
-    Fc(FcLayer),
-    /// Convolution layer geometry.
-    Conv(ConvLayer),
-    /// BP grid geometry `(width, height, labels)`.
-    Bp(usize, usize, usize),
-}
-
 impl SearchSpace {
-    /// Every valid combination for `shape`, in stable (row-major over
-    /// the knob lists) order. Invalid combinations are silently
-    /// filtered — an empty result means the grid and shape are
-    /// incompatible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shape` is a different kernel family than the grid.
+    /// Every combination [`TileClass::validate`] accepts for `class` on
+    /// `cfg`, in stable (row-major over the knob lists) order. Invalid
+    /// combinations are silently filtered — an empty result means the
+    /// grid and the class are incompatible (a grid of another kernel
+    /// family always is).
     #[must_use]
-    pub fn enumerate(&self, shape: &KernelShape) -> Vec<Schedule> {
+    pub fn enumerate(&self, class: &TileClass, cfg: &SystemConfig) -> Vec<Schedule> {
         let mut out = Vec::new();
-        match (self, shape) {
-            (SearchSpace::Fc(s), KernelShape::Fc(layer)) => {
+        let mut keep = |cand: Schedule| {
+            if class.validate(cfg, &cand).is_ok() {
+                out.push(cand);
+            }
+        };
+        match self {
+            SearchSpace::Fc(s) => {
                 for &kc in &s.kc {
                     for &mr in &s.mr {
                         for &rc_block in &s.rc_block {
                             for &pes in &s.pes {
-                                let cand = FcSchedule {
+                                keep(Schedule::Fc(FcSchedule {
                                     kc,
                                     mr,
                                     rc_block,
                                     pes,
-                                };
-                                if cand.validate(layer).is_ok() {
-                                    out.push(Schedule::Fc(cand));
-                                }
+                                }));
                             }
                         }
                     }
                 }
             }
-            (SearchSpace::Conv(s), KernelShape::Conv(layer)) => {
+            SearchSpace::Conv(s) => {
                 for &filters_per_group in &s.filters_per_group {
                     for &ring in &s.ring {
                         for &interleave_rows in &s.interleave_rows {
                             for &pes in &s.pes {
-                                let cand = ConvSchedule {
+                                keep(Schedule::Conv(ConvSchedule {
                                     filters_per_group,
                                     ring,
                                     interleave_rows,
                                     pes,
-                                };
-                                if cand.validate(layer).is_ok() {
-                                    out.push(Schedule::Conv(cand));
-                                }
+                                }));
                             }
                         }
                     }
                 }
             }
-            (SearchSpace::Bp(s), KernelShape::Bp(w, h, l)) => {
+            SearchSpace::Bp(s) => {
                 for &style in &s.style {
                     for &row_pad in &s.row_pad {
                         for &pes in &s.pes {
                             for &group_bufs in &s.group_bufs {
-                                let cand = BpSchedule {
+                                keep(Schedule::Bp(BpSchedule {
                                     style,
                                     row_pad,
                                     pes,
                                     group_bufs,
-                                };
-                                if cand.validate(*w, *h, *l).is_ok() {
-                                    out.push(Schedule::Bp(cand));
-                                }
+                                }));
                             }
                         }
                     }
                 }
             }
-            _ => panic!("search space and kernel shape are different families"),
         }
         out
     }
@@ -931,7 +962,12 @@ mod tests {
 
     #[test]
     fn search_space_round_trips_and_enumerates() {
-        let cands = SearchSpace::Fc(FcSearchSpace::stock()).enumerate(&KernelShape::Fc(fc_layer()));
+        let class = TileClass::Mlp {
+            inputs: 2048,
+            outputs: 64,
+        };
+        let cands =
+            SearchSpace::Fc(FcSearchSpace::stock()).enumerate(&class, &SystemConfig::small_test());
         assert!(!cands.is_empty());
         assert!(cands.contains(&Schedule::Fc(FcSchedule::default())));
         // Everything enumerated validates; nothing overflows.

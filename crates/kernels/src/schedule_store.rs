@@ -2,10 +2,11 @@
 //!
 //! The autotuner (`vip-bench`'s `autotune` module) emits its best
 //! schedule per (kernel shape, arch config) as a JSON file under
-//! `schedules/`; the tile stagers in `vip-bench` and the serving
-//! layer's tile builders (`vip-serve`) look those artifacts up at
-//! staging time and fall back to the hand-picked defaults when no
-//! artifact matches. Files are keyed by the kernel's shape string and
+//! `schedules/`; the one tile stager ([`crate::tile::TileClass`]) looks
+//! those artifacts up at staging time and falls back to the hand-picked
+//! default when no valid artifact matches
+//! ([`TileClass::schedule`](crate::tile::TileClass::schedule) is the
+//! only reader). Files are keyed by the kernel's shape string and
 //! the structural configuration fingerprint
 //! (`vip_core::SystemConfig::snapshot_fingerprint`):
 //!
@@ -18,10 +19,6 @@
 //! ([`Schedule::to_json`]) — deterministic field order and byte-stable
 //! re-serialization, which is what lets a resumed search re-emit
 //! byte-identical artifacts.
-//!
-//! This module lived in `vip_bench::schedules` until the serving layer
-//! needed the same lookups without depending on the bench crate; the
-//! old path re-exports everything here.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -75,13 +72,6 @@ pub fn load_from(from: &Path, key: &str, fingerprint: u64) -> Option<Schedule> {
     let text = std::fs::read_to_string(from.join(artifact_name(key, fingerprint))).ok()?;
     let sched = Schedule::from_json(&text).ok()?;
     key.starts_with(sched.kernel()).then_some(sched)
-}
-
-/// Loads the schedule artifact for `(key, fingerprint)` from the
-/// default [`dir`].
-#[must_use]
-pub fn load(key: &str, fingerprint: u64) -> Option<Schedule> {
-    load_from(&dir(), key, fingerprint)
 }
 
 /// Atomically writes the artifact for `(key, fingerprint)` into `into`

@@ -17,6 +17,7 @@
 
 use std::fmt;
 
+pub use vip_core::Engine;
 use vip_core::{PeArchState, PeStats, SimError, System, SystemConfig};
 use vip_isa::Reg;
 
@@ -29,37 +30,6 @@ pub const MAX_CYCLES: u64 = 4_000_000;
 
 /// Step budget for one reference run.
 pub const MAX_REF_STEPS: u64 = 1_000_000;
-
-/// The cycle-level stepping engines under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Cycle-by-cycle [`System::run_naive`].
-    Naive,
-    /// Event-driven fast-forward [`System::run`].
-    FastForward,
-    /// Two-tier block-cached functional execution
-    /// ([`System::run_functional`]). Cycle counts are estimates, but
-    /// the architectural contract is the same bit-identical one.
-    Functional,
-}
-
-impl Engine {
-    /// All engines, in the order the harness tries them.
-    #[must_use]
-    pub fn all() -> [Engine; 3] {
-        [Engine::Naive, Engine::FastForward, Engine::Functional]
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Naive => write!(f, "naive"),
-            Engine::FastForward => write!(f, "fast-forward"),
-            Engine::Functional => write!(f, "functional"),
-        }
-    }
-}
 
 /// Final architectural state of a run, in directly comparable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,24 +167,18 @@ pub fn run_engine(
     for (pe, p) in m.programs.iter().enumerate() {
         sys.load_program(pe, p);
     }
-    let res = match engine {
-        Engine::Naive => sys.run_naive(MAX_CYCLES),
-        Engine::FastForward => sys.run(MAX_CYCLES),
-        Engine::Functional => {
-            // Generated cases are small; shrink the duty-cycle windows
-            // so they actually cross the functional/accurate boundary
-            // (stretches, drains, re-calibration) instead of finishing
-            // inside the first calibration window.
-            sys.set_func_config(vip_core::FuncConfig {
-                warmup_cycles: 64,
-                sample_cycles: 256,
-                stretch_work: 2_000,
-                quantum: 64,
-                drain_cycles: 5_000,
-            });
-            sys.run_functional(MAX_CYCLES)
-        }
-    };
+    // Generated cases are small; shrink the functional tier's
+    // duty-cycle windows so they actually cross the functional/accurate
+    // boundary (stretches, drains, re-calibration) instead of finishing
+    // inside the first calibration window. The exact engines ignore it.
+    sys.set_func_config(vip_core::FuncConfig {
+        warmup_cycles: 64,
+        sample_cycles: 256,
+        stretch_work: 2_000,
+        quantum: 64,
+        drain_cycles: 5_000,
+    });
+    let res = engine.run(&mut sys, MAX_CYCLES);
     let counters = (0..m.programs.len())
         .map(|i| retired(sys.pe(i).stats()))
         .collect();
@@ -312,7 +276,7 @@ fn diff_retired(
     pes.find(|&pe| base[pe] != observed[pe]).map(|pe| {
         format!(
             "pe{pe} retirement counters: {} engine {:?} vs this engine {:?}",
-            Engine::all()[0],
+            Engine::ALL[0],
             base[pe],
             observed[pe]
         )
@@ -340,7 +304,7 @@ fn divergence(m: &Materialized) -> Result<Option<(Engine, String)>, RefRunError>
         Err(e) => return Err(e),
     };
     let mut base: Option<Vec<PeStats>> = None;
-    for engine in Engine::all() {
+    for engine in Engine::ALL {
         let (observed, counters) = run_engine(m, engine);
         let detail = match (&reference, &observed) {
             (Ok(want), Ok(got)) => diff_snapshots(want, got),

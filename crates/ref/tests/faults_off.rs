@@ -35,23 +35,19 @@ fn run_with(m: &Materialized, engine: Engine, faults: &FaultConfig) -> (ArchSnap
     for (pe, p) in m.programs.iter().enumerate() {
         sys.load_program(pe, p);
     }
-    match engine {
-        Engine::Naive => sys.run_naive(MAX_CYCLES),
-        Engine::FastForward => sys.run(MAX_CYCLES),
-        Engine::Functional => {
-            // Small cases: shrink the windows so the functional tier
-            // engages instead of finishing inside the calibration run.
-            sys.set_func_config(vip_core::FuncConfig {
-                warmup_cycles: 64,
-                sample_cycles: 256,
-                stretch_work: 2_000,
-                quantum: 64,
-                drain_cycles: 5_000,
-            });
-            sys.run_functional(MAX_CYCLES)
-        }
-    }
-    .unwrap_or_else(|e| panic!("{engine} engine with {faults:?}: {e}"));
+    // Small cases: shrink the windows so the functional tier engages
+    // instead of finishing inside the calibration run (the exact
+    // engines ignore the setting).
+    sys.set_func_config(vip_core::FuncConfig {
+        warmup_cycles: 64,
+        sample_cycles: 256,
+        stretch_work: 2_000,
+        quantum: 64,
+        drain_cycles: 5_000,
+    });
+    engine
+        .run(&mut sys, MAX_CYCLES)
+        .unwrap_or_else(|e| panic!("{engine} engine with {faults:?}: {e}"));
     let snapshot = ArchSnapshot {
         pes: (0..m.programs.len())
             .map(|i| sys.pe(i).arch_state())
@@ -86,7 +82,7 @@ fn zero_rate_injector_is_bit_identical_on_every_engine() {
         // inertness must not depend on which seed the inert draws use.
         let wired = FaultConfig::zero_rate(seed ^ 0x5eed);
         assert!(wired.is_inert());
-        for engine in Engine::all() {
+        for engine in Engine::ALL {
             let (plain_snap, plain_stats) = run_with(&m, engine, &FaultConfig::disabled());
             let (wired_snap, wired_stats) = run_with(&m, engine, &wired);
             if let Some(detail) = diff_snapshots(&plain_snap, &wired_snap) {
@@ -117,7 +113,7 @@ fn engines_agree_with_a_wired_zero_rate_injector() {
         let m = generate(seed, &cfg).materialize_full();
         let wired = FaultConfig::zero_rate(seed);
         let (base_snap, base_stats) = run_with(&m, Engine::Naive, &wired);
-        let (snap, stats) = run_with(&m, Engine::FastForward, &wired);
+        let (snap, stats) = run_with(&m, Engine::Fast, &wired);
         if let Some(detail) = diff_snapshots(&base_snap, &snap) {
             panic!("seed {seed:#x}: naive vs fast-forward under wired injector:\n{detail}");
         }

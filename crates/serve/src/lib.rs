@@ -8,16 +8,13 @@
 //!
 //! The pieces, bottom up:
 //!
-//! * [`tiles`] — the servable tile classes (mlp / cnn / bp in mixed
-//!   sizes), their batchable stagers, and the per-request result
-//!   readback; tuned schedules are resolved through
-//!   [`vip_kernels::schedule_store`] exactly like the bench stagers.
-//! * [`cache`] — the prepared-program cache, keyed like the bench
-//!   runner's durable points (shape key + schedule encoding + config
-//!   fingerprint + batch) with hit/miss counters.
-//! * [`device`] — the stepping-engine selector; every device advances
-//!   in bounded quanta via the `*_until` pause points, so preemption
-//!   decisions only ever happen at slice boundaries.
+//! * the tiles themselves are not defined here: a request names a
+//!   [`TileClass`] and every dispatch stages it through
+//!   [`vip_kernels::tile`] — the same stager, schedule resolver and
+//!   prepared-program cache ([`ProgramCache`]) the bench reports and
+//!   the autotuner use — then advances the device in bounded quanta
+//!   via [`Engine::advance`], so preemption decisions only ever
+//!   happen at slice boundaries.
 //! * [`workload`] — seeded request mixes and the open/closed load
 //!   modes.
 //! * [`scheduler`] — the discrete-event fleet executor: bounded
@@ -42,23 +39,18 @@
 //!   the offered-load sweep, and the `BENCH_serving.json` report
 //!   (byte-identical for a fixed seed at any `--jobs`).
 
-pub mod cache;
 pub mod chaos;
-pub mod device;
 pub mod durable;
 pub mod fanout;
 pub mod metrics;
 pub mod scheduler;
 pub mod sweep;
-pub mod tiles;
 pub mod workload;
 
-pub use cache::ProgramCache;
 pub use chaos::{
     chaos_gate, chaos_report_json, run_chaos_sweep, run_chaos_sweep_durable, ChaosConfig,
     ChaosPoint, ChaosStats, ChaosSweepConfig, FailureKind, Terminal,
 };
-pub use device::Engine;
 pub use durable::{run_dir, DurableConfig, DurableError, LoadedPoint, PointStore};
 pub use fanout::fan_out;
 pub use scheduler::{
@@ -66,5 +58,7 @@ pub use scheduler::{
     ServeOutcome,
 };
 pub use sweep::{gate, report_json, run_sweep, run_sweep_durable, SweepConfig, SweepPoint};
-pub use tiles::{StagedJob, TileClass};
+pub use vip_core::Engine;
+pub use vip_kernels::cache::ProgramCache;
+pub use vip_kernels::tile::{StagedJob, TileClass};
 pub use workload::{LoadMode, MixEntry, Workload};

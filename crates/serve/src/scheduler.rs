@@ -38,8 +38,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::path::PathBuf;
 
-use vip_core::{RunOutcome, SimError, System, SystemConfig};
+use vip_core::{Engine, RunOutcome, SimError, System, SystemConfig};
 use vip_faults::{FaultConfig, PPM_SCALE};
+use vip_kernels::cache::{CacheKey, ProgramCache};
+use vip_kernels::tile::{ResultReader, TileClass};
 use vip_mem::MemConfig;
 use vip_rng::SplitMix64;
 use vip_snap::{
@@ -47,11 +49,8 @@ use vip_snap::{
     SnapError, Snapshot, Writer,
 };
 
-use crate::cache::{CacheKey, ProgramCache};
 use crate::chaos::{ChaosConfig, ChaosStats, FailureKind, Terminal};
-use crate::device::Engine;
 use crate::durable::{DurableError, LoadedPoint, PointStore};
-use crate::tiles::{ResultReader, TileClass};
 use crate::workload::{LoadMode, Workload};
 
 /// Fleet and policy knobs.
@@ -1373,11 +1372,7 @@ fn restore_job(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<JobMeta, SnapError> 
     let last_failure = Option::restore(r)?;
     let ckpt = Option::restore(r)?;
     let slices_since_ckpt = r.u32()?;
-    let reader = class.reader_for(
-        reqs.len(),
-        &ctx.cfg.schedule_dir,
-        ctx.dev_cfg.snapshot_fingerprint(),
-    );
+    let reader = class.reader_for(ctx.dev_cfg, reqs.len(), &ctx.cfg.schedule_dir);
     Ok(JobMeta {
         reqs,
         class,

@@ -8,7 +8,7 @@
 
 use vip_rng::SplitMix64;
 
-use crate::tiles::TileClass;
+use vip_kernels::tile::TileClass;
 
 /// One entry in the request mix.
 #[derive(Debug, Clone, Copy)]
