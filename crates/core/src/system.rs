@@ -928,9 +928,9 @@ impl System {
                 let turn_limit = turn_work.saturating_add(quantum);
                 loop {
                     let pc = self.pes[i].pc();
-                    let block = match &memo {
-                        Some((mfp, mpc, b)) if *mfp == fp && *mpc == pc => Arc::clone(b),
-                        _ => {
+                    let block: &Block = match &mut memo {
+                        Some((mfp, mpc, b)) if *mfp == fp && *mpc == pc => b,
+                        memo => {
                             let b = match self.block_cache.get(&(fp, pc as u64)) {
                                 Some(b) => {
                                     self.func_stats.block_cache_hits += 1;
@@ -944,15 +944,11 @@ impl System {
                                     b
                                 }
                             };
-                            memo = Some((fp, pc, Arc::clone(&b)));
-                            b
+                            &memo.insert((fp, pc, b)).2
                         }
                     };
-                    let outcome = exec_block(
-                        &mut self.pes[i].func_parts(),
-                        &block,
-                        self.hmc.storage_mut(),
-                    );
+                    let outcome =
+                        exec_block(&mut self.pes[i].func_parts(), block, self.hmc.storage_mut());
                     match outcome {
                         BlockOutcome::Continue => {
                             if self.pes[i].stats().work_units >= turn_limit {

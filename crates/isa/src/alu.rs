@@ -11,6 +11,8 @@
 //! in `vip-kernels` both call into it, which is what makes simulated
 //! scratchpad contents bit-identical to the reference outputs.
 
+use std::ops::Add;
+
 use crate::ops::{HorizontalOp, VerticalOp};
 use crate::types::ElemType;
 
@@ -94,14 +96,11 @@ pub fn reduce(op: HorizontalOp, ty: ElemType, acc: i64, x: i64) -> i64 {
 /// Panics if the lane extends past the end of `bytes`.
 #[must_use]
 pub fn read_lane(bytes: &[u8], idx: usize, ty: ElemType) -> i64 {
-    let size = ty.size_bytes();
-    let at = idx * size;
-    let lane = &bytes[at..at + size];
     match ty {
-        ElemType::I8 => i64::from(lane[0] as i8),
-        ElemType::I16 => i64::from(i16::from_le_bytes([lane[0], lane[1]])),
-        ElemType::I32 => i64::from(i32::from_le_bytes([lane[0], lane[1], lane[2], lane[3]])),
-        ElemType::I64 => i64::from_le_bytes(lane.try_into().expect("8 bytes")),
+        ElemType::I8 => i64::from(i8::load(&i8::lanes(bytes)[idx])),
+        ElemType::I16 => i64::from(i16::load(&i16::lanes(bytes)[idx])),
+        ElemType::I32 => i64::from(i32::load(&i32::lanes(bytes)[idx])),
+        ElemType::I64 => i64::load(&i64::lanes(bytes)[idx]),
     }
 }
 
@@ -112,14 +111,11 @@ pub fn read_lane(bytes: &[u8], idx: usize, ty: ElemType) -> i64 {
 ///
 /// Panics if the lane extends past the end of `bytes`.
 pub fn write_lane(bytes: &mut [u8], idx: usize, ty: ElemType, value: i64) {
-    let size = ty.size_bytes();
-    let at = idx * size;
-    let lane = &mut bytes[at..at + size];
     match ty {
-        ElemType::I8 => lane[0] = value as u8,
-        ElemType::I16 => lane.copy_from_slice(&(value as i16).to_le_bytes()),
-        ElemType::I32 => lane.copy_from_slice(&(value as i32).to_le_bytes()),
-        ElemType::I64 => lane.copy_from_slice(&value.to_le_bytes()),
+        ElemType::I8 => i8::narrow(value).store(&mut i8::lanes_mut(bytes)[idx]),
+        ElemType::I16 => i16::narrow(value).store(&mut i16::lanes_mut(bytes)[idx]),
+        ElemType::I32 => i32::narrow(value).store(&mut i32::lanes_mut(bytes)[idx]),
+        ElemType::I64 => value.store(&mut i64::lanes_mut(bytes)[idx]),
     }
 }
 
@@ -132,28 +128,53 @@ pub fn write_lane(bytes: &mut [u8], idx: usize, ty: ElemType, value: i64) {
 /// `lane_paths_match_vertical` test pins the two formulations to each
 /// other exactly.
 trait LaneNum: Copy {
+    /// The lane's little-endian bytes: `[u8; BYTES]`.
+    type Bytes;
+    /// Twice the lane's bits: holds the product of two lanes, and the
+    /// sum of an accumulator and [`BLOCK`] lanes, exactly.
+    type Wide: Copy + Default + Add<Output = Self::Wide>;
     const BYTES: usize;
-    fn load(chunk: &[u8]) -> Self;
-    fn store(self, chunk: &mut [u8]);
+    /// Whether arithmetic in `Wide` beats the native overflow-checked
+    /// operators. Not for 64-bit lanes: `i128` sums and products do not
+    /// vectorize, so those keep `saturating_mul` and the plain fold.
+    const WIDE_PAYS: bool = Self::BYTES < 8;
+    /// `bytes` as whole lanes (a trailing partial lane is dropped).
+    fn lanes(bytes: &[u8]) -> &[Self::Bytes];
+    fn lanes_mut(bytes: &mut [u8]) -> &mut [Self::Bytes];
+    fn load(lane: &Self::Bytes) -> Self;
+    fn store(self, lane: &mut Self::Bytes);
     fn sat_add(self, o: Self) -> Self;
     fn sat_sub(self, o: Self) -> Self;
     fn sat_mul(self, o: Self) -> Self;
     fn lane_min(self, o: Self) -> Self;
     fn lane_max(self, o: Self) -> Self;
     fn narrow(v: i64) -> Self;
+    fn widen(self) -> Self::Wide;
+    /// `Some(w)` as a lane if it is representable.
+    fn fit(w: Self::Wide) -> Option<Self>;
 }
 
 macro_rules! impl_lane_num {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $w:ty),*) => {$(
         impl LaneNum for $t {
+            type Bytes = [u8; size_of::<$t>()];
+            type Wide = $w;
             const BYTES: usize = size_of::<$t>();
             #[inline(always)]
-            fn load(chunk: &[u8]) -> Self {
-                <$t>::from_le_bytes(chunk.try_into().expect("lane-sized chunk"))
+            fn lanes(bytes: &[u8]) -> &[Self::Bytes] {
+                bytes.as_chunks().0
             }
             #[inline(always)]
-            fn store(self, chunk: &mut [u8]) {
-                chunk.copy_from_slice(&self.to_le_bytes());
+            fn lanes_mut(bytes: &mut [u8]) -> &mut [Self::Bytes] {
+                bytes.as_chunks_mut().0
+            }
+            #[inline(always)]
+            fn load(lane: &Self::Bytes) -> Self {
+                <$t>::from_le_bytes(*lane)
+            }
+            #[inline(always)]
+            fn store(self, lane: &mut Self::Bytes) {
+                *lane = self.to_le_bytes();
             }
             #[inline(always)]
             fn sat_add(self, o: Self) -> Self {
@@ -165,7 +186,13 @@ macro_rules! impl_lane_num {
             }
             #[inline(always)]
             fn sat_mul(self, o: Self) -> Self {
-                self.saturating_mul(o)
+                // `saturating_mul` is a scalar multiply and overflow
+                // test that keeps the lane loop from vectorizing.
+                if !Self::WIDE_PAYS {
+                    return self.saturating_mul(o);
+                }
+                let (min, max) = (<$t>::MIN.widen(), <$t>::MAX.widen());
+                (self.widen() * o.widen()).clamp(min, max) as $t
             }
             #[inline(always)]
             fn lane_min(self, o: Self) -> Self {
@@ -179,24 +206,27 @@ macro_rules! impl_lane_num {
             fn narrow(v: i64) -> Self {
                 v as $t
             }
+            #[inline(always)]
+            fn widen(self) -> $w {
+                <$w>::from(self)
+            }
+            #[inline(always)]
+            fn fit(w: $w) -> Option<Self> {
+                <$t>::try_from(w).ok()
+            }
         }
     )*};
 }
 
-impl_lane_num!(i8, i16, i32, i64);
+impl_lane_num!(i8 => i16, i16 => i32, i32 => i64, i64 => i128);
 
 /// `dst[i] = f(a[i], b[i])` with the operator resolved once, outside
 /// the lane loop.
 #[inline(always)]
 fn zip_lanes<T: LaneNum>(dst: &mut [u8], a: &[u8], b: &[u8], len: usize, f: impl Fn(T, T) -> T) {
     let n = len * T::BYTES;
-    let dst = &mut dst[..n];
-    let (a, b) = (&a[..n], &b[..n]);
-    for ((d, a), b) in dst
-        .chunks_exact_mut(T::BYTES)
-        .zip(a.chunks_exact(T::BYTES))
-        .zip(b.chunks_exact(T::BYTES))
-    {
+    let dst = T::lanes_mut(&mut dst[..n]);
+    for ((d, a), b) in dst.iter_mut().zip(T::lanes(&a[..n])).zip(T::lanes(&b[..n])) {
         f(T::load(a), T::load(b)).store(d);
     }
 }
@@ -231,9 +261,10 @@ pub fn vec_vec(op: VerticalOp, ty: ElemType, dst: &mut [u8], a: &[u8], b: &[u8],
 #[inline(always)]
 fn map_lanes<T: LaneNum>(dst: &mut [u8], a: &[u8], len: usize, f: impl Fn(T) -> T) {
     let n = len * T::BYTES;
-    let dst = &mut dst[..n];
-    let a = &a[..n];
-    for (d, a) in dst.chunks_exact_mut(T::BYTES).zip(a.chunks_exact(T::BYTES)) {
+    for (d, a) in T::lanes_mut(&mut dst[..n])
+        .iter_mut()
+        .zip(T::lanes(&a[..n]))
+    {
         f(T::load(a)).store(d);
     }
 }
@@ -330,6 +361,7 @@ fn mat_rows<T: LaneNum, VF: Fn(T, T) -> T>(
 ) {
     let ident = T::narrow(reduce_identity(hop, ty));
     match hop {
+        HorizontalOp::Add if T::WIDE_PAYS => mat_dot::<T, _>(dst, mat, vec, rows, len, vf),
         HorizontalOp::Add => mat_inner::<T, _, _>(dst, mat, vec, rows, len, ident, vf, T::sat_add),
         HorizontalOp::Min => mat_inner::<T, _, _>(dst, mat, vec, rows, len, ident, vf, T::lane_min),
         HorizontalOp::Max => mat_inner::<T, _, _>(dst, mat, vec, rows, len, ident, vf, T::lane_max),
@@ -349,14 +381,74 @@ fn mat_inner<T: LaneNum, VF: Fn(T, T) -> T, HF: Fn(T, T) -> T>(
     hf: HF,
 ) {
     let row_bytes = len * T::BYTES;
-    let vec = &vec[..row_bytes];
-    for r in 0..rows {
-        let row = &mat[r * row_bytes..(r + 1) * row_bytes];
+    let vec = T::lanes(&vec[..row_bytes]);
+    let dst = T::lanes_mut(&mut dst[..rows * T::BYTES]);
+    for (r, d) in dst.iter_mut().enumerate() {
+        let row = T::lanes(&mat[r * row_bytes..(r + 1) * row_bytes]);
         let mut acc = ident;
-        for (m, v) in row.chunks_exact(T::BYTES).zip(vec.chunks_exact(T::BYTES)) {
+        for (m, v) in row.iter().zip(vec) {
             acc = hf(acc, vf(T::load(m), T::load(v)));
         }
-        acc.store(&mut dst[r * T::BYTES..(r + 1) * T::BYTES]);
+        acc.store(d);
+    }
+}
+
+/// Lanes summed per step of [`mat_dot`]. The tiles' row lengths (192,
+/// 64, 256) are multiples of it, and with twice a lane's bits
+/// [`LaneNum::Wide`] holds the sum of an accumulator and `BLOCK` lanes
+/// exactly (65 × 2¹⁵ ≪ 2³¹; tightest for 8-bit lanes, 65 × 2⁷ < 2¹⁵).
+const BLOCK: usize = 64;
+
+/// The sequential saturating sum — the definition of `HorizontalOp::Add`.
+#[inline(always)]
+fn fold_sat<T: LaneNum>(acc: T, lanes: &[T]) -> T {
+    lanes.iter().fold(acc, |acc, &x| acc.sat_add(x))
+}
+
+/// [`mat_inner`] for `HorizontalOp::Add`, whose saturating fold is
+/// order-dependent and so cannot vectorize as written. Per block of
+/// [`BLOCK`] lanes, the vertical results are stored and their positive
+/// parts `pos` and negative parts `neg` summed exactly — plain
+/// associative sums. Every prefix of the sequential fold over the block
+/// lies in `acc + neg ..= acc + pos`; if both ends are representable no
+/// step saturates and the fold is `acc + pos + neg`. Otherwise, and for
+/// the tail, the stored lanes are folded one by one.
+#[inline(always)]
+fn mat_dot<T: LaneNum, VF: Fn(T, T) -> T>(
+    dst: &mut [u8],
+    mat: &[u8],
+    vec: &[u8],
+    rows: usize,
+    len: usize,
+    vf: VF,
+) {
+    let row_bytes = len * T::BYTES;
+    let (vec, vec_tail) = T::lanes(&vec[..row_bytes]).as_chunks::<BLOCK>();
+    let dst = T::lanes_mut(&mut dst[..rows * T::BYTES]);
+    let zero = T::narrow(0);
+    let mut vals = [zero; BLOCK];
+    for (r, d) in dst.iter_mut().enumerate() {
+        let row = T::lanes(&mat[r * row_bytes..(r + 1) * row_bytes]);
+        let (row, row_tail) = row.as_chunks::<BLOCK>();
+        let mut acc = zero;
+        for (m, v) in row.iter().zip(vec) {
+            let (mut pos, mut neg) = (T::Wide::default(), T::Wide::default());
+            for ((x, m), v) in vals.iter_mut().zip(m).zip(v) {
+                *x = vf(T::load(m), T::load(v));
+                pos = pos + x.lane_max(zero).widen();
+                neg = neg + x.lane_min(zero).widen();
+            }
+            let (lo, hi) = (acc.widen() + neg, acc.widen() + pos);
+            acc = match (T::fit(lo), T::fit(hi), T::fit(lo + pos)) {
+                (Some(_), Some(_), Some(sum)) => sum,
+                _ => fold_sat(acc, &vals),
+            };
+        }
+        let tail = &mut vals[..row_tail.len()];
+        for ((x, m), v) in tail.iter_mut().zip(row_tail).zip(vec_tail) {
+            *x = vf(T::load(m), T::load(v));
+        }
+        fold_sat(acc, tail).store(d);
     }
 }
 
@@ -387,11 +479,7 @@ pub fn sat_sub16(a: i16, b: i16) -> i16 {
 /// Saturating 16-bit multiplication — convenience for golden kernels.
 #[must_use]
 pub fn sat_mul16(a: i16, b: i16) -> i16 {
-    i32::from(a)
-        .checked_mul(i32::from(b))
-        .map_or(i16::MAX, |p| {
-            p.clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
-        })
+    (i32::from(a) * i32::from(b)).clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
 }
 
 #[cfg(test)]
@@ -597,6 +685,10 @@ mod tests {
             (-32000, -1000),
             (181, 181),
             (-182, 181),
+            (i16::MIN, i16::MIN),
+            (i16::MIN, i16::MAX),
+            (i16::MAX, i16::MIN),
+            (i16::MAX, i16::MAX),
         ];
         for (a, b) in cases {
             assert_eq!(

@@ -6,9 +6,11 @@
 //! cycle-level model must preserve — the PE executes instructions
 //! functionally *at issue* in program order, and the LSU/vault ordering
 //! rules make same-PE memory traffic look sequential — so for any legal
-//! program the two must reach identical final state. Arithmetic is
-//! bit-exact by construction: both models call the same
-//! [`vip_isa::alu`] routines.
+//! program the two must reach identical final state. Vector results
+//! are computed lane by lane through the semantic definitions
+//! ([`alu::vertical`], [`alu::reduce`]), not through the buffer kernels
+//! ([`alu::mat_vec`] and friends) the engines call, so the differential
+//! fuzzer is an oracle for those kernels too.
 //!
 //! The only inter-PE coupling is through shared DRAM, including its
 //! full-empty bits. Those are the one place the architecture exposes
@@ -223,7 +225,14 @@ impl RefPe {
                 let vec = self.sp_read(self.regs[rs_vec.index()] as usize, row)?;
                 // No longer than the matrix just read (`vl` is at least 1).
                 let mut dst = vec![0u8; byte_len(mr, ty)];
-                alu::mat_vec(vop, hop, ty, &mut dst, &mat, &vec, mr, vl);
+                for r in 0..mr {
+                    let sum = (0..vl).fold(alu::reduce_identity(hop, ty), |acc, i| {
+                        let m = alu::read_lane(&mat, r * vl + i, ty);
+                        let x = alu::vertical(vop, ty, m, alu::read_lane(&vec, i, ty));
+                        alu::reduce(hop, ty, acc, x)
+                    });
+                    alu::write_lane(&mut dst, r, ty, sum);
+                }
                 self.sp_write(d, &dst)?;
             }
             VecVec {
@@ -238,7 +247,10 @@ impl RefPe {
                 let a = self.sp_read(self.regs[rs1.index()] as usize, len)?;
                 let b = self.sp_read(self.regs[rs2.index()] as usize, len)?;
                 let mut dst = vec![0u8; len];
-                alu::vec_vec(op, ty, &mut dst, &a, &b, self.vl);
+                for i in 0..self.vl {
+                    let (x, y) = (alu::read_lane(&a, i, ty), alu::read_lane(&b, i, ty));
+                    alu::write_lane(&mut dst, i, ty, alu::vertical(op, ty, x, y));
+                }
                 self.sp_write(d, &dst)?;
             }
             VecScalar {
@@ -251,9 +263,12 @@ impl RefPe {
                 let len = byte_len(self.vl, ty);
                 let d = self.regs[rd.index()] as usize;
                 let a = self.sp_read(self.regs[rs_vec.index()] as usize, len)?;
-                let s = self.regs[rs_scalar.index()];
+                let s = alu::truncate_scalar(ty, self.regs[rs_scalar.index()]);
                 let mut dst = vec![0u8; len];
-                alu::vec_scalar(op, ty, &mut dst, &a, s, self.vl);
+                for i in 0..self.vl {
+                    let x = alu::read_lane(&a, i, ty);
+                    alu::write_lane(&mut dst, i, ty, alu::vertical(op, ty, x, s));
+                }
                 self.sp_write(d, &dst)?;
             }
             Scalar { op, rd, rs1, rs2 } => {
