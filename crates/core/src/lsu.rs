@@ -1,41 +1,16 @@
 //! The load-store unit: splits scratchpad↔DRAM transfers into DRAM
 //! columns and tracks up to 64 outstanding requests (§III-B).
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use vip_isa::{Reg, Trap};
-use vip_mem::{MemRequest, MemResponse, ReqId, RequestKind};
+use vip_mem::{IdMap, MemRequest, MemResponse, ReqId, RequestKind};
 use vip_snap::{save_sorted, snapshot_struct, Reader, SnapError, Snapshot, Writer};
 
 use crate::arc::ArcId;
 use crate::scalar::ScalarRegs;
 use crate::scratchpad::Scratchpad;
 use crate::ArcTable;
-
-/// Hasher for the LSU's id-keyed maps. The keys are counters the LSU
-/// mints itself, so one odd multiply (folded so both the bucket and the
-/// tag bits see every key bit) spreads them; SipHash's flood resistance
-/// buys nothing here and costs a lookup per request and per response.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("id maps hash u64 keys only");
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// What an in-flight operation does when its responses arrive.
 #[derive(Debug)]
@@ -176,14 +151,15 @@ impl LoadStoreUnit {
         !self.send_order.is_empty() && self.in_flight.len() < self.capacity
     }
 
-    /// Splits `[addr, addr+len)` at request-granule windows.
+    /// Splits `[addr, addr+len)` at request-granule windows (a power of
+    /// two: `MemConfig::request_granule` of a validated geometry).
     fn split(&self, addr: u64, len: usize) -> Vec<(u64, usize)> {
         let col = self.granule as u64;
         let mut chunks = Vec::new();
         let mut at = addr;
         let end = addr + len as u64;
         while at < end {
-            let next_boundary = (at / col + 1) * col;
+            let next_boundary = (at | (col - 1)) + 1;
             let chunk_end = end.min(next_boundary);
             chunks.push((at, (chunk_end - at) as usize));
             at = chunk_end;
@@ -478,6 +454,8 @@ impl LoadStoreUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hasher;
+    use vip_mem::IdHasher;
 
     fn fixture() -> (LoadStoreUnit, Scratchpad, ScalarRegs, ArcTable) {
         (
@@ -519,6 +497,50 @@ mod tests {
         assert_eq!(lsu.split(16, 32), vec![(16, 16), (32, 16)]);
         assert_eq!(lsu.split(40, 8), vec![(40, 8)]);
         assert_eq!(lsu.split(30, 5), vec![(30, 2), (32, 3)]);
+    }
+
+    /// The mask form of `split` against the division it replaced, for
+    /// every preset's request granule under both mappings, around every
+    /// power-of-two boundary and at seeded addresses.
+    #[test]
+    fn split_matches_its_division_form() {
+        use vip_mem::{AddressMapping, MemConfig};
+        let mut presets = MemConfig::figure5_sweep();
+        presets.push(MemConfig::with_hmc_packets());
+        let mut rng = vip_rng::SplitMix64::new(0x5b11_7000);
+        let mut addrs = vec![0];
+        for bit in 0..63 {
+            addrs.extend([(1u64 << bit) - 1, 1 << bit, (1 << bit) + 1]);
+        }
+        addrs.extend((0..256).map(|_| rng.next_u64() >> 1));
+        for preset in presets {
+            for mapping in [
+                AddressMapping::VaultRowBankCol,
+                AddressMapping::LowInterleave,
+            ] {
+                let granule = MemConfig {
+                    mapping,
+                    ..preset.clone()
+                }
+                .request_granule();
+                let lsu = LoadStoreUnit::new(0, 64, granule);
+                let col = granule as u64;
+                for &addr in &addrs {
+                    let len = rng.below(3 * col + 2) as usize;
+                    let (mut expect, mut at) = (Vec::new(), addr);
+                    while at < addr + len as u64 {
+                        let chunk_end = (addr + len as u64).min((at / col + 1) * col);
+                        expect.push((at, (chunk_end - at) as usize));
+                        at = chunk_end;
+                    }
+                    assert_eq!(
+                        lsu.split(addr, len),
+                        expect,
+                        "granule {granule} at {addr:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

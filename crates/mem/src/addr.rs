@@ -48,76 +48,68 @@ pub enum AddressMapping {
 }
 
 impl AddressMapping {
+    /// Bit position of each field's lowest bit, as `[col, bank, row,
+    /// vault]`. The geometry is validated powers of two, so every field
+    /// is a shift and a mask: the system decodes the vault of every
+    /// waiting request every cycle, and a 64-bit divide there shows.
+    fn shifts(self, cfg: &MemConfig) -> [u32; 4] {
+        let offset_bits = cfg.col_bytes.trailing_zeros();
+        let col_bits = cfg.row_bytes.trailing_zeros() - offset_bits;
+        let bank_bits = cfg.banks_per_vault.trailing_zeros();
+        match self {
+            // low → high: col, bank, row, vault
+            AddressMapping::VaultRowBankCol => {
+                let bank = offset_bits + col_bits;
+                let row = bank + bank_bits;
+                [
+                    offset_bits,
+                    bank,
+                    row,
+                    row + cfg.rows_per_bank.trailing_zeros(),
+                ]
+            }
+            // low → high: vault, col, bank, row
+            AddressMapping::LowInterleave => {
+                let col = offset_bits + cfg.vaults.trailing_zeros();
+                let bank = col + col_bits;
+                [col, bank, bank + bank_bits, offset_bits]
+            }
+        }
+    }
+
     /// Decomposes `addr` into DRAM coordinates under `cfg`'s geometry.
     ///
     /// Addresses wrap modulo total capacity (high bits beyond the
     /// configured geometry are ignored).
     #[must_use]
     pub fn decode(self, cfg: &MemConfig, addr: u64) -> DecodedAddr {
-        let cols_per_row = (cfg.row_bytes / cfg.col_bytes) as u64;
-        let col_bits = cols_per_row.trailing_zeros();
-        let bank_bits = (cfg.banks_per_vault as u64).trailing_zeros();
-        let row_bits = (cfg.rows_per_bank as u64).trailing_zeros();
-        let vault_bits = (cfg.vaults as u64).trailing_zeros();
-        let offset = addr % cfg.col_bytes as u64;
-        let block = addr / cfg.col_bytes as u64;
-        match self {
-            AddressMapping::VaultRowBankCol => {
-                // low → high: col, bank, row, vault
-                let col = block & (cols_per_row - 1);
-                let bank = (block >> col_bits) & (cfg.banks_per_vault as u64 - 1);
-                let row = (block >> (col_bits + bank_bits)) & (cfg.rows_per_bank as u64 - 1);
-                let vault = (block >> (col_bits + bank_bits + row_bits)) & (cfg.vaults as u64 - 1);
-                DecodedAddr {
-                    vault: vault as usize,
-                    bank: bank as usize,
-                    row,
-                    col,
-                    offset,
-                }
-            }
-            AddressMapping::LowInterleave => {
-                // low → high: vault, col, bank, row
-                let vault = block & (cfg.vaults as u64 - 1);
-                let col = (block >> vault_bits) & (cols_per_row - 1);
-                let bank = (block >> (vault_bits + col_bits)) & (cfg.banks_per_vault as u64 - 1);
-                let row =
-                    (block >> (vault_bits + col_bits + bank_bits)) & (cfg.rows_per_bank as u64 - 1);
-                DecodedAddr {
-                    vault: vault as usize,
-                    bank: bank as usize,
-                    row,
-                    col,
-                    offset,
-                }
-            }
+        let [col, bank, row, vault] = self.shifts(cfg);
+        let field = |shift: u32, count: usize| (addr >> shift) & (count as u64 - 1);
+        DecodedAddr {
+            vault: field(vault, cfg.vaults) as usize,
+            bank: field(bank, cfg.banks_per_vault) as usize,
+            row: field(row, cfg.rows_per_bank),
+            col: field(col, cfg.row_bytes / cfg.col_bytes),
+            offset: addr & (cfg.col_bytes as u64 - 1),
         }
+    }
+
+    /// The vault field of [`decode`](Self::decode) alone.
+    pub(crate) fn vault_of(self, cfg: &MemConfig, addr: u64) -> usize {
+        let [.., vault] = self.shifts(cfg);
+        (addr >> vault) as usize & (cfg.vaults - 1)
     }
 
     /// Recomposes DRAM coordinates into a physical address (the inverse
     /// of [`decode`](Self::decode)).
     #[must_use]
     pub fn encode(self, cfg: &MemConfig, d: DecodedAddr) -> u64 {
-        let cols_per_row = (cfg.row_bytes / cfg.col_bytes) as u64;
-        let col_bits = cols_per_row.trailing_zeros();
-        let bank_bits = (cfg.banks_per_vault as u64).trailing_zeros();
-        let row_bits = (cfg.rows_per_bank as u64).trailing_zeros();
-        let vault_bits = (cfg.vaults as u64).trailing_zeros();
-        let block = match self {
-            AddressMapping::VaultRowBankCol => {
-                d.col
-                    | ((d.bank as u64) << col_bits)
-                    | (d.row << (col_bits + bank_bits))
-                    | ((d.vault as u64) << (col_bits + bank_bits + row_bits))
-            }
-            AddressMapping::LowInterleave => {
-                (d.vault as u64)
-                    | (d.col << vault_bits)
-                    | ((d.bank as u64) << (vault_bits + col_bits))
-                    | (d.row << (vault_bits + col_bits + bank_bits))
-            }
-        };
-        block * cfg.col_bytes as u64 + d.offset
+        let [col, bank, row, vault] = self.shifts(cfg);
+        (d.col << col)
+            | ((d.bank as u64) << bank)
+            | (d.row << row)
+            | ((d.vault as u64) << vault)
+            | d.offset
     }
 }
 
@@ -193,6 +185,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `decode` is shifts and masks; the layouts are defined by division
+    /// and remainder. Every preset under both mappings, at `0`,
+    /// `u64::MAX`, both sides of every field boundary (fields start at
+    /// powers of two) and seeded addresses in and beyond capacity.
+    #[test]
+    fn decode_matches_the_arithmetic_definition() {
+        let mut presets = MemConfig::figure5_sweep();
+        presets.push(MemConfig::with_hmc_packets());
+        let mut addrs = vec![0, u64::MAX];
+        for bit in 0..64 {
+            let boundary = 1u64 << bit;
+            addrs.extend([boundary - 1, boundary, boundary + 1]);
+        }
+        for_each_seed("decode_matches_the_arithmetic", 0xadd2_0000, 4, |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let mut addrs = addrs.clone();
+            for _ in 0..256 {
+                addrs.extend([rng.next_u64(), rng.below(8 << 30)]);
+            }
+            for preset in &presets {
+                for mapping in [
+                    AddressMapping::VaultRowBankCol,
+                    AddressMapping::LowInterleave,
+                ] {
+                    let cfg = MemConfig {
+                        mapping,
+                        ..preset.clone()
+                    };
+                    let col_bytes = cfg.col_bytes as u64;
+                    let cols = (cfg.row_bytes / cfg.col_bytes) as u64;
+                    let (banks, rows) = (cfg.banks_per_vault as u64, cfg.rows_per_bank as u64);
+                    let vaults = cfg.vaults as u64;
+                    for &addr in &addrs {
+                        let block = addr / col_bytes;
+                        let (vault, col, bank, row) = match mapping {
+                            AddressMapping::VaultRowBankCol => (
+                                block / cols / banks / rows % vaults,
+                                block % cols,
+                                block / cols % banks,
+                                block / cols / banks % rows,
+                            ),
+                            AddressMapping::LowInterleave => (
+                                block % vaults,
+                                block / vaults % cols,
+                                block / vaults / cols % banks,
+                                block / vaults / cols / banks % rows,
+                            ),
+                        };
+                        let expect = DecodedAddr {
+                            vault: vault as usize,
+                            bank: bank as usize,
+                            row,
+                            col,
+                            offset: addr % col_bytes,
+                        };
+                        let context = format!("{mapping:?} {} addr {addr:#x}", cfg.name);
+                        assert_eq!(mapping.decode(&cfg, addr), expect, "{context}");
+                        assert_eq!(cfg.vault_of(addr), expect.vault, "{context}");
+                    }
+                }
+            }
+        });
     }
 
     /// What lets the vault controller keep its conflict bookkeeping per

@@ -290,7 +290,7 @@ impl MemConfig {
     /// The vault an address maps to under this configuration's scheme.
     #[must_use]
     pub fn vault_of(&self, addr: u64) -> usize {
-        self.mapping.decode(self, addr).vault
+        self.mapping.vault_of(self, addr)
     }
 
     /// The lowest address served by `vault` under the

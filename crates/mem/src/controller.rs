@@ -9,9 +9,10 @@ use crate::stats::MemStats;
 use crate::storage::Storage;
 use crate::timing::BASELINE_T_REFI_PS;
 use crate::Cycle;
+use std::collections::VecDeque;
 use vip_faults::secded::Decoded;
 use vip_faults::{fault_roll, fault_value, FaultDomain};
-use vip_snap::{snapshot_struct, Reader, SnapError, Snapshot, Writer};
+use vip_snap::{Reader, SnapError, Snapshot, Writer};
 
 #[derive(Debug)]
 struct Txn {
@@ -67,13 +68,28 @@ struct PendingCompletion {
     at: Cycle,
     response: MemResponse,
     latency: Cycle,
+    /// Push number: `seq - done_base` is this entry's place in
+    /// `done_order`. Derived like [`Txn::seq`], never serialized.
+    seq: u64,
 }
 
-snapshot_struct!(PendingCompletion {
-    at,
-    response,
-    latency
-});
+// Hand-written: `seq` stays off the wire.
+impl Snapshot for PendingCompletion {
+    fn save(&self, w: &mut Writer) {
+        w.u64(self.at);
+        self.response.save(w);
+        w.u64(self.latency);
+    }
+
+    fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
+        Ok(PendingCompletion {
+            at: r.u64()?,
+            response: MemResponse::restore(r)?,
+            latency: r.u64()?,
+            seq: 0, // `restore_state` renumbers
+        })
+    }
+}
 
 /// A bank's cached candidate for the scheduler: the oldest unparked
 /// transaction of one of the two classes the bank's row state splits its
@@ -107,9 +123,17 @@ struct Lane {
     hit: Head,
     /// Oldest unparked transaction needing a precharge or an activate.
     work: Head,
-    /// The heads predate something that touched this bank: an enqueue
-    /// to it, a command on it, a refresh, or a full-empty flip.
+    /// The heads predate something that touched this bank: a command
+    /// on it, a refresh, a full-empty flip, or a full-empty newcomer.
     dirty: bool,
+}
+
+impl Lane {
+    /// Empties the lane: no transactions, so no heads, nothing stale.
+    fn clear(&mut self) {
+        self.txns.clear();
+        (self.hit, self.work, self.dirty) = (Head::NONE, Head::NONE, false);
+    }
 }
 
 /// Whether `txn` cannot act until something else releases it: an
@@ -173,9 +197,15 @@ pub struct VaultController {
     queued: usize,
     next_seq: u64,
     completions: Vec<PendingCompletion>,
-    /// Earliest `at` among `completions`, `Cycle::MAX` when none. Bursts
-    /// are serialized on the data bus, so each push is later than every
-    /// pending one and never lowers it. Derived, never serialized.
+    /// Slots of `completions` in push order. Bursts are serialized on
+    /// the data bus, so that is `at` order and retirement reads the
+    /// front only; the `Vec` itself keeps its `swap_remove` order, which
+    /// is serialized state. Derived, never serialized.
+    done_order: VecDeque<usize>,
+    /// The `seq` of `done_order`'s front (completions retired so far).
+    done_base: u64,
+    /// `at` of `done_order`'s front, the earliest pending; `Cycle::MAX`
+    /// when none. Derived, never serialized.
     next_done: Cycle,
     now: Cycle,
     next_refresh: Cycle,
@@ -187,6 +217,13 @@ pub struct VaultController {
     /// the last active tick: every tick strictly before it only bumps
     /// `busy_cycles`. `0` is "unknown". Derived, never serialized.
     wake: Cycle,
+    /// The command side's half of `wake`: what the scheduler or the
+    /// refresh logic last returned as the earliest cycle either can act.
+    /// A tick before it (woken by a maturing completion) skips both.
+    /// An unblocked plain `enqueue` lowers it; `0` is "unknown", set by
+    /// a full-empty `enqueue` or flip, `advance_idle` and
+    /// `restore_state`. Derived likewise.
+    cmd_wake: Cycle,
     /// The storage's full-empty epoch `wake` and the lanes' heads were
     /// computed under; a flip since then (by anyone) may have released
     /// or parked a transaction, so neither holds.
@@ -219,6 +256,8 @@ impl VaultController {
             queued: 0,
             next_seq: 0,
             completions: Vec::new(),
+            done_order: VecDeque::new(),
+            done_base: 0,
             next_done: Cycle::MAX,
             now: 0,
             next_refresh,
@@ -227,6 +266,7 @@ impl VaultController {
             bus_free_at: 0,
             stats: MemStats::default(),
             wake: 0,
+            cmd_wake: 0,
             fe_seen: 0,
         }
     }
@@ -288,9 +328,9 @@ impl VaultController {
             return Err(QueueFullError { vault: self.vault });
         }
         let len = req.payload_len();
-        let granule = self.cfg.request_granule() as u64;
+        let granule = self.cfg.request_granule() as u64; // a power of two
         assert!(
-            (req.addr % granule) + len as u64 <= granule,
+            (req.addr & (granule - 1)) + len as u64 <= granule,
             "request at {:#x} len {} crosses a {}-byte request granule (HMC packets \
              carry at most 128 B and never cross a DRAM row)",
             req.addr,
@@ -306,30 +346,44 @@ impl VaultController {
         // The request stays inside one granule (asserted above) and a
         // granule inside one row of one bank (every mapping's property,
         // tested in `addr`): whatever overlaps it is in this bank's lane.
-        let lane = &self.lanes[decoded.bank];
+        let lane = &mut self.lanes[decoded.bank];
         let older_conflicts = lane.txns.iter().filter(|t| conflicts(&t.req, &req)).count();
-        let txn = Txn {
+        if older_conflicts == 0 {
+            // The newcomer may act as soon as its bank allows. A blocked
+            // one waits on an older column issue, which recomputes both
+            // bounds and this lane's heads anyway.
+            let bank = &self.banks[decoded.bank];
+            let ready_at = ready_at(bank, decoded.row);
+            self.wake = self.wake.min(ready_at);
+            if req.is_full_empty() {
+                // Whether it parks is the storage's to say: `wake`
+                // assumes it free (early is harmless there), the command
+                // side, which must stay exact, forgets what it knew.
+                (self.cmd_wake, lane.dirty) = (0, true);
+            } else {
+                self.cmd_wake = self.cmd_wake.min(ready_at);
+                // The youngest: the head of its class only if that has none.
+                let hits = bank.open_row() == Some(decoded.row);
+                let head = if hits { &mut lane.hit } else { &mut lane.work };
+                if !lane.dirty && head.ready_at == Cycle::MAX {
+                    let (seq, pos) = (self.next_seq, lane.txns.len());
+                    *head = Head { ready_at, seq, pos };
+                }
+            }
+        }
+        self.push(Txn {
             req,
             decoded,
             enqueued: self.now,
             caused_act: false,
             older_conflicts,
             seq: 0, // `push` numbers it
-        };
-        if older_conflicts == 0 {
-            // The newcomer may act as soon as its bank allows (a parked
-            // full-empty one is assumed free to: early wake is harmless).
-            // A blocked one waits on an older column issue, an event
-            // that recomputes the bound anyway.
-            self.wake = self
-                .wake
-                .min(ready_at(&self.banks[decoded.bank], decoded.row));
-        }
-        self.push(txn);
+        });
         Ok(())
     }
 
-    /// Appends `txn`, the youngest, to its bank's lane.
+    /// Appends `txn`, the youngest, to its bank's lane; the lane's heads
+    /// are the caller's to keep.
     fn push(&mut self, mut txn: Txn) {
         txn.seq = self.next_seq;
         let bank = txn.decoded.bank;
@@ -338,7 +392,6 @@ impl VaultController {
             self.occupied.push(bank);
         }
         lane.txns.push(txn);
-        lane.dirty = true;
         self.queued += 1;
         self.next_seq += 1;
     }
@@ -347,6 +400,7 @@ impl VaultController {
     /// issues at most one DRAM command. A tick strictly before the
     /// cached wake bound does neither — by construction nothing can
     /// happen on it — and only counts the cycle.
+    #[inline]
     pub fn tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
         let quiet = self.now + 1 < self.wake && self.fe_seen == storage.fe_epoch();
         debug_assert!(
@@ -359,10 +413,15 @@ impl VaultController {
         if !self.is_idle() {
             self.stats.busy_cycles += 1;
         }
-        if quiet {
-            return;
+        if !quiet {
+            self.active_tick(storage, out);
         }
+    }
 
+    /// The part of [`tick`](Self::tick) on which something may happen,
+    /// out of line so that a quiet tick is a compare and two counters.
+    #[inline(never)]
+    fn active_tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
         let now = self.now;
         if now >= self.next_done {
             self.retire(out);
@@ -371,32 +430,38 @@ impl VaultController {
             // A flip since the heads were computed: any lane may hold a
             // transaction it parked or released.
             self.fe_seen = storage.fe_epoch();
+            self.cmd_wake = 0;
             for &bank in &self.occupied {
                 self.lanes[bank].dirty = true;
             }
         }
 
-        let next_command = if now < self.refresh_until {
-            // Refresh in progress: the whole vault is blocked.
-            self.refresh_until
-        } else {
-            if now >= self.next_refresh {
-                self.refresh_pending = true;
-            }
-            if !self.refresh_pending {
-                self.schedule(storage)
-            } else if self.try_start_refresh() {
+        // Below `cmd_wake` a completion woke this tick: every bank, the
+        // refresh timer (never later than the bound) and the queue are
+        // where the pass that computed it left them.
+        if now >= self.cmd_wake {
+            self.cmd_wake = if now < self.refresh_until {
+                // Refresh in progress: the whole vault is blocked.
                 self.refresh_until
             } else {
-                // Work toward refresh: precharge one open bank, else
-                // wait while banks drain tRAS/tWR. Nothing else may
-                // issue, so the refresh starts promptly; the window is
-                // tightly bounded, so step through it.
-                self.issue_precharge_for_refresh();
-                now + 1
-            }
-        };
-        self.wake = next_command.min(self.next_done).max(now + 1);
+                if now >= self.next_refresh {
+                    self.refresh_pending = true;
+                }
+                if !self.refresh_pending {
+                    self.schedule(storage)
+                } else if self.try_start_refresh() {
+                    self.refresh_until
+                } else {
+                    // Work toward refresh: precharge one open bank, else
+                    // wait while banks drain tRAS/tWR. Nothing else may
+                    // issue, so the refresh starts promptly; the window
+                    // is tightly bounded, so step through it.
+                    self.issue_precharge_for_refresh();
+                    now + 1
+                }
+            };
+        }
+        self.wake = self.cmd_wake.min(self.next_done).max(now + 1);
         debug_assert_eq!(
             self.wake,
             self.scan_next_event(storage),
@@ -405,29 +470,34 @@ impl VaultController {
         );
     }
 
-    /// Retires matured completions (in `swap_remove` order, which is
-    /// serialized state). Runs only on a cycle one matures.
+    /// Retires matured completions, earliest first: the front of
+    /// `done_order`, taken out of the `Vec` by `swap_remove` (that order
+    /// is serialized state). Runs only on a cycle one matures.
     fn retire(&mut self, out: &mut Vec<MemResponse>) {
         self.next_done = Cycle::MAX;
-        let mut i = 0;
-        while i < self.completions.len() {
-            if self.completions[i].at <= self.now {
-                let done = self.completions.swap_remove(i);
-                self.stats.total_latency_cycles += done.latency;
-                match done.response.kind {
-                    RequestKind::Read | RequestKind::FeLoad => {
-                        self.stats.reads += 1;
-                        self.stats.bytes_read += done.response.data.len() as u64;
-                    }
-                    RequestKind::Write | RequestKind::FeStore => {
-                        self.stats.writes += 1;
-                    }
-                }
-                out.push(done.response);
-            } else {
-                self.next_done = self.next_done.min(self.completions[i].at);
-                i += 1;
+        while let Some(&slot) = self.done_order.front() {
+            if self.completions[slot].at > self.now {
+                self.next_done = self.completions[slot].at;
+                break;
             }
+            self.done_order.pop_front();
+            self.done_base += 1;
+            let done = self.completions.swap_remove(slot);
+            if let Some(moved) = self.completions.get(slot) {
+                // `swap_remove` filled the slot with the last entry.
+                self.done_order[(moved.seq - self.done_base) as usize] = slot;
+            }
+            self.stats.total_latency_cycles += done.latency;
+            match done.response.kind {
+                RequestKind::Read | RequestKind::FeLoad => {
+                    self.stats.reads += 1;
+                    self.stats.bytes_read += done.response.data.len() as u64;
+                }
+                RequestKind::Write | RequestKind::FeStore => {
+                    self.stats.writes += 1;
+                }
+            }
+            out.push(done.response);
         }
     }
 
@@ -540,7 +610,7 @@ impl VaultController {
         }
         // Any refresh that was mid-flight completed within the span.
         self.refresh_until = self.refresh_until.min(to);
-        self.wake = 0;
+        (self.wake, self.cmd_wake) = (0, 0);
     }
 
     /// Serializes every piece of mutable controller state: bank state
@@ -581,9 +651,11 @@ impl VaultController {
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapError`] on decode failure or if the snapshot's
+    /// Returns a [`SnapError`] on decode failure, if the snapshot's
     /// bank count, or a queued transaction's bank, disagrees with this
-    /// controller's geometry.
+    /// controller's geometry, or if its pending completions are not
+    /// what a serialized data bus leaves: distinct `at`s, none past the
+    /// bus reservation.
     pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapError> {
         let banks = Vec::<Bank>::restore(r)?;
         if banks.len() != self.banks.len() {
@@ -594,7 +666,7 @@ impl VaultController {
         if queue.iter().any(|t| t.decoded.bank >= self.lanes.len()) {
             return Err(SnapError::Corrupt("queued transaction's bank out of range"));
         }
-        self.completions = Vec::restore(r)?;
+        let mut completions = Vec::<PendingCompletion>::restore(r)?;
         self.now = r.u64()?;
         self.next_refresh = r.u64()?;
         self.refresh_pending = r.bool()?;
@@ -602,17 +674,37 @@ impl VaultController {
         self.bus_free_at = r.u64()?;
         self.stats = MemStats::restore(r)?;
         self.cfg.faults = Option::restore(r)?;
+        // Push order is `at` order: the bus serializes bursts.
+        let mut order: Vec<usize> = (0..completions.len()).collect();
+        order.sort_unstable_by_key(|&slot| completions[slot].at);
+        for (seq, &slot) in order.iter().enumerate() {
+            completions[slot].seq = seq as u64;
+        }
+        let at = |slot: &usize| completions[*slot].at;
+        if order.windows(2).any(|pair| at(&pair[0]) == at(&pair[1]))
+            || order.last().is_some_and(|last| at(last) > self.bus_free_at)
+        {
+            return Err(SnapError::Corrupt(
+                "pending completions overlap on the data bus",
+            ));
+        }
         // Re-deal the queue into lanes and rebuild everything derived.
-        self.lanes.iter_mut().for_each(|lane| lane.txns.clear());
+        self.lanes.iter_mut().for_each(Lane::clear);
         self.occupied.clear();
         (self.queued, self.next_seq) = (0, 0);
         for mut txn in queue {
-            let older = self.lanes[txn.decoded.bank].txns.iter();
-            txn.older_conflicts = older.filter(|o| conflicts(&o.req, &txn.req)).count();
+            let lane = &mut self.lanes[txn.decoded.bank];
+            txn.older_conflicts = lane
+                .txns
+                .iter()
+                .filter(|o| conflicts(&o.req, &txn.req))
+                .count();
+            lane.dirty = true;
             self.push(txn);
         }
+        (self.completions, self.done_order, self.done_base) = (completions, order.into(), 0);
         self.next_done = self.earliest_completion();
-        self.wake = 0;
+        (self.wake, self.cmd_wake) = (0, 0);
         Ok(())
     }
 
@@ -802,12 +894,20 @@ impl VaultController {
         // column commands tCCD apart (same bank); the data occupies the
         // shared bus for one burst per column.
         let len = txn.req.payload_len() as u64;
-        let col = self.cfg.col_bytes as u64;
-        let cols = ((txn.req.addr % col) + len).div_ceil(col).max(1);
+        let col = self.cfg.col_bytes as u64; // a power of two
+        let cols = (((txn.req.addr & (col - 1)) + len + col - 1) >> col.trailing_zeros()).max(1);
         let last_cmd = now + (cols - 1) * timing.t_ccd();
         let data_start =
             (last_cmd + timing.t_cl()).max(self.bus_free_at + (cols - 1) * self.cfg.burst_cycles);
         let burst_end = data_start + self.cfg.burst_cycles;
+        // The data-bus rule FIFO retirement stands on: bursts never
+        // overlap, so this one ends after every pending one.
+        debug_assert!(
+            burst_end >= self.bus_free_at + self.cfg.burst_cycles
+                && self.completions.iter().all(|done| done.at < burst_end),
+            "vault {}: the burst ending at {burst_end} overlaps an earlier one",
+            self.vault
+        );
         self.bus_free_at = burst_end;
         self.banks[txn.decoded.bank].column_issued(last_cmd, &timing);
 
@@ -875,10 +975,13 @@ impl VaultController {
         }
 
         self.next_done = self.next_done.min(burst_end);
+        let seq = self.done_base + self.done_order.len() as u64;
+        self.done_order.push_back(self.completions.len());
         self.completions.push(PendingCompletion {
             at: burst_end,
             response,
             latency: burst_end - txn.enqueued,
+            seq,
         });
     }
 }
@@ -1347,10 +1450,11 @@ mod tests {
     /// seeded stream for `cycles` cycles at `load_pct` % offered load:
     /// same responses in the same order on the same cycle, same
     /// statistics. Half-way, the production side is saved, restored onto
-    /// a fresh controller and re-saved (the derived counts and the wake
-    /// bound must come back without being in the bytes), and the copy
-    /// carries on. Now and then it jumps with `next_event`/`skip_to`
-    /// instead of ticking, which the reference never does.
+    /// a fresh controller (even seeds) or a used one (odd) and re-saved
+    /// (the derived counts, heads, retirement order and wake bounds must
+    /// come back without being in the bytes), and the copy carries on.
+    /// Now and then it jumps with `next_event`/`skip_to` instead of
+    /// ticking, which the reference never does.
     fn differential(cfg: &MemConfig, banks: usize, seed: u64, cycles: Cycle, load_pct: u64) {
         let mut rng = SplitMix64::new(seed);
         let mut fast = VaultController::new(0, cfg.clone());
@@ -1361,7 +1465,11 @@ mod tests {
         while slow.now < cycles {
             if slow.now == cycles / 2 {
                 let bytes = fast.saved();
-                let mut copy = VaultController::new(0, cfg.clone());
+                let mut copy = if seed & 1 == 0 {
+                    VaultController::new(0, cfg.clone())
+                } else {
+                    used_controller(cfg, banks, seed)
+                };
                 copy.restore_state(&mut Reader::new(&bytes)).unwrap();
                 assert_eq!(
                     copy.saved(),
@@ -1405,6 +1513,236 @@ mod tests {
         );
         assert_eq!(fast_mem.fe_epoch(), slow_mem.fe_epoch());
         assert!(retired > 0, "seed {seed:#x}: nothing completed");
+    }
+
+    /// A controller stopped in the middle of some other stream, with
+    /// transactions queued, heads cached and completions pending: all of
+    /// which `restore_state` must replace, not merge with.
+    fn used_controller(cfg: &MemConfig, banks: usize, seed: u64) -> VaultController {
+        let mut rng = SplitMix64::new(!seed);
+        let mut vc = VaultController::new(0, cfg.clone());
+        let (mut mem, mut out, mut next_id) = (Storage::new(), Vec::new(), 1 << 32);
+        for _ in 0..150 {
+            let reqs = random_requests(&mut rng, cfg, banks, &mut next_id);
+            if vc.pending() + reqs.len() <= cfg.trans_queue_depth / 2 {
+                reqs.into_iter().for_each(|req| vc.enqueue(req).unwrap());
+            }
+            vc.tick(&mut mem, &mut out);
+        }
+        vc
+    }
+
+    /// The production controller and the reference, fed and ticked
+    /// together.
+    struct Lockstep {
+        fast: VaultController,
+        slow: VaultController,
+        fast_mem: Storage,
+        slow_mem: Storage,
+        retired: usize,
+    }
+
+    impl Lockstep {
+        fn new(cfg: &MemConfig) -> Self {
+            Lockstep {
+                fast: VaultController::new(0, cfg.clone()),
+                slow: VaultController::new(0, cfg.clone()),
+                fast_mem: Storage::new(),
+                slow_mem: Storage::new(),
+                retired: 0,
+            }
+        }
+
+        /// Enqueues `reqs` on both, ticks both once: the same responses
+        /// and, byte for byte, the same state (which includes the
+        /// completions' `swap_remove` order).
+        fn step(&mut self, reqs: impl IntoIterator<Item = MemRequest>) {
+            for req in reqs {
+                self.fast.enqueue(req.clone()).unwrap();
+                self.slow.enqueue(req).unwrap();
+            }
+            let (mut fast_out, mut slow_out) = (Vec::new(), Vec::new());
+            self.fast.tick(&mut self.fast_mem, &mut fast_out);
+            self.slow.reference_tick(&mut self.slow_mem, &mut slow_out);
+            assert_eq!(fast_out, slow_out, "cycle {}", self.slow.now);
+            assert_eq!(
+                self.fast.saved(),
+                self.slow.saved(),
+                "cycle {}",
+                self.slow.now
+            );
+            self.retired += fast_out.len();
+        }
+
+        fn drain(&mut self) {
+            while !self.slow.is_idle() {
+                self.step([]);
+            }
+        }
+
+        /// Reads of row 0 of banks `0..banks`, which leave the rows open.
+        fn open_rows(&mut self, cfg: &MemConfig, banks: usize) {
+            self.step((0..banks).map(|bank| MemRequest::read(bank as u64, at(cfg, bank, 0, 0), 8)));
+            self.drain();
+        }
+    }
+
+    /// The address of `col` of `row` of `bank` in vault 0.
+    fn at(cfg: &MemConfig, bank: usize, row: u64, col: u64) -> u64 {
+        let place = DecodedAddr {
+            vault: 0,
+            bank,
+            row,
+            col,
+            offset: 0,
+        };
+        cfg.mapping.encode(cfg, place)
+    }
+
+    #[test]
+    fn incremental_scheduler_retires_a_deep_completion_list_in_order() {
+        // Row hits over 16 open banks issue one a cycle and leave the bus
+        // one every four: completions pile up, which is where retirement
+        // by index and the reference's walk could part ways.
+        let cfg = MemConfig::baseline();
+        let mut pair = Lockstep::new(&cfg);
+        pair.open_rows(&cfg, 16);
+        let (mut next, mut deepest) = (0u64, 0);
+        let mut spare = used_controller(&cfg, 12, 0xdee9);
+        for cycle in 0..400 {
+            let mut reqs = Vec::new();
+            while pair.fast.pending() + reqs.len() < cfg.trans_queue_depth
+                && pair.fast.completions.len() + pair.fast.pending() + reqs.len() < 48
+            {
+                next += 1;
+                let addr = at(&cfg, next as usize % 16, 0, next / 16 % 8);
+                reqs.push(if next % 5 == 0 {
+                    MemRequest::write(100 + next, addr, vec![next as u8; 32])
+                } else {
+                    MemRequest::read(100 + next, addr, 32)
+                });
+            }
+            if (200..264).contains(&cycle) {
+                // Onto whatever the last round left behind: a controller
+                // one cycle stale, after the first a foreign one.
+                let bytes = pair.fast.saved();
+                spare.restore_state(&mut Reader::new(&bytes)).unwrap();
+                assert_eq!(spare.saved(), bytes, "cycle {cycle}");
+                std::mem::swap(&mut pair.fast, &mut spare);
+                deepest = deepest.max(pair.fast.completions.len());
+            }
+            pair.step(reqs);
+        }
+        assert!(
+            deepest >= 16,
+            "only {deepest} completions were ever pending"
+        );
+        pair.drain();
+        assert_eq!(pair.retired as u64, 16 + next);
+    }
+
+    #[test]
+    fn incremental_scheduler_takes_an_enqueue_on_a_completion_only_wake() {
+        // A hit issues, and its completion is all the vault waits for —
+        // alone, or with a row conflict queued that tRAS holds back past
+        // it. A second hit arriving on any cycle around the completion's
+        // tick, that very tick included, must issue when the reference
+        // issues it.
+        let cfg = MemConfig::baseline();
+        let mut on_the_wake = 0;
+        for blocked in [false, true] {
+            for arrival in 0..80 {
+                let mut pair = Lockstep::new(&cfg);
+                pair.open_rows(&cfg, 1);
+                let mut first = vec![MemRequest::read(10, at(&cfg, 0, 0, 1), 32)];
+                if blocked {
+                    pair.step([MemRequest::read(11, at(&cfg, 1, 0, 0), 32)]);
+                    first.push(MemRequest::read(12, at(&cfg, 1, 1, 0), 32));
+                }
+                pair.step(first);
+                for cycle in 0..200 {
+                    let lands = cycle == arrival;
+                    let next = pair.fast.now + 1;
+                    if lands && next >= pair.fast.next_done && next < pair.fast.cmd_wake {
+                        on_the_wake += 1;
+                    }
+                    pair.step(lands.then(|| MemRequest::read(13, at(&cfg, 0, 0, 2), 32)));
+                }
+                assert!(pair.slow.is_idle(), "arrival {arrival}");
+            }
+        }
+        assert!(on_the_wake >= 2, "no arrival met a completion-only tick");
+    }
+
+    #[test]
+    fn incremental_scheduler_parks_full_empty_newcomers_in_clean_lanes() {
+        // Bank 0 holds a plain read to a closed row (a work head, once a
+        // pass has cleaned the lane); full-empty loads and stores of a
+        // word in the open row or in a third one, full or empty to begin
+        // with, arrive in either order at every spacing.
+        let cfg = MemConfig::baseline();
+        let mut clean_arrivals = 0;
+        for variant in 0..8 {
+            let (store_first, open_row, prefilled) =
+                (variant & 1 != 0, variant & 2 != 0, variant & 4 != 0);
+            let word = at(&cfg, 0, if open_row { 0 } else { 2 }, 3) + 8;
+            for gap in 1..=40 {
+                let mut pair = Lockstep::new(&cfg);
+                pair.fast_mem.set_full(word, prefilled);
+                pair.slow_mem.set_full(word, prefilled);
+                pair.open_rows(&cfg, 1);
+                pair.step([MemRequest::read(20, at(&cfg, 0, 1, 0), 32)]);
+                let mut sync = [
+                    MemRequest::fe_load(21, word),
+                    MemRequest::fe_store(22, word, 0x5eed),
+                ];
+                if store_first {
+                    sync.reverse();
+                }
+                let [early, late] = sync;
+                let (mut early, mut late) = (Some(early), Some(late));
+                for cycle in 0..400 {
+                    let req = match cycle {
+                        3 => early.take(),
+                        c if c == 3 + gap => late.take(),
+                        _ => None,
+                    };
+                    clean_arrivals += usize::from(req.is_some() && !pair.fast.lanes[0].dirty);
+                    pair.step(req);
+                }
+                // Whichever of the pair the bit permits goes first and
+                // releases the other; the bit ends where it began.
+                assert_eq!(pair.retired, 4, "variant {variant} gap {gap}");
+                assert_eq!(pair.fast_mem.is_full(word), prefilled);
+            }
+        }
+        assert!(clean_arrivals > 300, "lanes were dirty on arrival");
+    }
+
+    #[test]
+    fn incremental_scheduler_restore_rejects_bursts_that_overlap() {
+        let cfg = MemConfig::baseline();
+        let mut pair = Lockstep::new(&cfg);
+        pair.open_rows(&cfg, 4);
+        pair.step((0..4).map(|bank| MemRequest::read(30 + bank as u64, at(&cfg, bank, 0, 1), 32)));
+        while pair.fast.completions.len() < 3 {
+            pair.step([]);
+        }
+        let good = pair.fast.saved();
+        let restore =
+            |bytes: &[u8]| used_controller(&cfg, 2, 7).restore_state(&mut Reader::new(bytes));
+        assert!(restore(&good).is_ok());
+        // Two completions on one cycle, in either slot order.
+        for (from, to) in [(0, 2), (2, 0), (1, 2)] {
+            pair.fast.completions[to].at = pair.fast.completions[from].at;
+            let err = restore(&pair.fast.saved()).unwrap_err();
+            assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
+            pair.fast.restore_state(&mut Reader::new(&good)).unwrap();
+        }
+        // A burst past the bus reservation.
+        pair.fast.completions[1].at = pair.fast.bus_free_at + 1;
+        let err = restore(&pair.fast.saved()).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

@@ -63,6 +63,33 @@ pub use stats::MemStats;
 pub use storage::Storage;
 pub use timing::{DramTiming, BASELINE_T_REFI_PS};
 
+/// Hasher for the simulator's `u64`-keyed maps: the LSU's request and
+/// operation ids, the storage's page numbers and word addresses. The
+/// keys are counters and addresses the simulation mints itself, so one
+/// odd multiply (folded so both the bucket and the tag bits see every
+/// key bit) spreads them; SipHash's flood resistance buys nothing here
+/// and costs a lookup per request, per response and per DRAM access.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("id maps hash u64 keys only");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `u64`-keyed map hashed by [`IdHasher`].
+pub type IdMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<IdHasher>>;
+
 /// One clock cycle of the shared 1.25 GHz clock (0.8 ns), the simulator's
 /// unit of time.
 pub type Cycle = u64;

@@ -1,6 +1,8 @@
 //! Sparse execution-driven backing store with full-empty bits.
 
-use std::collections::{HashMap, HashSet};
+use crate::{IdHasher, IdMap};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use vip_faults::secded::{self, Decoded};
 use vip_snap::{save_sorted, Reader, SnapError, Snapshot, Writer};
 
@@ -22,9 +24,9 @@ const PAGE_BYTES: u64 = 4096;
 /// double-bit flips. An overwrite supersedes any pending corruption.
 #[derive(Debug, Clone, Default)]
 pub struct Storage {
-    pages: HashMap<u64, Box<[u8]>>,
-    full_bits: HashSet<u64>,
-    ecc: HashMap<u64, u8>,
+    pages: IdMap<Box<[u8]>>,
+    full_bits: HashSet<u64, BuildHasherDefault<IdHasher>>,
+    ecc: IdMap<u8>,
     /// Counts full-empty bit flips. Vault controllers compare it against
     /// the value they last saw to learn that a parked full-empty
     /// transaction may have become issuable — whoever flipped the bit.
@@ -219,7 +221,7 @@ impl Snapshot for Storage {
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let n_pages = r.count()?;
-        let mut pages = HashMap::new();
+        let mut pages = IdMap::default();
         for _ in 0..n_pages {
             let page = r.u64()?;
             let data = r.raw(PAGE_BYTES as usize)?;
