@@ -1,9 +1,11 @@
 //! Host-throughput benchmark for the stepping engines: runs the BP,
-//! CNN, and MLP tile simulations plus a latency-bound pointer chase
-//! under naive cycle-by-cycle stepping, the event-driven fast-forward
-//! engine, and the two-tier functional engine, then prints a JSON
-//! report to stdout (host seconds, speedups, simulated Mcycles/s, and
-//! the functional tier's cycle-estimate error per workload).
+//! CNN, and MLP tile simulations, a latency-bound pointer chase and a
+//! streaming probe of the paper's full 128-PE machine (`vip128`) under
+//! naive cycle-by-cycle stepping, the event-driven fast-forward engine,
+//! and the two-tier functional engine, then prints a JSON report to
+//! stdout (host seconds, speedups, simulated Mcycles/s, host ns per
+//! event-engine cycle, and the functional tier's cycle-estimate error
+//! per workload).
 //!
 //! The two cycle-accurate engines must agree on the quiesce cycle
 //! exactly; the functional engine's clock is an extrapolation, so it
@@ -30,7 +32,7 @@ use std::time::Instant;
 
 use vip_bench::cli::Cli;
 use vip_bench::experiments::{
-    bp_tile_sim, conv_tile_sim, fc_shape_tile_sim, mem_latency_tile_sim, PreparedTile,
+    bp_tile_sim, conv_tile_sim, fc_shape_tile_sim, mem_latency_tile_sim, vip128_sim, PreparedTile,
     FC_TILE_LARGE,
 };
 use vip_core::{Engine, FuncStats};
@@ -47,6 +49,9 @@ const GATE_MIN_FUNC_SPEEDUP: f64 = 5.0;
 /// `mem_latency_chase` is latency-bound by construction and measures
 /// a different ceiling.
 const DENSE_TILES: &[&str] = &["bp_tile", "cnn_conv_tile", "mlp_fc_tile"];
+
+/// Loop trips of every PE in the `vip128` case.
+const VIP128_LAPS: i64 = 8;
 
 fn run_once(tile: PreparedTile, engine: Engine) -> (u64, f64, FuncStats) {
     let start = Instant::now();
@@ -88,6 +93,9 @@ fn main() {
         ("mem_latency_chase", || {
             mem_latency_tile_sim(MemConfig::baseline(), 16_384)
         }),
+        // The paper's 128-PE machine, every PE streaming: what one step
+        // of the whole machine costs (`fast_ns_per_cycle`).
+        ("vip128", || vip128_sim(VIP128_LAPS)),
     ];
 
     let mut cli = Cli::new("sim_throughput", "[--gate]");
@@ -112,6 +120,7 @@ fn main() {
         let func_speedup = fast_s / func_s;
         let cycle_err_pct = (func_cycles as f64 - fast_cycles as f64) / fast_cycles as f64 * 100.0;
         let fast_mcps = fast_cycles as f64 / fast_s / 1e6;
+        let fast_ns_per_cycle = fast_s * 1e9 / fast_cycles as f64;
         let func_mcps = func_cycles as f64 / func_s / 1e6;
         if DENSE_TILES.contains(name) && func_speedup >= GATE_MIN_FUNC_SPEEDUP {
             dense_passing += 1;
@@ -124,7 +133,8 @@ fn main() {
         entries.push(format!(
             "    {{\"name\": \"{name}\", \"sim_cycles\": {fast_cycles}, \"naive_s\": {naive_s:.6}, \
              \"fast_s\": {fast_s:.6}, \"speedup\": {speedup:.2}, \
-             \"fast_mcycles_per_s\": {fast_mcps:.2}, \"func_s\": {func_s:.6}, \
+             \"fast_mcycles_per_s\": {fast_mcps:.2}, \
+             \"fast_ns_per_cycle\": {fast_ns_per_cycle:.1}, \"func_s\": {func_s:.6}, \
              \"func_speedup\": {func_speedup:.2}, \"func_sim_cycles\": {func_cycles}, \
              \"func_cycle_err_pct\": {cycle_err_pct:.3}, \"func_mcycles_per_s\": {func_mcps:.2}, \
              \"func_blocks_decoded\": {}, \"func_block_cache_hits\": {}, \

@@ -610,6 +610,50 @@ pub fn mem_latency_tile_sim(mem: MemConfig, chain: u64) -> PreparedTile {
     PreparedTile::new(sys, programs, 80_000_000)
 }
 
+/// Stages the paper's whole machine (`SystemConfig::vip()`: 128 PEs over
+/// 32 vaults on the 8×4 torus) with every PE looping `laps` times over
+/// six 160-byte `ld.sram`s, a `v.add`, an `st.sram` and a `memfence` on
+/// a buffer of its own; odd PEs stream from the next vault over the
+/// torus. No kernel produces it: it is the step-cost probe for the full
+/// machine, every phase of the step loaded at once.
+#[must_use]
+pub fn vip128_sim(laps: i64) -> PreparedTile {
+    use vip_isa::{Asm, ElemType, Reg, VerticalOp};
+    let cfg = SystemConfig::vip();
+    let r = Reg::new;
+    let programs = (0..cfg.total_pes())
+        .map(|pe| {
+            let vault = (pe / cfg.pes_per_vault + pe % 2) % cfg.mem.vaults;
+            let base = cfg.mem.vault_base(vault) + 0x10_0000 + pe as u64 * 0x1_0000;
+            let mut asm = Asm::new();
+            asm.mov_imm(r(3), 80) // i16 elements per load
+                .mov_imm(r(4), 64)
+                .set_vl(r(4))
+                .mov_imm(r(5), 5 * 160) // the last load's destination
+                .mov_imm(r(6), 0)
+                .mov_imm(r(9), 3968)
+                .mov_imm(r(7), 0)
+                .mov_imm(r(8), laps)
+                .label("lap")
+                .mov_imm(r(1), 0)
+                .mov_imm(r(2), base as i64);
+            for _ in 0..6 {
+                asm.ld_sram(ElemType::I16, r(1), r(2), r(3))
+                    .addi(r(1), r(1), 160)
+                    .addi(r(2), r(2), 160);
+            }
+            asm.vec_vec(VerticalOp::Add, ElemType::I16, r(9), r(5), r(6))
+                .st_sram(ElemType::I16, r(9), r(2), r(4))
+                .memfence()
+                .addi(r(7), r(7), 1)
+                .blt(r(7), r(8), "lap")
+                .halt();
+            asm.assemble().expect("vip128 program assembles")
+        })
+        .collect();
+    PreparedTile::new(System::new(cfg), programs, 80_000_000)
+}
+
 /// One layer's extrapolated numbers.
 #[derive(Debug, Clone)]
 pub struct LayerTime {

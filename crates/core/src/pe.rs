@@ -541,24 +541,24 @@ impl Pe {
 
     /// A sound lower bound on the next cycle (strictly after `now`) at
     /// which this PE can make progress on its own: issue an instruction,
-    /// emit a memory request, or finish draining the vector pipeline.
-    /// `None` means the PE only moves again on external input (a memory
-    /// completion), which the system tracks through its queues.
+    /// emit a memory request (counted only if `emit`: the system has room
+    /// to take one), or finish draining the vector pipeline. `None` means
+    /// the PE only moves again on external input (a memory completion, or
+    /// room for its emission), which the system tracks through its queues.
     #[must_use]
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.next_event_given(now, self.issue_probe(now + 1))
+    pub fn next_event(&self, now: Cycle, emit: bool) -> Option<Cycle> {
+        self.next_event_given(now, self.issue_probe(now + 1), emit)
     }
 
-    /// [`next_event`](Self::next_event) for the stepping core, as a due
-    /// time (`Cycle::MAX` for "only external input moves this PE"). It
-    /// also keeps the issue state it evaluated for `now + 1`, so the
-    /// tick that due time asks for does not evaluate it a second time.
-    pub(crate) fn next_due(&mut self, now: Cycle) -> Cycle {
+    /// [`next_event`](Self::next_event) for the stepping core. It also
+    /// keeps the issue state it evaluated for `now + 1`, so the tick that
+    /// the answer asks for does not evaluate it a second time.
+    pub(crate) fn next_due(&mut self, now: Cycle, emit: bool) -> Option<Cycle> {
         let issue = self.issue_probe(now + 1);
         if issue.is_some() {
             self.issue_memo = issue;
         }
-        self.next_event_given(now, issue).unwrap_or(Cycle::MAX)
+        self.next_event_given(now, issue, emit)
     }
 
     /// What the front end would do at `at`; `None` when it is halted or
@@ -567,7 +567,7 @@ impl Pe {
         (!self.halted && !self.frozen).then(|| self.probe(at))
     }
 
-    fn next_event_given(&self, now: Cycle, issue: Option<IssueState>) -> Option<Cycle> {
+    fn next_event_given(&self, now: Cycle, issue: Option<IssueState>, emit: bool) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut consider = |c: Cycle| {
             debug_assert!(c > now);
@@ -581,7 +581,7 @@ impl Pe {
             // the system's queue events cover.
             Some(IssueState::Stalled(_)) | None => {}
         }
-        if self.lsu.can_emit() {
+        if emit && self.lsu.can_emit() {
             consider(now + 1);
         }
         if !self.vec.drained(now) {
@@ -1142,8 +1142,8 @@ mod tests {
             assert_eq!(self.memo.stats(), self.fresh.stats(), "cycle {}", self.now);
             assert_eq!(self.memo.pc(), self.fresh.pc(), "cycle {}", self.now);
             assert_eq!(
-                self.memo.next_event(self.now),
-                self.fresh.next_event(self.now)
+                self.memo.next_event(self.now, true),
+                self.fresh.next_event(self.now, true)
             );
             let req = self.memo.emit_request();
             assert_eq!(req, self.fresh.emit_request());
@@ -1151,8 +1151,8 @@ mod tests {
             // leaves the answer for the next cycle — `Ready` included —
             // in the memo.
             assert_eq!(
-                self.memo.next_due(self.now),
-                self.fresh.next_event(self.now).unwrap_or(Cycle::MAX)
+                self.memo.next_due(self.now, true),
+                self.fresh.next_event(self.now, true)
             );
             req
         }

@@ -50,6 +50,82 @@ fn resp_bytes(resp: &MemResponse) -> usize {
     8 + resp.data.len()
 }
 
+/// Requests a PE's egress queue holds before its LSU waits to emit.
+const EGRESS_DEPTH: usize = 8;
+
+/// When a PE next needs a visit: its own next event (`pe_next`, told if
+/// its egress has room for an emission) or its `to_pe` head maturing. The
+/// one rule behind `step_with`'s due times and its debug asleep check.
+fn due_time(
+    pe_next: impl FnOnce(bool) -> Option<Cycle>,
+    egress: &VecDeque<MemRequest>,
+    to_pe: &VecDeque<(Cycle, MemResponse)>,
+) -> Cycle {
+    let next = pe_next(egress.len() < EGRESS_DEPTH).unwrap_or(Cycle::MAX);
+    to_pe.front().map_or(next, |&(ready, _)| next.min(ready))
+}
+
+/// A set of small ids as a bitmap. Walking it visits the members in
+/// ascending order, the order of the full scans it replaces.
+#[derive(Debug, PartialEq)]
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    fn new(ids: usize) -> Self {
+        IdSet(vec![0; ids.div_ceil(64)])
+    }
+
+    fn insert(&mut self, id: usize) {
+        self.0[id / 64] |= 1 << (id % 64);
+    }
+
+    fn remove(&mut self, id: usize) {
+        self.0[id / 64] &= !(1 << (id % 64));
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut walk = Walk::default();
+        std::iter::from_fn(move || walk.next(self))
+    }
+}
+
+/// An ascending walk over an [`IdSet`] that reads each word on reaching
+/// it: the walker may remove its member, not insert ahead of itself.
+#[derive(Default)]
+struct Walk {
+    word: usize,
+    bits: u64,
+}
+
+impl Walk {
+    fn next(&mut self, set: &IdSet) -> Option<usize> {
+        while self.bits == 0 {
+            self.bits = *set.0.get(self.word)?;
+            self.word += 1;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.word - 1) * 64 + bit)
+    }
+}
+
+/// What the step keeps about the egress and link queues so that each
+/// phase walks only those holding work. Derived: never snapshotted; debug
+/// builds hold it to [`System::scan_active`] after every step.
+#[derive(Debug, PartialEq)]
+struct Active {
+    /// Requests queued across all of `pe_egress`.
+    queued: usize,
+    /// The PEs whose `pe_egress` queue is non-empty.
+    egress: IdSet,
+    /// The vault each non-empty `pe_egress` queue's head is bound for,
+    /// decoded once, when the request becomes the head.
+    dst: Vec<usize>,
+    /// The vaults with a non-empty `to_vault_local`, `vault_ingress` or
+    /// `vault_egress` queue.
+    vaults: IdSet,
+}
+
 /// Each PE's star downlink: its serialization state, the completions in
 /// flight on it, and the due time their arrival lowers.
 struct Downlinks<'a> {
@@ -104,10 +180,10 @@ pub struct System {
     vault_egress: Vec<VecDeque<(usize, MemResponse)>>,
     /// In-flight completions on each PE's downlink: (ready, response).
     to_pe: Vec<VecDeque<(Cycle, MemResponse)>>,
-    /// When PE `i` next needs a visit from `step`: the earlier of its
-    /// own next event ([`Pe::next_due`] — issue, LSU emission, vector
-    /// drain) and the head of its `to_pe` queue maturing; `Cycle::MAX`
-    /// when only a completion not yet on its downlink can move it.
+    /// When PE `i` next needs a visit from `step` ([`due_time`]: issue,
+    /// an LSU emission its egress queue has room for, vector drain, its
+    /// `to_pe` head maturing); `Cycle::MAX` when only a completion not
+    /// yet on its downlink, or a slot freed in its egress, can move it.
     /// Maintained by the wake-driven run loops only, and marked all-due
     /// at each of their entries, so nothing the host does between runs
     /// needs to touch it. Derived state: never snapshotted.
@@ -115,9 +191,8 @@ pub struct System {
     /// The last cycle PE `i`'s per-cycle counters are settled through —
     /// its last visit, while a run loop has it asleep.
     asleep_since: Vec<Cycle>,
-    /// Requests queued across all of `pe_egress`: zero lets `step` and
-    /// `next_event` skip their walks over it.
-    egress_queued: usize,
+    /// The active sets of the egress and link queues.
+    active: Active,
     /// PEs that have not halted — an O(1) quiescence pre-gate,
     /// recounted at [`run`](System::run) entry and maintained by `step`.
     unhalted: usize,
@@ -197,7 +272,12 @@ impl System {
             to_pe: vec![VecDeque::new(); total],
             due: vec![0; total],
             asleep_since: vec![0; total],
-            egress_queued: 0,
+            active: Active {
+                queued: 0,
+                egress: IdSet::new(total),
+                dst: vec![0; total],
+                vaults: IdSet::new(vaults),
+            },
             unhalted: 0,
             inflight_msgs: 0,
             block_cache: HashMap::new(),
@@ -311,13 +391,14 @@ impl System {
             latency: local_lat,
         };
         {
-            let vault_egress = &mut self.vault_egress;
+            let (vault_egress, vault_set) = (&mut self.vault_egress, &mut self.active.vaults);
             self.hmc.tick_with(|vault, resp| {
                 let pe = (resp.id >> 32) as usize;
                 if pe / pes_per_vault == vault {
                     downlinks.send(pe, resp, now);
                 } else {
                     vault_egress[vault].push_back((pe, resp));
+                    vault_set.insert(vault);
                 }
             });
         }
@@ -337,7 +418,10 @@ impl System {
         }
         while let Some((node, pkt)) = self.net.pop_delivered() {
             match pkt.payload {
-                SysMsg::Req(req) => self.vault_ingress[node].push_back(req),
+                SysMsg::Req(req) => {
+                    self.vault_ingress[node].push_back(req);
+                    self.active.vaults.insert(node);
+                }
                 SysMsg::Resp { pe, resp } => {
                     debug_assert_eq!(pe / pes_per_vault, node);
                     downlinks.send(pe, resp, now);
@@ -345,31 +429,35 @@ impl System {
             }
         }
 
-        // 3. Local star links arriving at vault controllers.
-        for vault in 0..self.cfg.mem.vaults {
-            while let Some(&(ready, _)) = self.to_vault_local[vault].front() {
-                if ready > now {
-                    break;
-                }
-                let (_, req) = self.to_vault_local[vault]
-                    .pop_front()
-                    .expect("front exists");
-                self.vault_ingress[vault].push_back(req);
+        // 3. Local star links arriving at vault controllers, in the
+        // vaults whose link queues hold work.
+        let mut walk = Walk::default();
+        while let Some(vault) = walk.next(&self.active.vaults) {
+            let local = &mut self.to_vault_local[vault];
+            let ingress = &mut self.vault_ingress[vault];
+            while let Some((_, req)) = local.pop_front_if(|&mut (ready, _)| ready <= now) {
+                ingress.push_back(req);
             }
             // Drain ingress into the transaction queue.
             while self.hmc.can_accept(vault) {
-                let Some(req) = self.vault_ingress[vault].pop_front() else {
+                let Some(req) = ingress.pop_front() else {
                     break;
                 };
                 self.hmc.enqueue(vault, req).expect("checked can_accept");
             }
             // Inject queued completions onto the torus.
-            while !self.vault_egress[vault].is_empty() && self.net.can_inject(vault) {
-                let (pe, resp) = self.vault_egress[vault].pop_front().expect("front exists");
+            let egress = &mut self.vault_egress[vault];
+            while self.net.can_inject(vault) {
+                let Some((pe, resp)) = egress.pop_front() else {
+                    break;
+                };
                 let bytes = resp_bytes(&resp);
                 self.net
                     .inject(vault, pe / pes_per_vault, bytes, SysMsg::Resp { pe, resp })
                     .expect("checked can_inject");
+            }
+            if local.is_empty() && ingress.is_empty() && egress.is_empty() {
+                self.active.vaults.remove(vault);
             }
         }
 
@@ -380,36 +468,40 @@ impl System {
         // skipped: nothing it would do this cycle is observable except
         // one stall-counter bump, which the visit that ends its sleep
         // replays ([`Pe::fast_forward`]) before anything can change the
-        // stall. Every due PE is stepped even after one has failed, and
-        // the lowest-PE-id error is the one reported.
+        // stall. A visit touches only its own PE and queues, so it changes
+        // no one else's due time. Every due PE is stepped even after one
+        // has failed, and the lowest-PE-id error is the one reported.
         let mut received = 0;
         let mut emitted = 0;
         let mut first_err: Option<SimError> = None;
         for i in 0..self.pes.len() {
+            if !all_due && self.due[i] > now {
+                debug_assert!(
+                    due_time(
+                        |room| self.pes[i].next_event(now - 1, room),
+                        &self.pe_egress[i],
+                        &self.to_pe[i]
+                    ) > now,
+                    "PE {i}: asleep until {} but due at {now}",
+                    self.due[i]
+                );
+                continue;
+            }
             let pe = &mut self.pes[i];
             let queue = &mut self.to_pe[i];
             if !all_due {
-                if self.due[i] > now {
-                    debug_assert!(
-                        pe.next_event(now - 1).is_none_or(|c| c > now)
-                            && queue.front().is_none_or(|&(ready, _)| ready > now),
-                        "PE {i}: asleep until {} but due at {now}",
-                        self.due[i]
-                    );
-                    continue;
-                }
                 pe.fast_forward(self.asleep_since[i], now - 1);
                 self.asleep_since[i] = now;
             }
 
             let mut pe_err: Option<SimError> = None;
-            while let Some(&(ready, _)) = queue.front() {
-                if ready > now {
-                    break;
-                }
-                let (_, resp) = queue.pop_front().expect("front exists");
+            while let Some((_, resp)) = queue.pop_front_if(|&mut (ready, _)| ready <= now) {
                 match pe.receive(&resp) {
-                    Ok(()) => received += 1,
+                    Ok(()) => {
+                        received += 1;
+                        // Copied out by `receive`: back to the read pool.
+                        self.hmc.storage_mut().recycle(resp.data);
+                    }
                     Err(e) => {
                         pe_err = Some(e);
                         break;
@@ -421,9 +513,14 @@ impl System {
                 let was_halted = pe.is_halted();
                 match pe.tick(now) {
                     Ok(()) => {
-                        if self.pe_egress[i].len() < 8 {
+                        let egress = &mut self.pe_egress[i];
+                        if egress.len() < EGRESS_DEPTH {
                             if let Some(req) = pe.emit_request() {
-                                self.pe_egress[i].push_back(req);
+                                if egress.is_empty() {
+                                    self.active.dst[i] = self.cfg.mem.vault_of(req.addr);
+                                    self.active.egress.insert(i);
+                                }
+                                egress.push_back(req);
                                 emitted += 1;
                             }
                         }
@@ -436,8 +533,7 @@ impl System {
             }
 
             if !all_due {
-                let next_completion = queue.front().map_or(Cycle::MAX, |&(ready, _)| ready);
-                self.due[i] = pe.next_due(now).min(next_completion);
+                self.due[i] = due_time(|room| pe.next_due(now, room), &self.pe_egress[i], queue);
             }
 
             if first_err.is_none() {
@@ -447,7 +543,7 @@ impl System {
         // One saturating update per cycle, not one per PE: `inflight_msgs`
         // is snapshotted, and the two orders differ where it saturates.
         self.inflight_msgs = self.inflight_msgs.saturating_sub(received) + emitted;
-        self.egress_queued += emitted;
+        self.active.queued += emitted;
         if let Some(e) = first_err {
             if !all_due {
                 self.settle_pes(now);
@@ -455,38 +551,64 @@ impl System {
             return Err(e);
         }
 
-        // 4b. Dispatch each PE's oldest pending request onto its uplink
-        // or the torus, in PE-id order.
-        debug_assert_eq!(
-            self.egress_queued,
-            self.pe_egress.iter().map(VecDeque::len).sum::<usize>()
-        );
-        if self.egress_queued == 0 {
-            return Ok(());
-        }
-        for pe_id in 0..self.pes.len() {
-            if let Some(req) = self.pe_egress[pe_id].front() {
-                let vault = pe_id / pes_per_vault;
-                let dst = self.cfg.mem.vault_of(req.addr);
-                if dst == vault {
-                    if self.uplink_busy[pe_id] <= now {
-                        let req = self.pe_egress[pe_id].pop_front().expect("front exists");
-                        self.egress_queued -= 1;
-                        let flits = 1 + req_bytes(&req).div_ceil(8) as u64;
-                        self.uplink_busy[pe_id] = now + flits;
-                        self.to_vault_local[vault].push_back((now + flits + local_lat, req));
-                    }
-                } else if self.net.can_inject(vault) {
-                    let req = self.pe_egress[pe_id].pop_front().expect("front exists");
-                    self.egress_queued -= 1;
-                    let bytes = req_bytes(&req);
-                    self.net
-                        .inject(vault, dst, bytes, SysMsg::Req(req))
-                        .expect("checked can_inject");
-                }
+        // 4b. Dispatch the oldest pending request of each PE with one
+        // onto its uplink or the torus, in PE-id order.
+        let mut walk = Walk::default();
+        while let Some(pe_id) = walk.next(&self.active.egress) {
+            let (vault, dst) = (pe_id / pes_per_vault, self.active.dst[pe_id]);
+            let local = dst == vault;
+            if local && self.uplink_busy[pe_id] > now || !local && !self.net.can_inject(vault) {
+                continue;
+            }
+            let egress = &mut self.pe_egress[pe_id];
+            let req = egress.pop_front().expect("a member of the egress set");
+            if egress.len() == EGRESS_DEPTH - 1 {
+                // The slot an emission may be asleep waiting for.
+                self.due[pe_id] = self.due[pe_id].min(now + 1);
+            }
+            match egress.front() {
+                Some(head) => self.active.dst[pe_id] = self.cfg.mem.vault_of(head.addr),
+                None => self.active.egress.remove(pe_id),
+            }
+            self.active.queued -= 1;
+            if local {
+                let flits = 1 + req_bytes(&req).div_ceil(8) as u64;
+                self.uplink_busy[pe_id] = now + flits;
+                self.to_vault_local[vault].push_back((now + flits + local_lat, req));
+                self.active.vaults.insert(vault);
+            } else {
+                let bytes = req_bytes(&req);
+                self.net
+                    .inject(vault, dst, bytes, SysMsg::Req(req))
+                    .expect("checked can_inject");
             }
         }
+        debug_assert_eq!(self.active, self.scan_active(), "stale active sets");
         Ok(())
+    }
+
+    /// The active sets recomputed from the queues themselves (an empty
+    /// queue's meaningless `dst` entry is copied, not recomputed).
+    fn scan_active(&self) -> Active {
+        let mut active = Active {
+            queued: self.pe_egress.iter().map(VecDeque::len).sum(),
+            egress: IdSet::new(self.pes.len()),
+            dst: self.active.dst.clone(),
+            vaults: IdSet::new(self.cfg.mem.vaults),
+        };
+        for (pe, queue) in self.pe_egress.iter().enumerate() {
+            if let Some(head) = queue.front() {
+                active.egress.insert(pe);
+                active.dst[pe] = self.cfg.mem.vault_of(head.addr);
+            }
+        }
+        for v in 0..self.cfg.mem.vaults {
+            let (local, ingress) = (&self.to_vault_local[v], &self.vault_ingress[v]);
+            if local.len() + ingress.len() + self.vault_egress[v].len() > 0 {
+                active.vaults.insert(v);
+            }
+        }
+        active
     }
 
     /// Marks every PE due and settled as of now — the entry of every
@@ -516,16 +638,7 @@ impl System {
     /// Whether every PE has halted and all memory traffic has drained.
     #[must_use]
     pub fn is_quiesced(&self) -> bool {
-        self.pes
-            .iter()
-            .all(|pe| pe.is_halted() && pe.is_quiesced(self.now))
-            && self.hmc.is_idle()
-            && self.net.is_idle()
-            && self.pe_egress.iter().all(VecDeque::is_empty)
-            && self.to_vault_local.iter().all(VecDeque::is_empty)
-            && self.vault_ingress.iter().all(VecDeque::is_empty)
-            && self.vault_egress.iter().all(VecDeque::is_empty)
-            && self.to_pe.iter().all(VecDeque::is_empty)
+        self.pes.iter().all(Pe::is_halted) && self.machine_idle()
     }
 
     /// A sound lower bound on the next cycle (strictly after `now`) at
@@ -554,28 +667,22 @@ impl System {
         if let Some(c) = self.net.next_event() {
             next = next.min(c.max(floor));
         }
-        for q in &self.to_vault_local {
-            if let Some(&(ready, _)) = q.front() {
+        for vault in self.active.vaults.iter() {
+            if let Some(&(ready, _)) = self.to_vault_local[vault].front() {
                 next = next.min(ready.max(floor));
             }
-        }
-        for (vault, q) in self.vault_egress.iter().enumerate() {
-            if !q.is_empty() {
+            if !self.vault_egress[vault].is_empty() {
                 next = next.min(self.net.inject_ready_at(vault).max(floor));
             }
         }
-        if self.egress_queued > 0 {
-            for (pe_id, q) in self.pe_egress.iter().enumerate() {
-                if let Some(req) = q.front() {
-                    let vault = pe_id / self.cfg.pes_per_vault;
-                    let c = if self.cfg.mem.vault_of(req.addr) == vault {
-                        self.uplink_busy[pe_id]
-                    } else {
-                        self.net.inject_ready_at(vault)
-                    };
-                    next = next.min(c.max(floor));
-                }
-            }
+        for pe_id in self.active.egress.iter() {
+            let vault = pe_id / self.cfg.pes_per_vault;
+            let c = if self.active.dst[pe_id] == vault {
+                self.uplink_busy[pe_id]
+            } else {
+                self.net.inject_ready_at(vault)
+            };
+            next = next.min(c.max(floor));
         }
         if next == Cycle::MAX {
             None
@@ -789,13 +896,12 @@ impl System {
     /// whose front ends simply have not issued yet count as idle; the
     /// functional tier may take over exactly at such boundaries.
     fn machine_idle(&self) -> bool {
+        debug_assert_eq!(self.active, self.scan_active(), "stale active sets");
         self.pes.iter().all(|pe| pe.is_quiesced(self.now))
             && self.hmc.is_idle()
             && self.net.is_idle()
-            && self.pe_egress.iter().all(VecDeque::is_empty)
-            && self.to_vault_local.iter().all(VecDeque::is_empty)
-            && self.vault_ingress.iter().all(VecDeque::is_empty)
-            && self.vault_egress.iter().all(VecDeque::is_empty)
+            && self.active.queued == 0
+            && self.active.vaults.iter().next().is_none()
             && self.to_pe.iter().all(VecDeque::is_empty)
     }
 
@@ -1288,7 +1394,7 @@ impl System {
         // calibration and the trap/deadlock poison flag describe the
         // interrupted run and are re-derived fresh.
         self.recount_quiesce_counters();
-        self.egress_queued = self.pe_egress.iter().map(VecDeque::len).sum();
+        self.active = self.scan_active();
         self.func_rate = None;
         self.func_rate_accum = (0, 0);
         self.func_sample_boost = 1;

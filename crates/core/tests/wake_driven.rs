@@ -152,6 +152,34 @@ fn store_and_halt(dst: u64) -> Program {
     asm.assemble().unwrap()
 }
 
+/// Four 1 KiB stores alternating between `local` and `remote`, then a
+/// fence. The LSU emits a request a cycle and the uplink or the torus
+/// takes one every seven, so the PE's egress queue sits at its depth of
+/// 8 — holding heads bound for both vaults — behind a front end stalled
+/// on the full LSQ and then on the fence.
+fn store_stream(local: u64, remote: u64) -> Program {
+    let mut asm = Asm::new();
+    asm.mov_imm(r(1), 0).mov_imm(r(3), 512);
+    for k in 0..4u64 {
+        let base = if k.is_multiple_of(2) { local } else { remote };
+        asm.mov_imm(r(2), (base + 0x5_0000 + k * 0x1000) as i64)
+            .st_sram(ElemType::I16, r(1), r(2), r(3));
+    }
+    asm.memfence().halt();
+    asm.assemble().unwrap()
+}
+
+/// [`build_with`] with PE 5 (vault 1) streaming stores of a byte ramp to
+/// both vaults.
+fn build_streaming() -> System {
+    let cfg = cfg();
+    let stream = store_stream(cfg.mem.vault_base(1), cfg.mem.vault_base(0));
+    let mut sys = build_with(cfg, Some(&stream));
+    let ramp: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+    sys.pe_mut(5).scratchpad_mut().write(0, &ramp).unwrap();
+    sys
+}
+
 /// Eight PEs over two vaults, one program per sleep state; PE 5 has no
 /// program at all. `extra` replaces PE 5's (absent) program.
 fn build_with(cfg: SystemConfig, extra: Option<&Program>) -> System {
@@ -211,6 +239,56 @@ fn the_mix_reaches_every_sleep_state() {
 
 #[test]
 fn pausing_at_any_cycle_reads_the_same_on_both_engines() {
+    pause_everywhere(build);
+}
+
+#[test]
+fn a_full_egress_queue_reads_the_same_on_both_engines() {
+    // PE 5 asleep behind its full egress queue is woken by the dispatch
+    // that frees a slot, not by the clock.
+    pause_everywhere(build_streaming);
+    let mut sys = build_streaming();
+    sys.run(LIMIT).unwrap();
+    let ramp = sys.pe(5).scratchpad().read(0, 1024).unwrap();
+    for k in 0..4u64 {
+        let base = sys
+            .config()
+            .mem
+            .vault_base(if k.is_multiple_of(2) { 1 } else { 0 });
+        let stored = sys.hmc().host_read(base + 0x5_0000 + k * 0x1000, 1024);
+        assert!(stored == ramp, "store {k}");
+    }
+}
+
+#[test]
+fn restoring_mid_stream_onto_a_used_machine_reads_the_same() {
+    // Images taken while PE 5's egress queue is full and the link queues
+    // hold its stores, restored onto a machine stopped elsewhere in the
+    // same stream (its active sets name other queues and heads), then
+    // finished on either engine.
+    let mut whole = build_streaming();
+    let total = whole.run(LIMIT).unwrap();
+    for (k, at) in (20..420u64).step_by(19).enumerate() {
+        let mut donor = build_streaming();
+        donor.run_until(at, LIMIT).unwrap();
+        let mut used = build_streaming();
+        used.run_until(at + 37, LIMIT).unwrap();
+        used.restore_snapshot(&donor.save_snapshot()).unwrap();
+        let end = if k.is_multiple_of(2) {
+            used.run(LIMIT)
+        } else {
+            used.run_naive(LIMIT)
+        };
+        assert_eq!(end.unwrap(), total, "restored at {at}");
+        assert_same(&used, &whole, &format!("restored at {at}"));
+    }
+}
+
+/// Runs a fresh event machine from `build` to every pause in the first
+/// 500 cycles, a stride through the rest and the last cycles before
+/// quiescence, against one naive machine walked forward a cycle at a
+/// time.
+fn pause_everywhere(build: fn() -> System) {
     let total = build().run_naive(LIMIT).unwrap();
     // One naive machine walks forward a cycle at a time; a fresh event
     // machine runs to each pause from reset. Every cycle of the first

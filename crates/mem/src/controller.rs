@@ -872,7 +872,7 @@ impl VaultController {
                 word += 8;
             }
         }
-        (storage.read_vec(addr, len), poisoned)
+        (storage.read_buf(addr, len), poisoned)
     }
 
     /// Issues the column command of `lanes[bank].txns[pos]` and takes

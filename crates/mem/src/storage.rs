@@ -32,6 +32,9 @@ pub struct Storage {
     /// transaction may have become issuable — whoever flipped the bit.
     /// Derived bookkeeping: not serialized.
     fe_epoch: u64,
+    /// Consumed read buffers for [`read_buf`](Self::read_buf) to refill,
+    /// so a steady-state DRAM read allocates nothing. Not serialized.
+    spare: Vec<Vec<u8>>,
 }
 
 impl Storage {
@@ -64,6 +67,22 @@ impl Storage {
         let mut buf = vec![0; len];
         self.read(addr, &mut buf);
         buf
+    }
+
+    /// [`read_vec`](Self::read_vec) into a [`recycle`](Self::recycle)d
+    /// buffer when there is one.
+    pub fn read_buf(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.resize(len, 0); // every byte is overwritten
+        self.read(addr, &mut buf);
+        buf
+    }
+
+    /// Hands a consumed read buffer back (the pool keeps at most 1 024).
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        if buf.capacity() > 0 && self.spare.len() < 1024 {
+            self.spare.push(buf);
+        }
     }
 
     /// Writes `data` starting at `addr`.
@@ -231,7 +250,7 @@ impl Snapshot for Storage {
             pages,
             full_bits: Vec::restore(r)?.into_iter().collect(),
             ecc: Vec::restore(r)?.into_iter().collect(),
-            fe_epoch: 0,
+            ..Storage::default()
         })
     }
 }
@@ -354,6 +373,18 @@ mod tests {
         let mut w2 = Writer::new();
         s.save(&mut w2);
         assert_eq!(bytes, w2.into_bytes());
+    }
+
+    #[test]
+    fn pooled_reads_overwrite_every_byte_of_a_recycled_buffer() {
+        let mut s = Storage::new();
+        s.write(100, &[1, 2, 3, 4]);
+        for len in [4, 16, 80] {
+            s.recycle(vec![0xff; 40]);
+            assert_eq!(s.read_buf(98, len), s.read_vec(98, len), "len {len}");
+        }
+        s.recycle(Vec::new()); // nothing to reuse: not pooled
+        assert_eq!(s.read_buf(100, 2), vec![1, 2]);
     }
 
     #[test]

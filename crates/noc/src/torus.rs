@@ -161,6 +161,10 @@ pub struct Torus<T> {
     inject_busy: Vec<Cycle>,
     eject_busy: Vec<Cycle>,
     flights: Vec<Flight<T>>,
+    /// The next hop (link out, router it leads to; `None` at the
+    /// destination) of the flight in the same slot of `flights`, routed
+    /// once per router reached. Derived: rebuilt by `restore_state`.
+    routes: Vec<Option<(usize, (usize, usize))>>,
     delivered: VecDeque<(usize, Packet<T>)>,
     failed: VecDeque<Packet<T>>,
     stats: NocStats,
@@ -177,6 +181,7 @@ impl<T> Torus<T> {
             inject_busy: vec![0; cfg.nodes()],
             eject_busy: vec![0; cfg.nodes()],
             flights: Vec::new(),
+            routes: Vec::new(),
             delivered: VecDeque::new(),
             failed: VecDeque::new(),
             stats: NocStats::default(),
@@ -229,6 +234,7 @@ impl<T> Torus<T> {
         let uid = self.stats.packets;
         self.stats.packets += 1;
         self.stats.flits += flits;
+        self.routes.push(self.route(self.cfg.coords(src), dst));
         self.flights.push(Flight {
             packet: Packet {
                 src,
@@ -258,25 +264,30 @@ impl<T> Torus<T> {
         h
     }
 
+    /// The next hop from router `at` toward node `dst`: the link out and
+    /// the router it leads to, or `None` when `at` is `dst`.
+    fn route(&self, at: (usize, usize), dst: usize) -> Option<(usize, (usize, usize))> {
+        let (dir, next) = next_hop(at, self.cfg.coords(dst), (self.cfg.width, self.cfg.height))?;
+        Some(((at.1 * self.cfg.width + at.0) * 4 + dir.index(), next))
+    }
+
     /// Advances the network one cycle.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.elapsed_cycles = self.now;
-        let dims = (self.cfg.width, self.cfg.height);
         let mut i = 0;
         while i < self.flights.len() {
             if self.flights[i].ready_at > self.now {
                 i += 1;
                 continue;
             }
-            let at = self.flights[i].at;
-            let dst = self.cfg.coords(self.flights[i].packet.dst);
-            match next_hop(at, dst, dims) {
+            match self.routes[i] {
                 None => {
                     // Arrived: contend for the ejection port.
                     let node = self.flights[i].packet.dst;
                     if self.eject_busy[node] <= self.now {
                         self.eject_busy[node] = self.now + self.flights[i].flits;
+                        self.routes.swap_remove(i);
                         let flight = self.flights.swap_remove(i);
                         self.stats.delivered += 1;
                         self.stats.total_latency_cycles += self.now - flight.packet.injected_at;
@@ -285,9 +296,7 @@ impl<T> Torus<T> {
                     }
                     i += 1;
                 }
-                Some((dir, next)) => {
-                    let node = at.1 * self.cfg.width + at.0;
-                    let link = node * 4 + dir.index();
+                Some((link, next)) => {
                     if self.link_busy[link] <= self.now {
                         let flits = self.flights[i].flits;
                         self.link_busy[link] = self.now + flits;
@@ -295,9 +304,12 @@ impl<T> Torus<T> {
                         self.stats.hops += 1;
                         match self.link_fault(&self.flights[i]) {
                             None => {
-                                self.flights[i].hops_done += 1;
-                                self.flights[i].at = next;
-                                self.flights[i].ready_at = self.now + self.cfg.hop_latency;
+                                let flight = &mut self.flights[i];
+                                flight.hops_done += 1;
+                                flight.at = next;
+                                flight.ready_at = self.now + self.cfg.hop_latency;
+                                let dst = flight.packet.dst;
+                                self.routes[i] = self.route(next, dst);
                             }
                             Some(kind) => {
                                 if self.retransmit_or_fail(i, kind) {
@@ -310,6 +322,11 @@ impl<T> Torus<T> {
                 }
             }
         }
+        debug_assert!(
+            (self.flights.iter().zip(&self.routes))
+                .all(|(f, &r)| r == self.route(f.at, f.packet.dst)),
+            "a cached route disagrees with its flight's position"
+        );
     }
 
     /// Draws the fault outcome for the link traversal the flight just
@@ -366,6 +383,7 @@ impl<T> Torus<T> {
         }
         if flight.attempt >= f.max_retries {
             self.stats.delivery_failures += 1;
+            self.routes.swap_remove(i);
             let flight = self.flights.swap_remove(i);
             self.failed.push_back(flight.packet);
             return true;
@@ -379,6 +397,8 @@ impl<T> Torus<T> {
         // The backoff window models NAK/timeout detection plus the
         // go-back-to-source turnaround.
         flight.ready_at = self.now + self.cfg.hop_latency + backoff;
+        let (at, dst) = (flight.at, flight.packet.dst);
+        self.routes[i] = self.route(at, dst);
         false
     }
 
@@ -398,18 +418,14 @@ impl<T> Torus<T> {
     /// resource whose free-time is strictly in the future.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let dims = (self.cfg.width, self.cfg.height);
         let mut next: Option<Cycle> = None;
-        for flight in &self.flights {
+        for (flight, route) in self.flights.iter().zip(&self.routes) {
             let c = if flight.ready_at > self.now {
                 flight.ready_at
             } else {
-                match next_hop(flight.at, self.cfg.coords(flight.packet.dst), dims) {
+                match route {
                     None => self.eject_busy[flight.packet.dst],
-                    Some((dir, _)) => {
-                        let node = flight.at.1 * self.cfg.width + flight.at.0;
-                        self.link_busy[node * 4 + dir.index()]
-                    }
+                    Some((link, _)) => self.link_busy[*link],
                 }
             };
             let c = c.max(self.now + 1);
@@ -518,6 +534,15 @@ impl<T: Snapshot> Torus<T> {
         self.inject_busy = inject_busy;
         self.eject_busy = eject_busy;
         self.flights = Vec::restore(r)?;
+        let (w, h, nodes) = (self.cfg.width, self.cfg.height, self.cfg.nodes());
+        let off =
+            |f: &Flight<T>| f.packet.src.max(f.packet.dst) >= nodes || f.at.0 >= w || f.at.1 >= h;
+        if self.flights.iter().any(off) {
+            return Err(SnapError::Corrupt("flight off the torus"));
+        }
+        self.routes = (self.flights.iter())
+            .map(|f| self.route(f.at, f.packet.dst))
+            .collect();
         self.delivered = VecDeque::restore(r)?;
         self.failed = VecDeque::restore(r)?;
         self.stats = NocStats::restore(r)?;
@@ -792,6 +817,155 @@ mod tests {
             )
         };
         assert_eq!(finish(&mut net), finish(&mut twin));
+    }
+
+    /// The walk before routes were cached: every ready flight is routed
+    /// from scratch, every cycle it is looked at. (`routes` is only kept
+    /// as long as `flights`: `retransmit_or_fail` writes it.)
+    fn reference_tick<T>(net: &mut Torus<T>) {
+        net.now += 1;
+        net.stats.elapsed_cycles = net.now;
+        let dims = (net.cfg.width, net.cfg.height);
+        let mut i = 0;
+        while i < net.flights.len() {
+            if net.flights[i].ready_at > net.now {
+                i += 1;
+                continue;
+            }
+            let at = net.flights[i].at;
+            let dst = net.cfg.coords(net.flights[i].packet.dst);
+            match next_hop(at, dst, dims) {
+                None => {
+                    let node = net.flights[i].packet.dst;
+                    if net.eject_busy[node] <= net.now {
+                        net.eject_busy[node] = net.now + net.flights[i].flits;
+                        net.routes.swap_remove(i);
+                        let flight = net.flights.swap_remove(i);
+                        net.stats.delivered += 1;
+                        net.stats.total_latency_cycles += net.now - flight.packet.injected_at;
+                        net.delivered.push_back((node, flight.packet));
+                        continue;
+                    }
+                    i += 1;
+                }
+                Some((dir, next)) => {
+                    let link = (at.1 * net.cfg.width + at.0) * 4 + dir.index();
+                    if net.link_busy[link] <= net.now {
+                        let flits = net.flights[i].flits;
+                        net.link_busy[link] = net.now + flits;
+                        net.stats.link_busy_cycles += flits;
+                        net.stats.hops += 1;
+                        match net.link_fault(&net.flights[i]) {
+                            None => {
+                                net.flights[i].hops_done += 1;
+                                net.flights[i].at = next;
+                                net.flights[i].ready_at = net.now + net.cfg.hop_latency;
+                            }
+                            Some(kind) => {
+                                if net.retransmit_or_fail(i, kind) {
+                                    continue;
+                                }
+                            }
+                        }
+                    }
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// `next_event` as it was before routes were cached.
+    fn reference_next_event<T>(net: &Torus<T>) -> Option<Cycle> {
+        let dims = (net.cfg.width, net.cfg.height);
+        let bound = |flight: &Flight<T>| {
+            let c = if flight.ready_at > net.now {
+                flight.ready_at
+            } else {
+                match next_hop(flight.at, net.cfg.coords(flight.packet.dst), dims) {
+                    None => net.eject_busy[flight.packet.dst],
+                    Some((dir, _)) => {
+                        let node = flight.at.1 * net.cfg.width + flight.at.0;
+                        net.link_busy[node * 4 + dir.index()]
+                    }
+                }
+            };
+            c.max(net.now + 1)
+        };
+        net.flights.iter().map(bound).min()
+    }
+
+    #[test]
+    fn cached_routes_walk_like_routing_every_cycle() {
+        // Seeded bursts between random nodes with link faults on (every
+        // retransmission re-routes from the source), random clock skips
+        // to one short of the next event, and a mid-run restore of the
+        // routed network onto a used one: the deliveries, failures, next
+        // event and state bytes must match the reference walk every cycle.
+        let label = "cached_routes_walk_like_routing_every_cycle";
+        vip_rng::for_each_seed(label, 0x70_05, 6, |seed| {
+            let mut rng = vip_rng::SplitMix64::new(seed);
+            let cfg = faulty(60_000, 40_000, 1 + rng.below(4) as u32);
+            let (mut routed, mut reference) = (Torus::<u64>::new(cfg), Torus::<u64>::new(cfg));
+            let bytes = |net: &Torus<u64>| {
+                let mut w = Writer::new();
+                net.save_state(&mut w);
+                w.into_bytes()
+            };
+            for cycle in 0..4_000u64 {
+                for _ in 0..rng.below(6) {
+                    let (src, dst) = (rng.usize_in(0..32), rng.usize_in(0..32));
+                    let len = rng.usize_in(0..80);
+                    let want = reference.inject(src, dst, len, cycle).is_ok();
+                    assert_eq!(routed.inject(src, dst, len, cycle).is_ok(), want);
+                }
+                if cycle == 1_500 {
+                    // Onto a network holding a flight (and route) of its own.
+                    let mut used = Torus::new(cfg);
+                    used.inject(0, 20, 64, 0).unwrap();
+                    used.tick();
+                    let image = bytes(&routed);
+                    used.restore_state(&mut Reader::new(&image)).unwrap();
+                    routed = used;
+                }
+                routed.tick();
+                reference_tick(&mut reference);
+                let next = reference_next_event(&reference);
+                assert_eq!(routed.next_event(), next, "cycle {cycle}");
+                if let Some(next) = next.filter(|_| rng.below(8) == 0) {
+                    routed.skip_to(next - 1);
+                    reference.skip_to(next - 1);
+                }
+                while let Some(want) = reference.pop_delivered() {
+                    assert_eq!(routed.pop_delivered(), Some(want), "cycle {cycle}");
+                }
+                while let Some(want) = reference.pop_failed() {
+                    assert_eq!(routed.pop_failed(), Some(want), "cycle {cycle}");
+                }
+                assert!(bytes(&routed) == bytes(&reference), "cycle {cycle}: bytes");
+            }
+            let stats = routed.stats();
+            assert!(stats.delivered > 1_000 && stats.retries > 0 && stats.delivery_failures > 0);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_flight_off_the_torus() {
+        // Routes are rebuilt at restore, so a flight whose destination or
+        // position lies outside the geometry is refused there, typed.
+        let corruptions: [fn(&mut Flight<u32>); 2] = [|f| f.packet.dst = 32, |f| f.at = (8, 0)];
+        for corrupt in corruptions {
+            let mut net: Torus<u32> = Torus::new(TorusConfig::vip());
+            net.inject(0, 5, 16, 1).unwrap();
+            corrupt(&mut net.flights[0]);
+            let mut w = Writer::new();
+            net.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut fresh: Torus<u32> = Torus::new(TorusConfig::vip());
+            assert_eq!(
+                fresh.restore_state(&mut Reader::new(&bytes)),
+                Err(SnapError::Corrupt("flight off the torus"))
+            );
+        }
     }
 
     #[test]
