@@ -1,15 +1,13 @@
 //! Measured multithreaded host-CPU BP-M baseline.
 //!
 //! The only baseline this reproduction can honestly *measure* is the
-//! machine it runs on. This is a parallel BP-M with the same numerics
-//! as the golden reference: within each directional sweep, strips of
-//! the orthogonal axis run on scoped threads (the same parallel
-//! decomposition VIP's software uses), with the message arrays split
-//! mutably per strip. The benches report its throughput next to the
-//! simulated VIP numbers.
+//! machine it runs on. This is a parallel BP-M running the golden
+//! reference's own band sweep ([`bp::sweep_band`]): within each
+//! directional sweep, strips of the orthogonal axis run on scoped
+//! threads (the same parallel decomposition VIP's software uses). The
+//! benches report its throughput next to the simulated VIP numbers.
 
-use vip_isa::alu::{sat_add16, sat_sub16};
-use vip_kernels::bp::{Messages, Mrf, Sweep};
+use vip_kernels::bp::{self, Messages, Mrf, Sweep};
 
 /// Runs `iters` BP-M iterations using up to `threads` worker threads
 /// and returns the final messages.
@@ -31,34 +29,19 @@ pub fn parallel_sweep(mrf: &Mrf, msgs: &mut Messages, dir: Sweep, threads: usize
     let norm = msgs.normalize;
     let (w, h) = (p.width, p.height);
 
-    // Immutable inputs per direction; the written plane is split.
-    let (theta, smooth) = (&mrf.data_costs, &p.smoothness);
     let vertical = dir.is_vertical();
     let ortho = if vertical { w } else { h };
     let threads = threads.clamp(1, ortho);
 
-    // Clone the read planes (cheap relative to the sweep) so the
-    // written plane can be sliced mutably without aliasing. For the
-    // written plane the *old* values are also inputs (the chain), so
-    // workers read their own slice's previous values in place.
-    let from_above = msgs.from_above.clone();
-    let from_below = msgs.from_below.clone();
-    let from_left = msgs.from_left.clone();
-    let from_right = msgs.from_right.clone();
-
-    let written: &mut Vec<i16> = match dir {
-        Sweep::Down => &mut msgs.from_above,
-        Sweep::Up => &mut msgs.from_below,
-        Sweep::Right => &mut msgs.from_left,
-        Sweep::Left => &mut msgs.from_right,
-    };
+    // Only the written plane changes during a sweep, and its *old*
+    // values are also inputs (the chain), which each worker reads from
+    // its own copy; the two planes across the sweep are shared read-only.
+    let (written, across) = msgs.planes_mut(dir);
 
     // Vertical sweeps parallelize over x, horizontal over y; each worker
     // owns a contiguous ortho band. The written plane is row-major, so
-    // bands are strided: hand each worker a raw pointer region guarded
-    // by the disjoint-band invariant via chunked interior mutability.
-    // To stay in safe Rust we give each worker its own output buffer
-    // for its band and splice afterwards.
+    // bands are strided: to stay in safe Rust each worker sweeps its own
+    // copy of the plane and the owned band is spliced back afterwards.
     let band = ortho.div_ceil(threads);
     let results: Vec<(usize, usize, Vec<i16>)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -68,61 +51,10 @@ pub fn parallel_sweep(mrf: &Mrf, msgs: &mut Messages, dir: Sweep, threads: usize
             if o0 >= o1 {
                 continue;
             }
-            let written_ro: &Vec<i16> = written;
-            let (fa, fb, fl, fr) = (&from_above, &from_below, &from_left, &from_right);
+            let written_ro: &[i16] = written;
             handles.push(scope.spawn(move || {
-                let mut out = written_ro.clone();
-                let at = |x: usize, y: usize| (y * w + x) * l;
-                let seq_positions: Vec<(usize, usize, usize, usize)> = match dir {
-                    Sweep::Down => (0..h - 1)
-                        .flat_map(|y| (o0..o1).map(move |x| (x, y, x, y + 1)))
-                        .collect(),
-                    Sweep::Up => (1..h)
-                        .rev()
-                        .flat_map(|y| (o0..o1).map(move |x| (x, y, x, y - 1)))
-                        .collect(),
-                    Sweep::Right => (0..w - 1)
-                        .flat_map(|x| (o0..o1).map(move |y| (x, y, x + 1, y)))
-                        .collect(),
-                    Sweep::Left => (1..w)
-                        .rev()
-                        .flat_map(|x| (o0..o1).map(move |y| (x, y, x - 1, y)))
-                        .collect(),
-                };
-                for (x, y, tx, ty) in seq_positions {
-                    let a = at(x, y);
-                    let mut th: Vec<i16> = theta[a..a + l].to_vec();
-                    let adds: [&[i16]; 2] = match dir {
-                        Sweep::Down | Sweep::Up => [&fl[a..a + l], &fr[a..a + l]],
-                        Sweep::Right | Sweep::Left => [&fa[a..a + l], &fb[a..a + l]],
-                    };
-                    let along: &[i16] = match dir {
-                        Sweep::Down => &out[a..a + l],
-                        Sweep::Up => &out[a..a + l],
-                        Sweep::Right => &out[a..a + l],
-                        Sweep::Left => &out[a..a + l],
-                    };
-                    for i in 0..l {
-                        th[i] = sat_add16(th[i], along[i]);
-                        th[i] = sat_add16(th[i], adds[0][i]);
-                        th[i] = sat_add16(th[i], adds[1][i]);
-                    }
-                    let ta = at(tx, ty);
-                    for lv in 0..l {
-                        let mut best = i16::MAX;
-                        for lp in 0..l {
-                            let v = sat_add16(smooth[lv * l + lp], th[lp]);
-                            best = best.min(v);
-                        }
-                        out[ta + lv] = best;
-                    }
-                    if norm {
-                        let m0 = out[ta];
-                        for v in &mut out[ta..ta + l] {
-                            *v = sat_sub16(*v, m0);
-                        }
-                    }
-                }
+                let mut out = written_ro.to_vec();
+                bp::sweep_band(mrf, &mut out, across, dir, o0..o1, norm);
                 (o0, o1, out)
             }));
         }
@@ -170,6 +102,33 @@ mod tests {
         assert_eq!(par.from_below, seq.from_below);
         assert_eq!(par.from_left, seq.from_left);
         assert_eq!(par.from_right, seq.from_right);
+
+        // Both normalizations, data costs near the rail (θ̂ saturates)
+        // and scattered over the whole range, bands of every width.
+        let near_rail = (0..w * h * l).map(|i| i16::MAX - ((i * 37) % 900) as i16);
+        let scattered = (0..w * h * l).map(|i| (i * 40_503) as u16 as i16);
+        let smooth = MrfParams::truncated_linear(w, h, l, 700, 9_000);
+        for costs in [near_rail.collect::<Vec<_>>(), scattered.collect()] {
+            let mrf = Mrf::new(smooth.clone(), costs);
+            for init in [
+                Messages::new(&mrf.params),
+                Messages::new_unnormalized(&mrf.params),
+            ] {
+                let mut seq = init.clone();
+                for _ in 0..2 {
+                    bp::iteration(&mrf, &mut seq);
+                }
+                for threads in [1, 2, 3, 7] {
+                    let mut par = init.clone();
+                    for _ in 0..2 {
+                        for dir in Sweep::iteration_order() {
+                            parallel_sweep(&mrf, &mut par, dir, threads);
+                        }
+                    }
+                    assert_eq!(par, seq, "normalize {} threads {threads}", init.normalize);
+                }
+            }
+        }
     }
 
     #[test]

@@ -466,20 +466,60 @@ pub fn truncate_scalar(ty: ElemType, value: u64) -> i64 {
 
 /// Saturating 16-bit addition — convenience for golden kernels.
 #[must_use]
+#[inline]
 pub fn sat_add16(a: i16, b: i16) -> i16 {
     a.saturating_add(b)
 }
 
 /// Saturating 16-bit subtraction — convenience for golden kernels.
 #[must_use]
+#[inline]
 pub fn sat_sub16(a: i16, b: i16) -> i16 {
     a.saturating_sub(b)
 }
 
 /// Saturating 16-bit multiplication — convenience for golden kernels.
 #[must_use]
+#[inline]
 pub fn sat_mul16(a: i16, b: i16) -> i16 {
     (i32::from(a) * i32::from(b)).clamp(i32::from(i16::MIN), i32::from(i16::MAX)) as i16
+}
+
+/// Pairs per step of [`sat_dot16`]: a step's products sum to at most
+/// 2¹⁵ × 2¹⁵ = 2³⁰ in magnitude, so neither wide sum can overflow `i32`.
+const DOT_STEP: usize = 1 << 15;
+
+/// The saturating dot product `acc ⊕ a₀⊗b₀ ⊕ a₁⊗b₁ ⊕ …`, folded left to
+/// right with [`sat_add16`] over [`sat_mul16`] — the golden kernels'
+/// accumulation. Every prefix of the fold lies within `|acc| + Σ|pᵢ|` of
+/// zero, so while that bound is at most `i16::MAX` no step saturates and
+/// the fold equals the plain wide sum, which vectorizes; otherwise the
+/// products are folded one by one.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length.
+#[must_use]
+#[inline]
+pub fn sat_dot16(acc: i16, a: &[i16], b: &[i16]) -> i16 {
+    assert_eq!(a.len(), b.len(), "sat_dot16 operands differ in length");
+    a.chunks(DOT_STEP)
+        .zip(b.chunks(DOT_STEP))
+        .fold(acc, |acc, (a, b)| {
+            let (mut sum, mut mag) = (0i32, 0i32);
+            for (&x, &y) in a.iter().zip(b) {
+                let p = i32::from(sat_mul16(x, y));
+                sum += p;
+                mag += p.abs();
+            }
+            if i32::from(acc).abs() + mag <= i32::from(i16::MAX) {
+                (i32::from(acc) + sum) as i16
+            } else {
+                a.iter()
+                    .zip(b)
+                    .fold(acc, |acc, (&x, &y)| sat_add16(acc, sat_mul16(x, y)))
+            }
+        })
 }
 
 #[cfg(test)]

@@ -147,6 +147,12 @@ pub fn scan_block(program: &Program, pc: usize) -> Block {
 /// makes decoded blocks shareable across PEs running the same (SPMD)
 /// program and safely discardable when a different program loads.
 ///
+/// The accumulator is written out here rather than taken from
+/// `vip_snap::Fingerprint` (the same FNV-1a): `vip-isa` depends on no
+/// crate and `vip-snap` not on it, so sharing one would add a dependency
+/// edge for six lines. The key lives only in memory, so nothing requires
+/// the two to agree.
+///
 /// # Panics
 ///
 /// Panics if an instruction cannot be encoded — the same

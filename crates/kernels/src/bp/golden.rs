@@ -1,5 +1,7 @@
 //! Golden reference BP-M with VIP's exact saturating 16-bit arithmetic.
 
+use std::ops::Range;
+
 use vip_isa::alu::{sat_add16, sat_sub16};
 
 use super::{Mrf, MrfParams, Sweep};
@@ -46,105 +48,113 @@ impl Messages {
         }
     }
 
-    /// The array a sweep writes.
-    fn written_by(&mut self, sweep: Sweep) -> &mut Vec<i16> {
-        match sweep {
-            Sweep::Down => &mut self.from_above,
-            Sweep::Up => &mut self.from_below,
-            Sweep::Right => &mut self.from_left,
-            Sweep::Left => &mut self.from_right,
+    /// The array a sweep writes, and the two arriving across the sweep
+    /// in the order `θ̂` adds them. The written array is also read: the
+    /// message a vertex received along the sweep is its `θ̂`'s first term.
+    pub fn planes_mut(&mut self, dir: Sweep) -> (&mut [i16], [&[i16]; 2]) {
+        match dir {
+            Sweep::Down => (&mut self.from_above, [&self.from_left, &self.from_right]),
+            Sweep::Up => (&mut self.from_below, [&self.from_left, &self.from_right]),
+            Sweep::Right => (&mut self.from_left, [&self.from_above, &self.from_below]),
+            Sweep::Left => (&mut self.from_right, [&self.from_above, &self.from_below]),
         }
     }
 }
 
-/// `θ̂` of Equation (1a): data cost plus all incoming messages except the
-/// one arriving from the update's target neighbor.
-fn theta_hat(mrf: &Mrf, msgs: &Messages, x: usize, y: usize, sweep: Sweep) -> Vec<i16> {
-    let l = mrf.params.labels;
-    let at = mrf.params.at(x, y);
-    let mut out = mrf.theta(x, y).to_vec();
-    let mut add = |arr: &Vec<i16>| {
-        for (o, &m) in out.iter_mut().zip(&arr[at..at + l]) {
-            *o = sat_add16(*o, m);
+/// One message update, from the vertex at offset `from` to the one at
+/// `to`. `θ̂` of Equation (1a) — the data cost plus `along[from..]`, then
+/// `across` in order, i.e. every incoming message except the one from the
+/// target — goes into `th` (`labels` long); the min-sum of Equation (1b),
+/// `m(l) = min_{l'} (θ_{v,w}(l, l') + θ̂(l'))`, into `along[to..]`, then
+/// optionally minus its element 0.
+fn message_update(
+    mrf: &Mrf,
+    along: &mut [i16],
+    across: [&[i16]; 2],
+    from: usize,
+    to: usize,
+    normalize: bool,
+    th: &mut [i16],
+) {
+    let l = th.len();
+    th.copy_from_slice(&mrf.data_costs[from..from + l]);
+    for plane in [&*along, across[0], across[1]] {
+        for (t, &m) in th.iter_mut().zip(&plane[from..from + l]) {
+            *t = sat_add16(*t, m);
         }
-    };
-    // Exclude the message that came *from* the target of this update.
-    match sweep {
+    }
+    let msg = &mut along[to..to + l];
+    for (lv, m) in msg.iter_mut().enumerate() {
+        *m = mrf.params.smoothness[lv * l..][..l]
+            .iter()
+            .zip(&*th)
+            .fold(i16::MAX, |best, (&s, &t)| best.min(sat_add16(s, t)));
+    }
+    if normalize {
+        let m0 = msg[0];
+        for m in msg {
+            *m = sat_sub16(*m, m0);
+        }
+    }
+}
+
+/// Sweeps `dir` over the lines `band` of the orthogonal axis (columns of
+/// a vertical sweep, rows of a horizontal one), each line sequential
+/// along the sweep axis, updating `along` in place; `along` and `across`
+/// are what [`Messages::planes_mut`] returns. Lines never read each
+/// other, so disjoint bands can run on separate copies of `along`.
+pub fn sweep_band(
+    mrf: &Mrf,
+    along: &mut [i16],
+    across: [&[i16]; 2],
+    dir: Sweep,
+    band: Range<usize>,
+    normalize: bool,
+) {
+    let p = &mrf.params;
+    let (w, h) = (p.width, p.height);
+    let mut th = vec![0; p.labels];
+    let mut update = |from, to| message_update(mrf, along, across, from, to, normalize, &mut th);
+    match dir {
         Sweep::Down => {
-            add(&msgs.from_above);
-            add(&msgs.from_left);
-            add(&msgs.from_right);
+            for y in 0..h - 1 {
+                for x in band.clone() {
+                    update(p.at(x, y), p.at(x, y + 1));
+                }
+            }
         }
         Sweep::Up => {
-            add(&msgs.from_below);
-            add(&msgs.from_left);
-            add(&msgs.from_right);
+            for y in (1..h).rev() {
+                for x in band.clone() {
+                    update(p.at(x, y), p.at(x, y - 1));
+                }
+            }
         }
         Sweep::Right => {
-            add(&msgs.from_left);
-            add(&msgs.from_above);
-            add(&msgs.from_below);
+            for x in 0..w - 1 {
+                for y in band.clone() {
+                    update(p.at(x, y), p.at(x + 1, y));
+                }
+            }
         }
         Sweep::Left => {
-            add(&msgs.from_right);
-            add(&msgs.from_above);
-            add(&msgs.from_below);
+            for x in (1..w).rev() {
+                for y in band.clone() {
+                    update(p.at(x, y), p.at(x - 1, y));
+                }
+            }
         }
-    }
-    out
-}
-
-/// The min-sum update of Equation (1b):
-/// `m(l) = min_{l'} (θ_{v,w}(l, l') + θ̂(l'))`.
-fn min_sum(smoothness: &[i16], theta_hat: &[i16], labels: usize) -> Vec<i16> {
-    (0..labels)
-        .map(|l| {
-            (0..labels)
-                .map(|lp| sat_add16(smoothness[l * labels + lp], theta_hat[lp]))
-                .min()
-                .expect("labels > 0")
-        })
-        .collect()
-}
-
-fn normalize(msg: &mut [i16]) {
-    let m0 = msg[0];
-    for v in msg {
-        *v = sat_sub16(*v, m0);
     }
 }
 
 /// Performs one directional sweep over the whole grid, sequential along
 /// the sweep axis (matching the generated VIP code's schedule exactly).
 pub fn sweep(mrf: &Mrf, msgs: &mut Messages, dir: Sweep) {
-    let (w, h, l) = (mrf.params.width, mrf.params.height, mrf.params.labels);
-    let norm = msgs.normalize;
-    // (source positions, target offset) per direction.
-    let seq_positions: Vec<(usize, usize, usize, usize)> = match dir {
-        Sweep::Down => (0..h - 1)
-            .flat_map(|y| (0..w).map(move |x| (x, y, x, y + 1)))
-            .collect(),
-        Sweep::Up => (1..h)
-            .rev()
-            .flat_map(|y| (0..w).map(move |x| (x, y, x, y - 1)))
-            .collect(),
-        Sweep::Right => (0..w - 1)
-            .flat_map(|x| (0..h).map(move |y| (x, y, x + 1, y)))
-            .collect(),
-        Sweep::Left => (1..w)
-            .rev()
-            .flat_map(|x| (0..h).map(move |y| (x, y, x - 1, y)))
-            .collect(),
-    };
-    for (x, y, tx, ty) in seq_positions {
-        let th = theta_hat(mrf, msgs, x, y, dir);
-        let mut msg = min_sum(&mrf.params.smoothness, &th, l);
-        if norm {
-            normalize(&mut msg);
-        }
-        let at = mrf.params.at(tx, ty);
-        msgs.written_by(dir)[at..at + l].copy_from_slice(&msg);
-    }
+    let p = &mrf.params;
+    let lines = if dir.is_vertical() { p.width } else { p.height };
+    let normalize = msgs.normalize;
+    let (along, across) = msgs.planes_mut(dir);
+    sweep_band(mrf, along, across, dir, 0..lines, normalize);
 }
 
 /// One BP-M iteration: all four directional sweeps.
@@ -158,7 +168,6 @@ pub fn iteration(mrf: &Mrf, msgs: &mut Messages) {
 /// incoming messages.
 #[must_use]
 pub fn beliefs(mrf: &Mrf, msgs: &Messages) -> Vec<i16> {
-    let l = mrf.params.labels;
     let mut out = mrf.data_costs.clone();
     for arr in [
         &msgs.from_above,
@@ -170,7 +179,6 @@ pub fn beliefs(mrf: &Mrf, msgs: &Messages) -> Vec<i16> {
             *o = sat_add16(*o, m);
         }
     }
-    let _ = l;
     out
 }
 

@@ -24,7 +24,7 @@ pub use codegen::{
 };
 pub use golden::{
     beliefs, coarse_mrf, hierarchical_run, iteration, labeling_energy, labels, refine_messages,
-    run, sweep, Messages,
+    run, sweep, sweep_band, Messages,
 };
 pub use hier::{construct_programs, copy_messages_programs};
 pub use model::{BpCosts, BpExtrapolation};

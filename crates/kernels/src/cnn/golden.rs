@@ -9,7 +9,7 @@
 //! decomposition of Equations (5a)–(5d), so saturation behaviour is
 //! bit-identical to the simulated programs.
 
-use vip_isa::alu::{sat_add16, sat_mul16};
+use vip_isa::alu::{sat_add16, sat_dot16};
 
 use super::{ConvLayer, PoolLayer};
 
@@ -101,26 +101,20 @@ pub fn conv_forward(
     let mut out = vec![0i16; padded_len(w, h, co, p)];
     for y in 0..h {
         for x in 0..w {
-            for f in 0..co {
-                let mut partials = vec![0i16; k];
-                for (kx, acc) in partials.iter_mut().enumerate() {
+            let at = padded_at(w, co, p, x + p, y + p);
+            for (f, o) in out[at..at + co].iter_mut().enumerate() {
+                let mut v = 0;
+                for kx in 0..k {
+                    let mut partial = 0;
                     for ky in 0..k {
-                        for c in 0..ci {
-                            let iv = input[padded_at(w, ci, p, x + kx, y + ky) + c];
-                            let wv = weights[((f * k + ky) * k + kx) * ci + c];
-                            *acc = sat_add16(*acc, sat_mul16(iv, wv));
-                        }
+                        let i = padded_at(w, ci, p, x + kx, y + ky);
+                        let wt = ((f * k + ky) * k + kx) * ci;
+                        partial = sat_dot16(partial, &input[i..i + ci], &weights[wt..wt + ci]);
                     }
-                }
-                let mut v = partials[0];
-                for &pt in &partials[1..] {
-                    v = sat_add16(v, pt);
+                    v = sat_add16(v, partial);
                 }
                 v = sat_add16(v, bias[f]);
-                if relu {
-                    v = v.max(0);
-                }
-                out[padded_at(w, co, p, x + p, y + p) + f] = v;
+                *o = if relu { v.max(0) } else { v };
             }
         }
     }

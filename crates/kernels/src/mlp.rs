@@ -8,7 +8,7 @@
 //! extra. The golden reference reproduces the chunked accumulation
 //! order exactly, so saturation behaviour matches bit-for-bit.
 
-use vip_isa::alu::{sat_add16, sat_mul16};
+use vip_isa::alu::{sat_add16, sat_dot16};
 use vip_isa::{Asm, ElemType, HorizontalOp, Program, Reg, VerticalOp};
 use vip_mem::Hmc;
 
@@ -91,18 +91,13 @@ pub fn fc_forward_batch(
     assert_eq!(layer.inputs % kc, 0);
     let mut out = vec![0i16; layer.outputs * batch];
     for m in 0..layer.outputs {
+        let row = &weights[m * layer.inputs..][..layer.inputs];
         for b in 0..batch {
             let x = &inputs[b * layer.inputs..][..layer.inputs];
-            let mut acc = bias[m];
-            for chunk in 0..layer.inputs / kc {
-                let mut partial = 0i16;
-                for j in 0..kc {
-                    let col = chunk * kc + j;
-                    partial =
-                        sat_add16(partial, sat_mul16(weights[m * layer.inputs + col], x[col]));
-                }
-                acc = sat_add16(acc, partial);
-            }
+            let acc = row
+                .chunks_exact(kc)
+                .zip(x.chunks_exact(kc))
+                .fold(bias[m], |acc, (w, x)| sat_add16(acc, sat_dot16(0, w, x)));
             out[b * layer.outputs + m] = if relu { acc.max(0) } else { acc };
         }
     }
