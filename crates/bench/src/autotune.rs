@@ -11,7 +11,7 @@
 //!    than the point budget, sampled without replacement by a
 //!    [`SplitMix64`] shuffle of the fixed `--seed`.
 //! 2. **Halving rungs (functional tier)** — every candidate runs on
-//!    [`Engine::Functional`](vip_core::Engine::Functional),
+//!    [`Engine::Functional`],
 //!    first with a stretched duty cycle (few accurate timing windows —
 //!    fast, rough), then the surviving half with the default window
 //!    density (slower, ~1% cycle error). Each rung keeps the better
@@ -24,18 +24,19 @@
 //!
 //! Points execute on a scoped thread pool (`--jobs`) pulling indices
 //! from a shared atomic counter — work stealing without a queue
-//! structure. Every point goes through the checkpointing
-//! [`Runner`], so a killed search resumed with `--resume` skips
-//! every finished point (functional rungs are cached at `.done`
-//! granularity; the cycle-accurate confirmations also checkpoint
-//! mid-run) and reproduces bit-identical results: simulation is
-//! deterministic, ranking is a pure function of the results, and
-//! artifact serialization is byte-stable.
+//! structure. Every point, on either engine, goes through the
+//! checkpointing [`Runner`] (`Runner::run_point` with its engine), so a
+//! killed search resumed with `--resume` skips every finished point,
+//! picks an interrupted one up from its checkpoint, and reproduces
+//! bit-identical results: simulation is deterministic, a restored
+//! point continues exactly as the paused one would have, ranking is a
+//! pure function of the results, and artifact serialization is
+//! byte-stable.
 
 use std::io;
 use std::time::Instant;
 
-use vip_core::{FuncConfig, SystemConfig};
+use vip_core::{Engine, FuncConfig, SystemConfig};
 use vip_kernels::schedule::{BpSearchSpace, ConvSearchSpace, FcSearchSpace, Schedule, SearchSpace};
 use vip_kernels::schedule_store;
 use vip_kernels::tile::TileClass;
@@ -227,13 +228,19 @@ pub fn tune_kernel(
         let run_one = |i: usize| -> io::Result<(u64, Schedule)> {
             let sched = candidates[i];
             let name = format!("tune-{key}@func{rung}");
-            let res = runner.run_point_functional(&name, &sched.encoding(), fingerprint, || {
-                let tile = experiments::tile_sim_scheduled(cfg.mem.clone(), class, 1, &sched);
-                match func {
-                    Some(f) => tile.with_func_config(f),
-                    None => tile,
-                }
-            })?;
+            let res = runner.run_point(
+                &name,
+                &sched.encoding(),
+                fingerprint,
+                Engine::Functional,
+                || {
+                    let tile = experiments::tile_sim_scheduled(cfg.mem.clone(), class, 1, &sched);
+                    match func {
+                        Some(f) => tile.with_func_config(f),
+                        None => tile,
+                    }
+                },
+            )?;
             // A degraded point ranks last but stays recorded.
             let cycles = match res.status {
                 PointStatus::Completed => res.cycles,
@@ -259,7 +266,7 @@ pub fn tune_kernel(
     let confirm_one = |i: usize| -> io::Result<(u64, Schedule)> {
         let sched = candidates[i];
         let name = format!("tune-{key}@cycle");
-        let res = runner.run_point(&name, &sched.encoding(), fingerprint, || {
+        let res = runner.run_point(&name, &sched.encoding(), fingerprint, Engine::Fast, || {
             experiments::tile_sim_scheduled(cfg.mem.clone(), class, 1, &sched)
         })?;
         let cycles = match res.status {

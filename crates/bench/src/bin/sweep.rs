@@ -26,7 +26,7 @@ use std::time::Duration;
 use vip_bench::cli::Cli;
 use vip_bench::experiments::{self, PreparedTile};
 use vip_bench::runner::{PointStatus, Runner};
-use vip_core::SystemConfig;
+use vip_core::{Engine, SystemConfig};
 use vip_mem::MemConfig;
 
 type Stage = Box<dyn Fn() -> PreparedTile>;
@@ -99,7 +99,7 @@ fn main() {
     let fingerprint = SystemConfig::single_vault(MemConfig::baseline()).snapshot_fingerprint();
     for (name, stage) in points(quick) {
         let res = runner
-            .run_point(name, "", fingerprint, stage)
+            .run_point(name, "", fingerprint, Engine::Fast, stage)
             .expect("sweep directory writable");
         let status = match res.status {
             PointStatus::Completed => "ok",

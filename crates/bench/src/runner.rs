@@ -3,7 +3,9 @@
 //!
 //! Each experiment point is identified by a stable 64-bit hash of its
 //! name and the structural configuration fingerprint
-//! ([`SystemConfig::snapshot_fingerprint`]). The runner keeps two files
+//! ([`SystemConfig::snapshot_fingerprint`]), and runs on the stepping
+//! [`Engine`] its caller picks — cycle-accurate confirmations and the
+//! autotuner's functional pruning rungs alike. The runner keeps two files
 //! per point under its working directory:
 //!
 //! * `<hash>.done` — the finished (or degraded) result row, written
@@ -17,8 +19,9 @@
 //! either the old file or the new one on disk, never a torn half-file.
 //! A sweep re-run with [`Runner::resume`] skips points that already
 //! have a `.done` record and picks interrupted points up from their
-//! `.ckpt` snapshot; because restore is bit-exact, the resumed sweep's
-//! final report is byte-identical to an uninterrupted one.
+//! `.ckpt` snapshot; because a restored machine continues exactly as the
+//! paused one would have on every engine, the resumed sweep's final
+//! report is byte-identical to an uninterrupted one.
 //!
 //! A point that exhausts its per-point wall-clock budget (or its
 //! simulated-cycle limit) degrades instead of aborting the sweep: the
@@ -152,8 +155,8 @@ impl Runner {
         self.dir.join(format!("{hash:016x}.ckpt"))
     }
 
-    /// Runs one experiment point to completion (or degradation),
-    /// checkpointing along the way. `fingerprint` is the structural
+    /// Runs one experiment point to completion (or degradation) on
+    /// `engine`, checkpointing along the way. `fingerprint` is the structural
     /// configuration fingerprint of the system the point targets
     /// (callers have it from the config they stage with); passing it
     /// up front lets a `--resume` hit against the `.done` record
@@ -164,7 +167,9 @@ impl Runner {
     /// point must restart clean. `encoding` is the point's full
     /// parameter encoding (empty for points whose name alone is the
     /// identity); it is folded into the durable identity hash (see
-    /// [`point_hash`]).
+    /// [`point_hash`]). The record does not name the engine: a caller
+    /// running one point on two engines gives the two runs distinct
+    /// names.
     ///
     /// # Errors
     ///
@@ -181,6 +186,7 @@ impl Runner {
         name: &str,
         encoding: &str,
         fingerprint: u64,
+        engine: Engine,
         stage: impl Fn() -> PreparedTile,
     ) -> io::Result<PointResult> {
         let hash = point_hash(name, encoding, fingerprint);
@@ -227,7 +233,7 @@ impl Runner {
             } else {
                 sys.now().saturating_add(self.checkpoint_every).min(limit)
             };
-            match sys.run_until(pause_at, limit) {
+            match engine.advance(&mut sys, pause_at, limit) {
                 Ok(RunOutcome::Quiesced(cycles)) => {
                     let stats = sys.stats();
                     self.write_done(&done_path, fingerprint, PointStatus::Completed, &stats)?;
@@ -266,72 +272,6 @@ impl Runner {
                     }
                     return self.degrade(name, &done_path, fingerprint, &sys);
                 }
-            }
-        }
-    }
-
-    /// Runs one point on the two-tier functional engine — the
-    /// autotuner's cheap pruning rungs. No mid-run checkpoints (a
-    /// functional run is over in milliseconds); the `.done` record
-    /// alone makes the point durable, so a killed search re-run with
-    /// `--resume` skips every finished point *without re-staging it*
-    /// (the `fingerprint` contract matches [`run_point`]'s). The
-    /// record shares its format with [`run_point`]'s — callers that
-    /// use both engines on the same point must give them distinct
-    /// names.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on I/O errors against the runner's directory; a
-    /// simulation failure is recorded as a degraded row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the staged tile's configuration does not hash to
-    /// `fingerprint`.
-    pub fn run_point_functional(
-        &self,
-        name: &str,
-        encoding: &str,
-        fingerprint: u64,
-        stage: impl Fn() -> PreparedTile,
-    ) -> io::Result<PointResult> {
-        let hash = point_hash(name, encoding, fingerprint);
-        let done_path = self.done_path(hash);
-
-        if self.resume {
-            if let Some((status, cycles, stats)) = read_done(&done_path, fingerprint) {
-                return Ok(PointResult {
-                    name: name.to_owned(),
-                    status,
-                    cycles,
-                    stats,
-                    from_cache: true,
-                });
-            }
-        }
-
-        let tile = stage();
-        assert_eq!(
-            tile.system().config().snapshot_fingerprint(),
-            fingerprint,
-            "point `{name}`: staged tile does not match the declared fingerprint"
-        );
-        match tile.try_run(Engine::Functional) {
-            Ok(run) => {
-                self.write_done(&done_path, fingerprint, PointStatus::Completed, &run.stats)?;
-                Ok(PointResult {
-                    name: name.to_owned(),
-                    status: PointStatus::Completed,
-                    cycles: run.cycles,
-                    stats: run.stats,
-                    from_cache: false,
-                })
-            }
-            Err(err) => {
-                eprintln!("point `{name}`: functional run failed: {err}");
-                let (sys, _) = stage().into_system();
-                self.degrade(name, &done_path, fingerprint, &sys)
             }
         }
     }

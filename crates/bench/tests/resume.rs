@@ -67,13 +67,25 @@ fn resumed_point_skips_staging() {
     };
 
     let first = runner
-        .run_point("stage-count", "", fingerprint, stage)
+        .run_point(
+            "stage-count",
+            "",
+            fingerprint,
+            vip_core::Engine::Fast,
+            stage,
+        )
         .expect("first run");
     assert!(!first.from_cache);
     assert_eq!(staged.load(Ordering::Relaxed), 1);
 
     let second = runner
-        .run_point("stage-count", "", fingerprint, stage)
+        .run_point(
+            "stage-count",
+            "",
+            fingerprint,
+            vip_core::Engine::Fast,
+            stage,
+        )
         .expect("second run");
     assert!(second.from_cache, "second run must hit the .done record");
     assert_eq!(

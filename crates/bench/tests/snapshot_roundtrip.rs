@@ -127,20 +127,24 @@ fn bp_tile_roundtrips_with_live_faults() {
 }
 
 /// Format anchor: the image's length and CRC-32 at two mid-kernel pause
-/// points of the BP tile, computed at the commit before the vault queue
-/// was re-laid bank-major (PR 12, `c06a880`). A round trip only proves
-/// that save and restore agree with each other; this proves the bytes
-/// are still the ones older builds wrote — the queue in arrival order,
-/// the completions in their `swap_remove` order. A PR that means to
-/// change the format bumps `FORMAT_VERSION` and re-derives these.
+/// points of the BP tile. The version 3 values were computed at the
+/// commit before the vault queue was re-laid bank-major (`c06a880`);
+/// `FORMAT_VERSION` 4 appended the functional tier's 25-byte
+/// clock, so the image read back as version 3 (version word set back,
+/// clock dropped) must still match them. A round trip only proves that
+/// save and restore agree with each other; this proves the bytes are
+/// still the ones older builds wrote — the queue in arrival order, the
+/// completions in their `swap_remove` order. A change to the format
+/// bumps `FORMAT_VERSION` and re-derives these.
 #[test]
 fn bp_tile_image_bytes_are_anchored() {
-    // (pause cycle, queued transactions in the vault, bytes, CRC-32)
+    // (pause cycle, queued transactions in the vault, bytes, CRC-32,
+    // version 3 CRC-32)
     let anchors = [
-        (20_000, 20, 425_321, 0x1d55_8bf8_u32),
-        (22_000, 32, 424_913, 0xb64a_b7c5), // the queue is full
+        (20_000, 20, 425_346, 0x579f_fa60_u32, 0x1d55_8bf8_u32),
+        (22_000, 32, 424_938, 0xfa19_de1a, 0xb64a_b7c5), // the queue is full
     ];
-    for (pause_at, queued, bytes, crc) in anchors {
+    for (pause_at, queued, bytes, crc, v3_crc) in anchors {
         let (mut sys, limit) = bp_tile().into_system();
         let outcome = sys.run_until(pause_at, limit).expect("paused run succeeds");
         assert!(matches!(outcome, RunOutcome::Paused(_)), "{outcome:?}");
@@ -152,6 +156,13 @@ fn bp_tile_image_bytes_are_anchored() {
             crc,
             "cycle {pause_at}: {:#010x}",
             vip_snap::crc32(&image)
+        );
+        let mut v3 = image[..bytes - 25].to_vec();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            vip_snap::crc32(&v3),
+            v3_crc,
+            "cycle {pause_at} as version 3"
         );
     }
 }

@@ -41,16 +41,17 @@
 use vip_faults::{fault_fires, fault_value, FaultDomain};
 use vip_isa::{alu, Block, BlockEnd, ElemType, Instruction, Reg, Trap};
 use vip_mem::Storage;
+use vip_snap::snapshot_struct;
 
 use crate::pe::FuncParts;
 use crate::scalar::ScalarRegs;
 use crate::vector::VectorUnit;
 use crate::Cycle;
 
-/// Duty-cycle knobs for the functional tier. Runtime tuning state, not
-/// machine structure: it never enters the snapshot fingerprint, and two
-/// runs with different knobs produce the same architectural state (only
-/// the timing estimate and wall-clock speed differ).
+/// Duty-cycle knobs for the functional tier: tuning state, in neither
+/// the snapshot nor its fingerprint (set them on a restore target too).
+/// Runs with different knobs end in the same architectural state; only
+/// the timing estimate and wall-clock speed differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuncConfig {
     /// Cycle-accurate cycles run at the head of each timing window
@@ -89,6 +90,66 @@ impl Default for FuncConfig {
             quantum: 2_048,
             drain_cycles: 20_000,
         }
+    }
+}
+
+/// The functional tier's clock: what its timing windows have measured,
+/// and whether it has handed off for good. Machine state, so it travels
+/// in the snapshot and a restored run keeps its calibration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FuncClock {
+    /// Decayed (cycles, work units) history of the measured samples.
+    accum: (Cycle, u64),
+    /// Doublings of the configured sample length (see `observe`).
+    pub(crate) boost: u64,
+    /// The tier handed off to the cycle-accurate engine for good: it
+    /// met a trap or a deadlock, which only that engine may report.
+    pub(crate) poisoned: bool,
+}
+
+snapshot_struct!(FuncClock {
+    accum,
+    boost,
+    poisoned
+});
+
+impl FuncClock {
+    /// Whether a sample has measured the rate: every fold adds at least
+    /// one work unit after the halving.
+    pub(crate) fn calibrated(&self) -> bool {
+        self.accum.1 > 0
+    }
+
+    /// Cycles `work` work units take at the measured rate (nominal 1
+    /// cycle/work-unit before the first sample). `work_units`
+    /// lower-bounds real occupancy, so estimates start optimistic.
+    pub(crate) fn estimate(&self, work: u64) -> Cycle {
+        if work == 0 {
+            return 0;
+        }
+        let (dt, dw) = if self.calibrated() {
+            self.accum
+        } else {
+            (1, 1)
+        };
+        let est = (u128::from(work) * u128::from(dt)) / u128::from(dw);
+        Cycle::try_from(est).unwrap_or(Cycle::MAX).max(1)
+    }
+
+    /// Folds in one window's sample: `dw` work units retired by the
+    /// busiest PE over `dt` cycles of a `sample`-cycle window.
+    pub(crate) fn observe(&mut self, dt: Cycle, dw: u64, sample: Cycle) {
+        if dw == 0 {
+            // Nothing retired while we watched: watch longer (up to 64x),
+            // or a slow phase could retire all its work inside the drains.
+            self.boost = (self.boost + 1).min(6);
+            return;
+        }
+        self.boost = 0;
+        // One window is noisy and a lifetime average never tracks a phase
+        // change: halve the history once it spans 32 samples.
+        let halve = u32::from(self.accum.0 > 32 * sample);
+        self.accum = ((self.accum.0 >> halve) + dt, (self.accum.1 >> halve) + dw);
     }
 }
 

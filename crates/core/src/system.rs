@@ -12,7 +12,7 @@ use vip_snap::{read_header, snapshot_enum, write_header, Reader, SnapError, Snap
 
 use crate::config::SystemConfig;
 use crate::error::{BlockedPe, HangReport, SimError};
-use crate::fast_func::{exec_block, BlockOutcome, FuncConfig};
+use crate::fast_func::{exec_block, BlockOutcome, FuncClock, FuncConfig};
 use crate::pe::Pe;
 use crate::stats::{FuncStats, PeStats, SystemStats};
 use crate::Cycle;
@@ -204,28 +204,12 @@ pub struct System {
     /// never serve stale code. Derived state: never snapshotted, and it
     /// survives a restore because the keys do.
     block_cache: HashMap<(u64, u64), Arc<Block>>,
+    /// The functional tier's calibration and hand-off state.
+    func_clock: FuncClock,
     /// Duty-cycle knobs for [`run_functional`](System::run_functional).
     func_cfg: FuncConfig,
     /// Functional-tier counters (block cache, window, drain activity).
     func_stats: FuncStats,
-    /// Calibrated timing rate from the last accurate window, as the
-    /// integer rational (cycles, work units) — `None` until the first
-    /// sample completes (a nominal 1 cycle/work-unit is used before).
-    func_rate: Option<(Cycle, u64)>,
-    /// Decayed (cycles, work) history behind [`System::func_rate`]:
-    /// each window's sample is folded in and old history is halved
-    /// away, smoothing slice-boundary noise without going blind to
-    /// phase changes.
-    func_rate_accum: (Cycle, u64),
-    /// Multiplier on the configured sample length, doubled every time a
-    /// sample observes zero retired work. Long-latency phases (serial
-    /// DMA chains) can otherwise retire all their work inside the
-    /// unmeasured drains and starve the calibrator forever.
-    func_sample_boost: Cycle,
-    /// Set when the functional tier hands off permanently to the
-    /// cycle-accurate engine (a trap or deadlock was detected, which
-    /// only that engine may report). Cleared by snapshot restore.
-    func_poisoned: bool,
 }
 
 /// Why a functional stretch returned control to the orchestrator.
@@ -283,10 +267,7 @@ impl System {
             block_cache: HashMap::new(),
             func_cfg: FuncConfig::default(),
             func_stats: FuncStats::default(),
-            func_rate: None,
-            func_rate_accum: (0, 0),
-            func_sample_boost: 1,
-            func_poisoned: false,
+            func_clock: FuncClock::default(),
             cfg,
         }
     }
@@ -991,20 +972,6 @@ impl System {
         self.now = to;
     }
 
-    /// Extrapolates how many cycles `work` work units take at the last
-    /// calibrated rate (nominal 1 cycle/work-unit before the first
-    /// sample). `work_units` lower-bounds real occupancy, so estimates
-    /// start optimistic and converge once a window measures the
-    /// machine's actual cycles-per-work-unit.
-    fn estimate_cycles(&self, work: u64) -> Cycle {
-        if work == 0 {
-            return 0;
-        }
-        let (dt, dw) = self.func_rate.unwrap_or((1, 1));
-        let est = (u128::from(work) * u128::from(dt)) / u128::from(dw.max(1));
-        Cycle::try_from(est).unwrap_or(Cycle::MAX).max(1)
-    }
-
     /// Runs every live PE functionally, round-robin in `quantum`-work
     /// turns, until the busiest PE exhausts the stretch budget, all PEs
     /// halt, or only the cycle-accurate engine can make further
@@ -1109,7 +1076,7 @@ impl System {
             .func_cfg
             .sample_cycles
             .max(1)
-            .saturating_mul(self.func_sample_boost);
+            .saturating_mul(1 << self.func_clock.boost);
         let outcome =
             self.run_inner(self.now.saturating_add(warmup).min(max_cycles), max_cycles)?;
         if matches!(outcome, RunOutcome::Paused(_)) {
@@ -1120,7 +1087,6 @@ impl System {
             // A quiesced sample's tail is idle drain, which would skew
             // the rate; keep the previous calibration then.
             if matches!(outcome, RunOutcome::Paused(_)) {
-                let dt = self.now - s0;
                 let dw = self
                     .pes
                     .iter()
@@ -1128,31 +1094,7 @@ impl System {
                     .map(|(p, w0)| p.stats().work_units - w0)
                     .max()
                     .unwrap_or(0);
-                if dw == 0 {
-                    // Nothing retired while we watched: the next sample
-                    // watches longer, so a slow phase (one DMA every
-                    // few hundred cycles) cannot dodge the calibrator
-                    // forever by retiring inside the unmeasured drains.
-                    self.func_sample_boost = self.func_sample_boost.saturating_mul(2).min(64);
-                }
-                if dt > 0 && dw > 0 {
-                    self.func_sample_boost = 1;
-                    // Fold the sample into a decayed accumulator: one
-                    // window's rate is noisy (a loop may straddle the
-                    // slice boundary), but a plain lifetime average
-                    // would never track a phase change. Halving once
-                    // the history exceeds a few samples gives an
-                    // exponential forgetting window.
-                    let (mut at, mut aw) = self.func_rate_accum;
-                    if at > 32 * sample {
-                        at /= 2;
-                        aw /= 2;
-                    }
-                    at += dt;
-                    aw += dw;
-                    self.func_rate_accum = (at, aw);
-                    self.func_rate = Some((at, aw.max(1)));
-                }
+                self.func_clock.observe(self.now - s0, dw, sample);
             }
         }
         self.func_stats.accurate_cycles += self.now - t0;
@@ -1164,7 +1106,7 @@ impl System {
         pause_at: Cycle,
         max_cycles: Cycle,
     ) -> Result<RunOutcome, SimError> {
-        if self.faults_active() || self.func_poisoned {
+        if self.faults_active() || self.func_clock.poisoned {
             // Live fault injection (or an earlier trap/deadlock
             // detection) needs exact per-cycle coordinates; only the
             // cycle-accurate engine provides them.
@@ -1192,7 +1134,7 @@ impl System {
             if self.now >= pause_at {
                 return Ok(RunOutcome::Paused(self.now));
             }
-            if self.func_rate.is_none() {
+            if !self.func_clock.calibrated() {
                 // A stretch now would extrapolate at the nominal rate;
                 // calibrate from the program's own early behaviour
                 // first. Short programs may simply finish inside this
@@ -1206,12 +1148,12 @@ impl System {
                 // parked instructions; the cycle-accurate engine
                 // re-dispatches them and reports the identical typed
                 // error (or diagnoses the genuine hang).
-                self.func_poisoned = true;
+                self.func_clock.poisoned = true;
                 return self.run_inner(pause_at, max_cycles);
             }
             let to = self
                 .now
-                .saturating_add(self.estimate_cycles(work))
+                .saturating_add(self.func_clock.estimate(work))
                 .min(pause_at);
             self.advance_functional_clock(to, &ran);
             self.recount_quiesce_counters();
@@ -1310,15 +1252,16 @@ impl System {
     /// every PE (architectural and microarchitectural state), the memory
     /// stack (backing storage, ECC sidecar, per-vault timing and queues),
     /// the torus (in-flight packets with retry state), every system-level
-    /// queue, and the link serialization state.
+    /// queue, the link serialization state and the functional tier's
+    /// counters and clock.
     ///
-    /// Restoring onto a freshly built [`System`] with the same
-    /// configuration and running to completion is bit-identical — same
-    /// quiesce cycle, same statistics, same memory image — to the run
-    /// that was never interrupted, under all stepping engines and with or
-    /// without live fault injection (fault configurations travel in the
-    /// body; draws are keyed on architectural coordinates that are
-    /// themselves captured).
+    /// Restored onto a [`System`] of the same configuration, the image
+    /// runs on bit-identically — quiesce cycle, statistics, memory image
+    /// — to the paused machine (on the exact engines, to the run never
+    /// paused), on every engine, with or without live faults (their
+    /// configurations travel in the body; draws are keyed on captured
+    /// coordinates), bar the three decode-cache counters of the
+    /// functional tier, whose block cache is not captured.
     #[must_use]
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -1339,6 +1282,7 @@ impl System {
         self.to_pe.save(&mut w);
         w.usize(self.inflight_msgs);
         self.func_stats.save(&mut w);
+        self.func_clock.save(&mut w);
         w.into_bytes()
     }
 
@@ -1347,9 +1291,8 @@ impl System {
     /// whose [structural fingerprint](SystemConfig::snapshot_fingerprint)
     /// matches the one in the image; fault configurations are taken from
     /// the image (they are runtime state, not structure). The derived
-    /// quiescence caches are rebuilt, so the next
-    /// [`run`](System::run) or [`run_naive`](System::run_naive)
-    /// continues bit-identically.
+    /// quiescence caches are rebuilt, so the next run continues
+    /// bit-identically on any engine.
     ///
     /// # Errors
     ///
@@ -1377,6 +1320,7 @@ impl System {
         self.to_pe = Vec::restore(&mut r)?;
         self.inflight_msgs = r.usize()?;
         self.func_stats = FuncStats::restore(&mut r)?;
+        self.func_clock = FuncClock::restore(&mut r)?;
         r.finish()?;
         if self.pe_egress.len() != self.pes.len()
             || self.uplink_busy.len() != self.pes.len()
@@ -1390,15 +1334,9 @@ impl System {
         }
         // Derived caches are not serialized — rebuild them from the
         // restored PEs. The block cache is keyed on program
-        // fingerprints, so surviving entries stay valid; the timing
-        // calibration and the trap/deadlock poison flag describe the
-        // interrupted run and are re-derived fresh.
+        // fingerprints, so surviving entries stay valid.
         self.recount_quiesce_counters();
         self.active = self.scan_active();
-        self.func_rate = None;
-        self.func_rate_accum = (0, 0);
-        self.func_sample_boost = 1;
-        self.func_poisoned = false;
         Ok(())
     }
 

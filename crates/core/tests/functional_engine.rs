@@ -2,7 +2,8 @@
 //! bit-identical architectural state and retirement counters against
 //! the cycle-accurate engines, identical typed errors for trapping
 //! programs, full-empty handoffs and deadlock diagnosis, snapshot
-//! interoperability, and a sanity bound on the extrapolated clock.
+//! interoperability, a run restored at every pause repeating the run
+//! paused in place, and a sanity bound on the extrapolated clock.
 
 use vip_core::{FuncConfig, RunOutcome, SimError, System, SystemConfig};
 use vip_isa::{Asm, ElemType, Program, Reg, VerticalOp};
@@ -229,40 +230,47 @@ fn full_empty_handoff_between_functional_pes() {
     assert_eq!(run(true), (want, want));
 }
 
+/// Dense work, then a load of a word nobody fills.
+fn parks_forever() -> Program {
+    let mut a = Asm::new();
+    a.mov_imm(r(1), 16);
+    a.set_vl(r(1));
+    a.mov_imm(r(2), 0);
+    a.mov_imm(r(3), 64);
+    a.mov_imm(r(5), 0);
+    a.mov_imm(r(6), 200);
+    a.label("loop");
+    a.vec_vec(VerticalOp::Add, ElemType::I16, r(3), r(2), r(3));
+    a.addi(r(5), r(5), 1);
+    a.blt(r(5), r(6), "loop");
+    a.mov_imm(r(1), 0x5000);
+    a.ld_reg_fe(r(2), r(1));
+    a.halt();
+    a.assemble().unwrap()
+}
+
+/// Knobs short enough that the functional tier calibrates, runs and
+/// detects the deadlock of [`parks_forever`] within a few hundred cycles.
+const DEADLOCK_KNOBS: FuncConfig = FuncConfig {
+    warmup_cycles: 10,
+    sample_cycles: 50,
+    stretch_work: 10_000,
+    quantum: 64,
+    drain_cycles: 2_000,
+};
+
 #[test]
 fn functional_deadlock_is_diagnosed_as_a_hang() {
-    // Dense work, then a load of a word nobody fills: the functional
-    // tier reaches the blocked front-end op after calibration, detects
-    // the no-progress round, and delegates to the cycle-accurate
-    // engine — whose hang diagnosis must match a plain accurate run.
-    let program = {
-        let mut a = Asm::new();
-        a.mov_imm(r(1), 16);
-        a.set_vl(r(1));
-        a.mov_imm(r(2), 0);
-        a.mov_imm(r(3), 64);
-        a.mov_imm(r(5), 0);
-        a.mov_imm(r(6), 200);
-        a.label("loop");
-        a.vec_vec(VerticalOp::Add, ElemType::I16, r(3), r(2), r(3));
-        a.addi(r(5), r(5), 1);
-        a.blt(r(5), r(6), "loop");
-        a.mov_imm(r(1), 0x5000);
-        a.ld_reg_fe(r(2), r(1));
-        a.halt();
-        a.assemble().unwrap()
-    };
+    // The functional tier reaches the blocked front-end op after
+    // calibration, detects the no-progress round, and delegates to the
+    // cycle-accurate engine — whose hang diagnosis must match a plain
+    // accurate run.
+    let program = parks_forever();
     let hang = |functional: bool| {
         let mut sys = System::new(SystemConfig::small_test());
         sys.load_program(0, &program);
         let err = if functional {
-            sys.set_func_config(FuncConfig {
-                warmup_cycles: 10,
-                sample_cycles: 50,
-                stretch_work: 10_000,
-                quantum: 64,
-                drain_cycles: 2_000,
-            });
+            sys.set_func_config(DEADLOCK_KNOBS);
             sys.run_functional(200_000).unwrap_err()
         } else {
             sys.run(200_000).unwrap_err()
@@ -354,4 +362,116 @@ fn empty_and_instant_programs_quiesce() {
     let at = sys.run_functional(10_000).unwrap();
     assert!(sys.pe(0).is_halted());
     assert!(at <= 10_000);
+}
+
+/// Where a sliced run continues after each pause.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hop {
+    /// The paused machine runs on.
+    InPlace,
+    /// The pause is saved and restored onto a newly built machine.
+    Fresh,
+    /// The pause is saved and restored onto the other of two machines,
+    /// the first of which has already run the program to its end.
+    Used,
+}
+
+/// How a sliced run ended, after how many pauses, on which machine.
+type Sliced = (Result<u64, SimError>, usize, System);
+
+/// Runs `build()`'s machine on the functional engine under `knobs` in
+/// `slice`-cycle pauses until it quiesces or fails, continuing after
+/// each pause as `hop` says.
+fn sliced(
+    build: &dyn Fn() -> System,
+    knobs: FuncConfig,
+    slice: u64,
+    limit: u64,
+    hop: Hop,
+) -> Sliced {
+    let with_knobs = || {
+        let mut sys = build();
+        sys.set_func_config(knobs);
+        sys
+    };
+    let mut sys = with_knobs();
+    let mut spare = with_knobs();
+    let _ = spare.run_functional(limit);
+    for pauses in 0.. {
+        let image = match sys.run_functional_until(sys.now() + slice, limit) {
+            Ok(RunOutcome::Paused(_)) => sys.save_snapshot(),
+            end => return (end.map(|_| sys.now()), pauses, sys),
+        };
+        match hop {
+            Hop::InPlace => continue,
+            Hop::Fresh => sys = with_knobs(),
+            Hop::Used => std::mem::swap(&mut sys, &mut spare),
+        }
+        sys.restore_snapshot(&image).unwrap();
+    }
+    unreachable!()
+}
+
+/// The machine image with the functional tier's three decode-cache
+/// counters zeroed: the block cache is not in the image, so a restored
+/// machine decodes afresh what the paused one held. The image ends in
+/// `FuncStats` (eight words, those three first) and the 25-byte clock.
+fn image_but_decode_cache(sys: &System) -> Vec<u8> {
+    let mut image = sys.save_snapshot();
+    let at = image.len() - 25 - 8 * 8;
+    let decoded = sys.stats().func.blocks_decoded;
+    assert_eq!(image[at..at + 8], decoded.to_le_bytes(), "image layout");
+    image[at..at + 3 * 8].fill(0);
+    image
+}
+
+/// Runs `build()`'s machine sliced in place, then restored at every
+/// pause onto fresh and onto used machines, and asserts all three end
+/// alike; returns how the run ended.
+fn assert_restores_repeat_it(
+    what: &str,
+    build: &dyn Fn() -> System,
+    knobs: FuncConfig,
+    slice: u64,
+    limit: u64,
+) -> Result<u64, SimError> {
+    let (end, pauses, paused) = sliced(build, knobs, slice, limit, Hop::InPlace);
+    assert!(pauses > 2, "{what}: {pauses} pauses");
+    let want = image_but_decode_cache(&paused);
+    for hop in [Hop::Fresh, Hop::Used] {
+        let (got, _, restored) = sliced(build, knobs, slice, limit, hop);
+        assert_eq!(got, end, "{what}, {hop:?}: how the run ended");
+        assert!(
+            image_but_decode_cache(&restored) == want,
+            "{what}, {hop:?}: the machine differs"
+        );
+    }
+    end
+}
+
+#[test]
+fn restoring_at_every_pause_repeats_the_run_paused_in_place() {
+    let short = FuncConfig {
+        warmup_cycles: 100,
+        sample_cycles: 500,
+        stretch_work: 5_000,
+        quantum: 64,
+        drain_cycles: 2_000,
+    };
+    let dense = || seeded_system(&dense_loop(60_000), 3);
+    for (knobs, slice) in [(FuncConfig::default(), 5_000), (short, 3_000)] {
+        let end = assert_restores_repeat_it("dense", &dense, knobs, slice, 40_000_000);
+        assert!(end.is_ok(), "{end:?}");
+    }
+    // Paused after the tier has poisoned itself and handed off to the
+    // cycle-accurate engine for good.
+    let deadlock = || {
+        let mut sys = System::new(SystemConfig::small_test());
+        sys.load_program(0, &parks_forever());
+        sys
+    };
+    for (slice, limit) in [(20_000, 200_000), (50, 20_000)] {
+        let end = assert_restores_repeat_it("deadlock", &deadlock, DEADLOCK_KNOBS, slice, limit);
+        assert!(matches!(end, Err(SimError::Hang(_))), "{end:?}");
+    }
 }

@@ -1683,3 +1683,62 @@ fn try_serve_durable(
     store.finish(&outcome_bytes(&outcome, fingerprint))?;
     Ok(Some(outcome))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A durable run on the functional engine, cut after `stop` settled
+    /// events and resumed from the store the cut left behind, ends in
+    /// exactly the outcome `serve` gives. A resume that diverges fails
+    /// here instead of being wiped and recomputed, as `serve_durable`
+    /// would do. The shape is the benchmark's serving fleet (standard
+    /// mix, four devices, 5 000-cycle slices, 16 closed-loop clients);
+    /// at each stop point a restored device that recalibrated its
+    /// functional clock instead of keeping it would take another path.
+    #[test]
+    fn functional_resumes_repeat_the_uninterrupted_run() {
+        const FP: u64 = 0xf0c1_0c4f_0000_0001;
+        let cases: [(bool, u64, &[u64]); 3] = [
+            (false, 8, &[24, 32, 40, 60]),
+            (false, 16, &[32, 40]),
+            (true, 8, &[28, 40]),
+        ];
+        for (chaos, cadence, stops) in cases {
+            let cfg = ServeConfig {
+                quantum: 5_000,
+                engine: Engine::Functional,
+                chaos: chaos.then(|| ChaosConfig::default_rates(7)),
+                ..ServeConfig::default()
+            };
+            let workload = Workload {
+                seed: 7,
+                requests: 32,
+                mode: LoadMode::Closed {
+                    clients: 16,
+                    think: 20_000,
+                },
+                mix: Workload::standard_mix(),
+            };
+            let want = serve(&cfg, &workload);
+            for &stop in stops {
+                let what = format!("chaos {chaos}, cadence {cadence}, stop {stop}");
+                let root = std::env::temp_dir().join(format!(
+                    "vip-func-resume-{}-{chaos}-{cadence}-{stop}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&root);
+                let mut store = PointStore::open(&root, 0, FP).expect("open point store");
+                let cut = try_serve_durable(&cfg, &workload, &mut store, cadence, Some(stop));
+                assert!(matches!(cut, Ok(None)), "{what}: the cut run ended {cut:?}");
+                drop(store);
+                let mut store = PointStore::open(&root, 0, FP).expect("reopen point store");
+                match try_serve_durable(&cfg, &workload, &mut store, cadence, None) {
+                    Ok(Some(got)) => assert!(got == want, "{what}: a different outcome"),
+                    other => panic!("{what}: the resume ended {other:?}"),
+                }
+                let _ = std::fs::remove_dir_all(&root);
+            }
+        }
+    }
+}

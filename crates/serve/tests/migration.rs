@@ -1,22 +1,21 @@
 //! Preempt-via-snapshot migration conformance.
 //!
-//! For every tile class and every stepping engine: running a request
-//! straight to completion on device A must be architecturally
-//! indistinguishable from preempting it mid-flight, snapshotting,
-//! restoring the snapshot onto a fresh device B, and finishing there.
-//! The exact engines (fast, naive) must also agree on total cycles
-//! and on the full final snapshot bytes; the functional engine
-//! guarantees bit-identical architectural results but only estimated
-//! cycles (restore resets its calibration), so it is held to the
-//! results bar alone.
+//! For every tile class and every stepping engine: running a request in
+//! slices on one device must be indistinguishable from parking it as a
+//! snapshot after every slice and restoring it onto the other of two
+//! devices — a brand-new one first, then each time the one it left.
+//! Results, quiesce cycle and every timing counter must agree on all
+//! three engines, under the functional tier's default knobs and under
+//! short ones that put many timing windows into each slice.
 
-use vip_core::{RunOutcome, System, SystemConfig};
+use vip_core::{FuncConfig, RunOutcome, System, SystemConfig, SystemStats};
 use vip_mem::MemConfig;
 use vip_serve::{Engine, ProgramCache, TileClass};
 
-/// Tiles big enough that even the functional engine — whose minimum
-/// pause granularity is one ~9k-cycle calibration window — can be
-/// caught mid-flight.
+/// Device slice length, the serving benchmark's: every tile spans at
+/// least two slices on every engine.
+const SLICE: u64 = 5_000;
+
 fn classes() -> Vec<TileClass> {
     vec![
         TileClass::Mlp {
@@ -39,118 +38,104 @@ fn classes() -> Vec<TileClass> {
 
 struct Finished {
     blobs: Vec<Vec<u8>>,
-    cycles: u64,
+    slices: usize,
+    stats: SystemStats,
     snapshot: Vec<u8>,
 }
 
-/// Runs `class` straight to quiescence on one device.
-fn run_straight(engine: Engine, class: TileClass, cfg: &SystemConfig) -> Finished {
-    let cache = ProgramCache::new();
-    let dir = std::env::temp_dir().join("vip-serve-missing-schedules");
-    let mut staged = class.stage(cfg, 1, &dir, &cache);
-    staged.load_programs();
-    let out = engine
-        .advance(&mut staged.sys, staged.limit, staged.limit)
-        .expect("tile completes");
-    assert!(matches!(out, RunOutcome::Quiesced(_)));
-    Finished {
-        blobs: staged.reader.read(staged.sys.hmc()),
-        cycles: staged.sys.now(),
-        snapshot: staged.sys.save_snapshot(),
-    }
-}
-
-/// Runs `class` to (at least) `pause_at` cycles on device A, parks it
-/// as a snapshot, restores onto a brand-new device B, and finishes.
-/// Returns `None` if the tile quiesced before it could be preempted
-/// (the functional engine pauses loosely and may drain right past a
-/// late pause point).
-fn run_migrated(
+/// Runs `class` in `SLICE`-cycle slices to quiescence. With `migrate`,
+/// every pause parks the job as a snapshot and restores it onto the
+/// other device before the next slice.
+fn run_sliced(
     engine: Engine,
     class: TileClass,
     cfg: &SystemConfig,
-    pause_at: u64,
-) -> Option<Finished> {
-    let cache = ProgramCache::new();
+    knobs: FuncConfig,
+    migrate: bool,
+) -> Finished {
     let dir = std::env::temp_dir().join("vip-serve-missing-schedules");
-    let mut staged = class.stage(cfg, 1, &dir, &cache);
+    let mut staged = class.stage(cfg, 1, &dir, &ProgramCache::new());
     staged.load_programs();
-    let out = engine
-        .advance(&mut staged.sys, pause_at, staged.limit)
-        .expect("first slice runs");
-    if !matches!(out, RunOutcome::Paused(_)) {
-        return None;
+    let mut devices = [staged.sys, System::new(cfg.clone())];
+    for dev in &mut devices {
+        dev.set_func_config(knobs);
     }
-    let parked = staged.sys.save_snapshot();
+    let (mut on, mut slices) = (0, 0);
+    loop {
+        let pause_at = devices[on].now() + SLICE;
+        let out = engine
+            .advance(&mut devices[on], pause_at, staged.limit)
+            .expect("tile completes");
+        slices += 1;
+        match out {
+            RunOutcome::Quiesced(_) => break,
+            RunOutcome::Paused(_) if migrate => {
+                let parked = devices[on].save_snapshot();
+                on = 1 - on;
+                devices[on]
+                    .restore_snapshot(&parked)
+                    .expect("same fingerprint restores");
+            }
+            RunOutcome::Paused(_) => {}
+        }
+    }
+    let dev = &devices[on];
+    Finished {
+        blobs: staged.reader.read(dev.hmc()),
+        slices,
+        stats: dev.stats(),
+        snapshot: dev.save_snapshot(),
+    }
+}
 
-    // Device B: a different System instance entirely, same structural
-    // configuration — exactly what the fleet scheduler does.
-    let mut dev_b = System::new(cfg.clone());
-    dev_b
-        .restore_snapshot(&parked)
-        .expect("same fingerprint restores");
-    let out = engine
-        .advance(&mut dev_b, staged.limit, staged.limit)
-        .expect("tile completes after migration");
-    assert!(matches!(out, RunOutcome::Quiesced(_)));
-    Some(Finished {
-        blobs: staged.reader.read(dev_b.hmc()),
-        cycles: dev_b.now(),
-        snapshot: dev_b.save_snapshot(),
-    })
+/// `stats` less the functional tier's three decode-cache counters, which
+/// count what each restore decoded afresh.
+fn timing(mut stats: SystemStats) -> SystemStats {
+    stats.func.blocks_decoded = 0;
+    stats.func.block_cache_hits = 0;
+    stats.func.block_cache_misses = 0;
+    stats
 }
 
 #[test]
 fn migration_preserves_results_on_every_engine() {
     let cfg = SystemConfig::single_vault(MemConfig::baseline());
+    let short = FuncConfig {
+        warmup_cycles: 100,
+        sample_cycles: 500,
+        stretch_work: 5_000,
+        quantum: 64,
+        drain_cycles: 2_000,
+    };
     for class in classes() {
         let mut results: Vec<Vec<Vec<u8>>> = Vec::new();
-        for engine in [Engine::Fast, Engine::Naive, Engine::Functional] {
-            let straight = run_straight(engine, class, &cfg);
-            assert!(straight.cycles > 1, "{class:?} finished immediately");
-            // Find a pause point genuinely inside this engine's run —
-            // successively earlier fractions, since the functional
-            // engine's loose pause can drain straight past a late one.
-            let migrated = [2, 4, 8, 16]
-                .iter()
-                .find_map(|div| run_migrated(engine, class, &cfg, straight.cycles / div))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{class:?}/{}: no pause point landed mid-tile",
-                        engine.label()
-                    )
-                });
-            // Architectural results are bit-identical with and without
-            // the mid-flight migration, on every engine.
+        for (engine, knobs) in [
+            (Engine::Fast, FuncConfig::default()),
+            (Engine::Naive, FuncConfig::default()),
+            (Engine::Functional, FuncConfig::default()),
+            (Engine::Functional, short),
+        ] {
+            let what = format!("{class:?}/{engine}/{knobs:?}");
+            let in_place = run_sliced(engine, class, &cfg, knobs, false);
+            let migrated = run_sliced(engine, class, &cfg, knobs, true);
+            assert!(in_place.slices > 1, "{what}: finished in one slice");
+            assert_eq!(in_place.slices, migrated.slices, "{what}: slices");
+            assert_eq!(in_place.blobs, migrated.blobs, "{what}: results");
             assert_eq!(
-                straight.blobs,
-                migrated.blobs,
-                "{class:?}/{}: migration changed the results",
-                engine.label()
+                timing(in_place.stats),
+                timing(migrated.stats),
+                "{what}: cycles or counters"
             );
-            // The exact engines also agree on timing and on the entire
-            // final machine state.
+            // Exact engines only: the decode-cache counters ride in the image.
             if engine != Engine::Functional {
-                assert_eq!(
-                    straight.cycles,
-                    migrated.cycles,
-                    "{class:?}/{}: migration changed the cycle count",
-                    engine.label()
-                );
-                assert_eq!(
-                    straight.snapshot,
-                    migrated.snapshot,
-                    "{class:?}/{}: migration changed final machine state",
-                    engine.label()
-                );
+                assert_eq!(in_place.snapshot, migrated.snapshot, "{what}: final image");
             }
-            results.push(straight.blobs);
+            results.push(in_place.blobs);
         }
-        // All three engines produce the same architectural results.
-        assert_eq!(results[0], results[1], "{class:?}: fast vs naive differ");
-        assert_eq!(
-            results[0], results[2],
-            "{class:?}: fast vs functional differ"
+        // Every engine and every set of knobs computes the same results.
+        assert!(
+            results.iter().all(|r| *r == results[0]),
+            "{class:?}: engines differ"
         );
     }
 }

@@ -68,7 +68,7 @@ pub const MAGIC: [u8; 8] = *b"VIPSNAP\0";
 /// Restore rejects other versions — there is no cross-version migration,
 /// because a snapshot is a resumable suspension of one build, not an
 /// archival format.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Errors surfaced while decoding a snapshot. Encoding is infallible.
 #[derive(Debug, Clone, PartialEq, Eq)]
