@@ -426,21 +426,23 @@ fn exec_inst(p: &mut FuncParts<'_>, inst: &Instruction, mem: &mut Storage) -> Re
         match *inst {
             LdSram { .. } => {
                 let (sp, dram, len) = sram_operands(p.regs, inst);
-                mem.read(dram, p.sp.slice_mut(sp, len)?);
+                let dst = p.sp.slice_mut(sp, len)?;
+                Trap::check_dram_range(dram, len, p.dram_bytes)?;
+                mem.read(dram, dst);
             }
             StSram { .. } => {
                 let (sp, dram, len) = sram_operands(p.regs, inst);
-                mem.write(dram, p.sp.slice(sp, len)?);
+                let src = p.sp.slice(sp, len)?;
+                Trap::check_dram_range(dram, len, p.dram_bytes)?;
+                mem.write(dram, src);
             }
             LdReg { rd, rs_addr } => {
-                let dram = p.regs.read(rs_addr);
-                Trap::check_reg_addr(dram)?;
+                let dram = reg_word(p, rs_addr)?;
                 let v = mem.read_u64(dram);
                 p.regs.write(rd, v);
             }
             StReg { rs, rs_addr } => {
-                let dram = p.regs.read(rs_addr);
-                Trap::check_reg_addr(dram)?;
+                let dram = reg_word(p, rs_addr)?;
                 mem.write_u64(dram, p.regs.read(rs));
             }
             _ => unreachable!("block bodies contain only straight-line instructions"),
@@ -449,6 +451,15 @@ fn exec_inst(p: &mut FuncParts<'_>, inst: &Instruction, mem: &mut Storage) -> Re
         Ok(())
     })
     .map(drop)
+}
+
+/// The DRAM word a register load-store names through `rs_addr`, checked
+/// as the LSU checks it at issue: aligned, then inside the stack.
+fn reg_word(p: &FuncParts<'_>, rs_addr: Reg) -> Result<u64, Trap> {
+    let dram = p.regs.read(rs_addr);
+    Trap::check_reg_addr(dram)?;
+    Trap::check_dram_range(dram, 8, p.dram_bytes)?;
+    Ok(dram)
 }
 
 /// Executes one decoded block against a PE's architectural state.
@@ -482,10 +493,9 @@ pub(crate) fn exec_block(p: &mut FuncParts<'_>, block: &Block, mem: &mut Storage
             BlockOutcome::Continue
         }
         BlockEnd::LdRegFe { rd, rs_addr } => {
-            let dram = p.regs.read(rs_addr);
-            if Trap::check_reg_addr(dram).is_err() {
+            let Ok(dram) = reg_word(p, rs_addr) else {
                 return BlockOutcome::Trapped;
-            }
+            };
             if !mem.is_full(dram) {
                 return BlockOutcome::Blocked;
             }
@@ -497,10 +507,9 @@ pub(crate) fn exec_block(p: &mut FuncParts<'_>, block: &Block, mem: &mut Storage
             BlockOutcome::Continue
         }
         BlockEnd::StRegFf { rs, rs_addr } => {
-            let dram = p.regs.read(rs_addr);
-            if Trap::check_reg_addr(dram).is_err() {
+            let Ok(dram) = reg_word(p, rs_addr) else {
                 return BlockOutcome::Trapped;
-            }
+            };
             if mem.is_full(dram) {
                 return BlockOutcome::Blocked;
             }

@@ -112,6 +112,8 @@ pub(crate) struct FuncParts<'a> {
     pub bufs: &'a mut ExecBufs,
     pub faults: Option<PeFaultConfig>,
     pub branch_penalty: u64,
+    /// The memory stack's capacity, which no DRAM transfer may pass.
+    pub dram_bytes: u64,
 }
 
 /// One retired-instruction trace record (see [`Pe::enable_trace`]).
@@ -185,7 +187,12 @@ impl Pe {
             sp: Scratchpad::new(cfg.scratchpad_bytes),
             arc: ArcTable::new(cfg.arc_entries),
             vec: VectorUnit::new(),
-            lsu: LoadStoreUnit::new(id, cfg.lsq_entries, cfg.mem.request_granule()),
+            lsu: LoadStoreUnit::new(
+                id,
+                cfg.lsq_entries,
+                cfg.mem.request_granule(),
+                cfg.mem.total_bytes(),
+            ),
             stall_until: 0,
             branch_penalty: cfg.branch_penalty,
             multiply_latency: cfg.multiply_latency,
@@ -302,6 +309,7 @@ impl Pe {
             bufs: &mut self.bufs,
             faults: self.faults,
             branch_penalty: self.branch_penalty,
+            dram_bytes: self.lsu.dram_bytes(),
         }
     }
 
@@ -407,8 +415,16 @@ impl Pe {
     /// in-flight request, or [`SimError::UncorrectableMemory`] if it
     /// carries ECC-poisoned data a load would have consumed.
     pub fn receive(&mut self, resp: &MemResponse) -> Result<(), SimError> {
-        self.wake();
-        self.lsu
+        // A completion only frees: a register, an ARC entry, an LSQ slot.
+        // That lifts a stall on external input, and can neither end a
+        // stall with a deadline nor stop a ready instruction — unless it
+        // overwrites a value the host wrote over the pending fill, which
+        // a ready instruction may read.
+        if matches!(self.issue_memo, Some(IssueState::Stalled(_))) {
+            self.wake();
+        }
+        let overwrote = self
+            .lsu
             .complete(resp, &mut self.sp, &mut self.regs, &mut self.arc)
             .map_err(|e| match e {
                 LsuError::Orphan { id, outstanding } => SimError::OrphanResponse {
@@ -417,7 +433,11 @@ impl Pe {
                     outstanding,
                 },
                 LsuError::Poisoned { addr } => SimError::UncorrectableMemory { pe: self.id, addr },
-            })
+            })?;
+        if overwrote {
+            self.wake();
+        }
+        Ok(())
     }
 
     /// Pulls at most one outbound memory request this cycle.
@@ -740,9 +760,10 @@ impl Pe {
 
     fn issue_ld_sram(&mut self, inst: &Instruction) -> Result<(), Trap> {
         let (sp, dram, len) = sram_operands(&self.regs, inst);
-        // Range check before allocating the ARC entry so a trapping
+        // Range checks before allocating the ARC entry so a trapping
         // instruction leaves no dangling range.
         Trap::check_sp_range(sp, len, self.sp.len())?;
+        self.lsu.check_dram(dram, len)?;
         // A zero-length transfer moves nothing: it retires without an
         // ARC entry or an LSU operation (which must have a chunk to send).
         if len != 0 {
@@ -758,8 +779,9 @@ impl Pe {
 
     fn issue_st_sram(&mut self, inst: &Instruction) -> Result<(), Trap> {
         let (sp, dram, len) = sram_operands(&self.regs, inst);
-        let data = self.sp.read(sp, len)?;
-        if !data.is_empty() {
+        let data = self.sp.slice(sp, len)?;
+        self.lsu.check_dram(dram, len)?;
+        if len != 0 {
             self.lsu.push_store_sram(dram, data);
         }
         self.retire_ldst();
@@ -1216,6 +1238,51 @@ mod tests {
         let stats = l.memo.stats();
         assert!(stats.stalls_for(StallReason::ScalarOperand) >= 20);
         assert!(stats.stalls_for(StallReason::VectorBusy) > 50);
+    }
+
+    #[test]
+    fn a_fill_over_a_host_written_register_wakes_a_ready_front_end() {
+        // The host writes r2 while its fill is in flight, and the front
+        // end, ready for the `v.v` that reads it, holds that answer; the
+        // fill then lands a value that puts the `v.v`'s sources on the
+        // range a scratchpad load still holds.
+        let mut asm = Asm::new();
+        asm.mov_imm(r(1), 0)
+            .mov_imm(r(3), 4096)
+            .mov_imm(r(4), 32)
+            .mov_imm(r(5), 8192)
+            .mov_imm(r(6), 16)
+            .mov_imm(r(8), 2048)
+            .set_vl(r(6))
+            .ld_sram(ElemType::I16, r(1), r(3), r(4)) // ARC [0, 64)
+            .ld_reg(r(2), r(5))
+            .nop()
+            .nop()
+            .nop()
+            .nop()
+            .vec_vec(VerticalOp::Add, ElemType::I16, r(8), r(2), r(2))
+            .halt();
+        let mut l = Lockstep::new(&asm);
+        let mut fill = None;
+        while l.memo.pc() < 12 {
+            if let Some(req) = l.tick() {
+                fill = (req.addr == 8192).then_some(req).or(fill);
+            }
+        }
+        let fill = fill.expect("the ld.reg went out with the nops");
+        l.both(|p| p.set_reg(r(2), 1024));
+        l.tick();
+        assert_eq!(l.stall(), None, "ready with the host's r2");
+        let resp = MemResponse {
+            id: fill.id,
+            kind: fill.kind,
+            addr: fill.addr,
+            data: 0u64.to_le_bytes().to_vec(),
+            poisoned: false,
+        };
+        l.both(|p| p.receive(&resp).unwrap());
+        l.tick();
+        assert_eq!(l.stall(), Some(StallReason::ArcOverlap));
     }
 
     #[test]

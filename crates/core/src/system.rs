@@ -2,11 +2,12 @@
 //! together.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use vip_faults::FaultConfig;
 use vip_isa::{scan_block, Block, Program, Reg};
-use vip_mem::{Hmc, MemRequest, MemResponse, RequestKind};
+use vip_mem::{Hmc, IdHasher, MemRequest, MemResponse, RequestKind};
 use vip_noc::Torus;
 use vip_snap::{read_header, snapshot_enum, write_header, Reader, SnapError, Snapshot, Writer};
 
@@ -203,7 +204,7 @@ pub struct System {
     /// pc)` so PEs running the same program share entries and reloads
     /// never serve stale code. Derived state: never snapshotted, and it
     /// survives a restore because the keys do.
-    block_cache: HashMap<(u64, u64), Arc<Block>>,
+    block_cache: HashMap<(u64, u64), Arc<Block>, BuildHasherDefault<IdHasher>>,
     /// The functional tier's calibration and hand-off state.
     func_clock: FuncClock,
     /// Duty-cycle knobs for [`run_functional`](System::run_functional).
@@ -264,7 +265,7 @@ impl System {
             },
             unhalted: 0,
             inflight_msgs: 0,
-            block_cache: HashMap::new(),
+            block_cache: HashMap::default(),
             func_cfg: FuncConfig::default(),
             func_stats: FuncStats::default(),
             func_clock: FuncClock::default(),

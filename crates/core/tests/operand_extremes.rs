@@ -285,6 +285,100 @@ fn dma_lengths_and_addresses_at_the_extremes() {
     }
 }
 
+#[derive(Clone, Copy, Debug)]
+enum DramOp {
+    LdSram,
+    StSram,
+    LdReg,
+    StReg,
+    /// `st.reg.ff` then `ld.reg.fe` on the same word.
+    FePair,
+}
+
+/// One DRAM access at `addr` from scratchpad 0: `ld.sram` / `st.sram` of
+/// `len` bytes, or a register word (8 bytes; `len` is then the value
+/// stored). The expected end is worked out here: a register word is
+/// checked for alignment first, then every access for reaching past the
+/// machine's memory.
+fn check_dram_case(op: DramOp, addr: u64, len: u64) {
+    let program = after_warmup(|asm| {
+        match op {
+            DramOp::LdSram => asm.ld_sram(ElemType::I8, r(1), r(2), r(3)),
+            DramOp::StSram => asm.st_sram(ElemType::I8, r(1), r(2), r(3)),
+            DramOp::LdReg => asm.ld_reg(r(4), r(2)),
+            DramOp::StReg => asm.st_reg(r(3), r(2)),
+            DramOp::FePair => asm.st_reg_ff(r(3), r(2)).ld_reg_fe(r(4), r(2)),
+        };
+        asm.memfence();
+    });
+    let regs = [(1, 0), (2, addr), (3, len)];
+    let got = run_everywhere(&program, &regs);
+    let label = format!("{op:?} addr={addr:#x} len={len:#x}");
+    let capacity = SystemConfig::small_test().mem.total_bytes();
+    let (word, bytes) = match op {
+        DramOp::LdSram | DramOp::StSram => (false, len),
+        DramOp::LdReg | DramOp::StReg | DramOp::FePair => (true, 8),
+    };
+    let trap = if word && !addr.is_multiple_of(8) {
+        Some(Trap::MisalignedRegAccess { addr })
+    } else if u128::from(addr) + u128::from(bytes) > u128::from(capacity) {
+        let len = bytes as usize;
+        Some(Trap::DramOutOfBounds {
+            addr,
+            len,
+            capacity,
+        })
+    } else {
+        None
+    };
+    match trap {
+        Some(trap) => {
+            let pc = BODY_PC;
+            assert_eq!(
+                got.result,
+                Err(SimError::Trap { pe: 0, pc, trap }),
+                "{label}"
+            );
+            assert_eq!(got.retired.instructions, WARMUP_INSTRUCTIONS, "{label}");
+            assert_eq!(got.retired.ldst_instructions, 0, "{label}");
+        }
+        None => {
+            assert_eq!(got.result, Ok(()), "{label}");
+            let ldst = if matches!(op, DramOp::FePair) { 2 } else { 1 };
+            assert_eq!(got.retired.ldst_instructions, ldst, "{label}");
+            match op {
+                // The memory's last words start as zero.
+                DramOp::LdReg => assert_eq!(got.state.regs[4], 0, "{label}"),
+                DramOp::FePair => assert_eq!(got.state.regs[4], len, "{label}"),
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn dram_addresses_at_the_extremes() {
+    let capacity = SystemConfig::small_test().mem.total_bytes();
+    let addrs = [
+        capacity - 64,
+        capacity - 8,
+        capacity - 1,
+        capacity,
+        1 << 63,
+        u64::MAX - 7,
+        u64::MAX,
+    ];
+    for addr in addrs {
+        for len in [0, 1, 8, 64] {
+            check_dram_case(DramOp::LdSram, addr, len);
+            check_dram_case(DramOp::StSram, addr, len);
+        }
+        for op in [DramOp::LdReg, DramOp::StReg, DramOp::FePair] {
+            check_dram_case(op, addr, 0x5eed);
+        }
+    }
+}
+
 #[test]
 fn a_zero_length_transfer_is_a_no_op() {
     // The no-op itself, pinned: it completes, moves no byte in either

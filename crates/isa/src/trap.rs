@@ -26,6 +26,16 @@ pub enum Trap {
         /// Scratchpad capacity in bytes.
         capacity: usize,
     },
+    /// A DRAM transfer (`ld.sram`/`st.sram`, or a register load-store's
+    /// word) runs past the end of the memory stack.
+    DramOutOfBounds {
+        /// First byte of the offending range.
+        addr: u64,
+        /// Length of the range in bytes.
+        len: usize,
+        /// Memory capacity in bytes.
+        capacity: u64,
+    },
     /// A `ld.reg`/`st.reg` (or full-empty) DRAM address is not 8-byte
     /// aligned.
     MisalignedRegAccess {
@@ -50,6 +60,29 @@ impl Trap {
             Ok(())
         } else {
             Err(Trap::ScratchpadOutOfBounds {
+                addr,
+                len,
+                capacity,
+            })
+        }
+    }
+
+    /// Checks a DRAM transfer range against the memory capacity: like
+    /// a scratchpad range, it must fit, so an empty transfer is legal up
+    /// to and including the capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Trap::DramOutOfBounds`] if `[addr, addr+len)` does not
+    /// fit in `capacity` bytes, or wraps the address space.
+    pub fn check_dram_range(addr: u64, len: usize, capacity: u64) -> Result<(), Trap> {
+        let end = u64::try_from(len)
+            .ok()
+            .and_then(|len| addr.checked_add(len));
+        if end.is_some_and(|end| end <= capacity) {
+            Ok(())
+        } else {
+            Err(Trap::DramOutOfBounds {
                 addr,
                 len,
                 capacity,
@@ -109,6 +142,14 @@ impl fmt::Display for Trap {
                 "scratchpad access [{addr}, {}) exceeds {capacity} bytes",
                 addr.wrapping_add(len),
             ),
+            Trap::DramOutOfBounds {
+                addr,
+                len,
+                capacity,
+            } => write!(
+                f,
+                "DRAM access of {len} bytes at {addr:#x} exceeds {capacity} bytes"
+            ),
             Trap::MisalignedRegAccess { addr } => {
                 write!(
                     f,
@@ -141,6 +182,31 @@ mod tests {
         );
         // Overflow does not wrap into legality.
         assert!(Trap::check_sp_range(usize::MAX, 2, 4096).is_err());
+    }
+
+    #[test]
+    fn dram_range() {
+        let cap = 1 << 28;
+        assert!(Trap::check_dram_range(cap - 8, 8, cap).is_ok());
+        assert!(Trap::check_dram_range(cap, 0, cap).is_ok());
+        for (addr, len) in [
+            (cap - 7, 8),
+            (cap + 1, 0),
+            (u64::MAX - 7, 8),
+            (8, usize::MAX),
+        ] {
+            assert_eq!(
+                Trap::check_dram_range(addr, len, cap),
+                Err(Trap::DramOutOfBounds {
+                    addr,
+                    len,
+                    capacity: cap
+                }),
+                "{addr:#x} + {len}"
+            );
+        }
+        // The last byte of the address space is never inside.
+        assert!(Trap::check_dram_range(u64::MAX, 1, u64::MAX).is_err());
     }
 
     #[test]

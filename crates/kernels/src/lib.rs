@@ -53,7 +53,30 @@ pub const ELEM_BYTES: usize = 2;
 /// timing tile ([`tile::TileClass`]) and the kernel tests stage.
 #[must_use]
 pub fn pattern(n: usize, scale: i16, offset: i16) -> Vec<i16> {
+    // `(i * 7 + 3) % 11`, kept as a running residue: every dispatch
+    // stages through here, and a division per element showed.
+    let mut residue = 3;
     (0..n)
-        .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
+        .map(|_| {
+            let v = residue as i16 * scale - offset;
+            residue += 7;
+            if residue >= 11 {
+                residue -= 11;
+            }
+            v
+        })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn pattern_is_its_definition() {
+        for (n, scale, offset) in [(0, 1, 5), (1, 1, 5), (23, 3, 10), (4_099, -7, -2)] {
+            let expect: Vec<i16> = (0..n)
+                .map(|i| ((i * 7 + 3) % 11) as i16 * scale - offset)
+                .collect();
+            assert_eq!(super::pattern(n, scale, offset), expect, "n {n}");
+        }
+    }
 }

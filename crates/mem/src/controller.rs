@@ -190,9 +190,17 @@ pub struct VaultController {
     /// `banks[b]`): bank state alone decides what a queued transaction
     /// may do next, so the scheduler asks each bank, not each of them.
     lanes: Vec<Lane>,
-    /// Banks whose lane is non-empty, in no particular order (every
-    /// choice among them is by `seq` or by minimum).
-    occupied: Vec<usize>,
+    /// Per bank, the earliest cycle its lane can act: the earlier of its
+    /// heads' `ready_at` when the lane is clean, `0` when it is dirty (its
+    /// heads must be recomputed before anyone may trust them), and
+    /// `Cycle::MAX` when it is empty or all parked. Dense, so the
+    /// scheduler's pass reads one array and opens only the lanes whose
+    /// bank can act this cycle. Derived, never serialized.
+    soonest: Vec<Cycle>,
+    /// Bit `b % 64` of word `b / 64` is set while `lanes[b]` holds a
+    /// transaction: the pass walks these, in ascending bank order, so an
+    /// idle bank costs it nothing. Derived, never serialized.
+    occupied: Vec<u64>,
     /// Transactions queued over all lanes.
     queued: usize,
     next_seq: u64,
@@ -251,8 +259,9 @@ impl VaultController {
             vault,
             cfg,
             lanes: banks.iter().map(lane).collect(),
+            soonest: vec![Cycle::MAX; banks.len()],
+            occupied: vec![0; banks.len().div_ceil(64)],
             banks,
-            occupied: Vec::new(),
             queued: 0,
             next_seq: 0,
             completions: Vec::new(),
@@ -360,6 +369,7 @@ impl VaultController {
                 // assumes it free (early is harmless there), the command
                 // side, which must stay exact, forgets what it knew.
                 (self.cmd_wake, lane.dirty) = (0, true);
+                self.soonest[decoded.bank] = 0;
             } else {
                 self.cmd_wake = self.cmd_wake.min(ready_at);
                 // The youngest: the head of its class only if that has none.
@@ -368,6 +378,8 @@ impl VaultController {
                 if !lane.dirty && head.ready_at == Cycle::MAX {
                     let (seq, pos) = (self.next_seq, lane.txns.len());
                     *head = Head { ready_at, seq, pos };
+                    let soonest = &mut self.soonest[decoded.bank];
+                    *soonest = (*soonest).min(ready_at);
                 }
             }
         }
@@ -387,11 +399,8 @@ impl VaultController {
     fn push(&mut self, mut txn: Txn) {
         txn.seq = self.next_seq;
         let bank = txn.decoded.bank;
-        let lane = &mut self.lanes[bank];
-        if lane.txns.is_empty() {
-            self.occupied.push(bank);
-        }
-        lane.txns.push(txn);
+        self.occupied[bank / 64] |= 1 << (bank % 64);
+        self.lanes[bank].txns.push(txn);
         self.queued += 1;
         self.next_seq += 1;
     }
@@ -431,9 +440,7 @@ impl VaultController {
             // transaction it parked or released.
             self.fe_seen = storage.fe_epoch();
             self.cmd_wake = 0;
-            for &bank in &self.occupied {
-                self.lanes[bank].dirty = true;
-            }
+            self.dirty_all();
         }
 
         // Below `cmd_wake` a completion woke this tick: every bank, the
@@ -561,9 +568,9 @@ impl VaultController {
         }
         // Refresh fires every tREFI regardless of load (the counter
         // must match a cycle-by-cycle run exactly).
-        self.occupied
+        self.lanes
             .iter()
-            .flat_map(|&bank| &self.lanes[bank].txns)
+            .flat_map(|lane| &lane.txns)
             .filter(|txn| !parked(storage, txn))
             .map(|txn| ready_at(&self.banks[txn.decoded.bank], txn.decoded.row))
             .fold(self.next_refresh, Cycle::min)
@@ -628,9 +635,9 @@ impl VaultController {
             // Lanes are `seq`-ordered: each one's next is its first
             // transaction not yet written.
             let next = self
-                .occupied
+                .lanes
                 .iter()
-                .filter_map(|&bank| self.lanes[bank].txns.iter().find(|t| t.seq >= from))
+                .filter_map(|lane| lane.txns.iter().find(|t| t.seq >= from))
                 .min_by_key(|t| t.seq)
                 .expect("`queued` counts the lanes' transactions");
             next.save(w);
@@ -690,7 +697,8 @@ impl VaultController {
         }
         // Re-deal the queue into lanes and rebuild everything derived.
         self.lanes.iter_mut().for_each(Lane::clear);
-        self.occupied.clear();
+        self.soonest.fill(Cycle::MAX);
+        self.occupied.fill(0);
         (self.queued, self.next_seq) = (0, 0);
         for mut txn in queue {
             let lane = &mut self.lanes[txn.decoded.bank];
@@ -700,6 +708,7 @@ impl VaultController {
                 .filter(|o| conflicts(&o.req, &txn.req))
                 .count();
             lane.dirty = true;
+            self.soonest[txn.decoded.bank] = 0;
             self.push(txn);
         }
         (self.completions, self.done_order, self.done_base) = (completions, order.into(), 0);
@@ -717,9 +726,7 @@ impl VaultController {
             }
             // Every bank's deadlines moved, and the precharges leading
             // here closed rows behind the heads' backs.
-            for &bank in &self.occupied {
-                self.lanes[bank].dirty = true;
-            }
+            self.dirty_all();
             self.refresh_until = until;
             self.next_refresh += self.cfg.timing.t_refi();
             self.refresh_pending = false;
@@ -728,6 +735,28 @@ impl VaultController {
         } else {
             false
         }
+    }
+
+    /// Marks every non-empty lane's heads stale.
+    fn dirty_all(&mut self) {
+        for (lane, soonest) in self.lanes.iter_mut().zip(&mut self.soonest) {
+            if !lane.txns.is_empty() {
+                (lane.dirty, *soonest) = (true, 0);
+            }
+        }
+    }
+
+    /// Whether `bank`'s summary, `soonest` and its `occupied` bit, is
+    /// what the lane's transactions, heads and dirty mark say.
+    fn summary_holds(&self, bank: usize) -> bool {
+        let lane = &self.lanes[bank];
+        let soonest = match (lane.txns.is_empty(), lane.dirty) {
+            (true, _) => Cycle::MAX,
+            (false, true) => 0,
+            (false, false) => lane.hit.ready_at.min(lane.work.ready_at),
+        };
+        let occupied = self.occupied[bank / 64] >> (bank % 64) & 1 == 1;
+        self.soonest[bank] == soonest && occupied != lane.txns.is_empty()
     }
 
     fn issue_precharge_for_refresh(&mut self) {
@@ -742,33 +771,49 @@ impl VaultController {
     /// row-hit column; failing that, do the row work (precharge a
     /// conflicting row, or activate) of the oldest transaction whose
     /// bank permits it now. Parked transactions are nobody's head —
-    /// opening a parked full-empty one's row would be wasted work and
-    /// can livelock conflicting rows. Returns the earliest cycle the
-    /// queue or the refresh timer can next act: the pass has seen every
-    /// bank's heads, and a command changes only its own bank's.
+    /// opening a parked full-empty one's row would be wasted work and can
+    /// livelock conflicting rows. Returns the earliest cycle the queue or
+    /// the refresh timer can next act: the pass has seen every occupied
+    /// bank's `soonest`, and a command changes only its own bank's.
+    ///
+    /// A lane whose `soonest` is still ahead holds no ready head, so the
+    /// pass reads its summary and nothing else; the lanes it opens are
+    /// the ones that can act now and the dirty ones, which it re-heads.
     fn schedule(&mut self, storage: &mut Storage) -> Cycle {
+        debug_assert!(
+            (0..self.lanes.len()).all(|bank| self.summary_holds(bank)),
+            "vault {}: the bank summary disagrees with the lanes",
+            self.vault
+        );
         let now = self.now;
         let (mut hit, mut work) = (Head::NONE, Head::NONE);
         let (mut hit_bank, mut work_bank) = (0, 0);
         // The earliest head, its bank, and the earliest outside it.
         let (mut first, mut first_bank, mut second) = (Cycle::MAX, usize::MAX, Cycle::MAX);
-        for i in 0..self.occupied.len() {
-            let bank = self.occupied[i];
-            if self.lanes[bank].dirty {
-                self.rehead(bank, storage);
-            }
-            let lane = &self.lanes[bank];
-            if lane.hit.ready_at <= now && lane.hit.seq < hit.seq {
-                (hit, hit_bank) = (lane.hit, bank);
-            }
-            if lane.work.ready_at <= now && lane.work.seq < work.seq {
-                (work, work_bank) = (lane.work, bank);
-            }
-            let soonest = lane.hit.ready_at.min(lane.work.ready_at);
-            if soonest < first {
-                (second, first, first_bank) = (first, soonest, bank);
-            } else {
-                second = second.min(soonest);
+        for word in 0..self.occupied.len() {
+            let mut banks = self.occupied[word];
+            while banks != 0 {
+                let bank = word * 64 + banks.trailing_zeros() as usize;
+                banks &= banks - 1;
+                let mut soonest = self.soonest[bank];
+                if soonest <= now {
+                    if self.lanes[bank].dirty {
+                        self.rehead(bank, storage);
+                    }
+                    let lane = &self.lanes[bank];
+                    if lane.hit.ready_at <= now && lane.hit.seq < hit.seq {
+                        (hit, hit_bank) = (lane.hit, bank);
+                    }
+                    if lane.work.ready_at <= now && lane.work.seq < work.seq {
+                        (work, work_bank) = (lane.work, bank);
+                    }
+                    soonest = self.soonest[bank];
+                }
+                if soonest < first {
+                    (second, first, first_bank) = (first, soonest, bank);
+                } else {
+                    second = second.min(soonest);
+                }
             }
         }
         let bank = if hit.ready_at <= now {
@@ -794,16 +839,12 @@ impl VaultController {
         // or releases names the same word, so sits in this lane.
         self.fe_seen = storage.fe_epoch();
         self.rehead(bank, storage);
-        let lane = &self.lanes[bank];
         let others = if bank == first_bank { second } else { first };
-        others
-            .min(lane.hit.ready_at)
-            .min(lane.work.ready_at)
-            .min(self.next_refresh)
+        others.min(self.soonest[bank]).min(self.next_refresh)
     }
 
-    /// Recomputes `bank`'s heads from its lane, its row state and the
-    /// full-empty bits.
+    /// Recomputes `bank`'s heads, and its `soonest`, from its lane, its
+    /// row state and the full-empty bits.
     fn rehead(&mut self, bank: usize, storage: &Storage) {
         let state = &self.banks[bank];
         let lane = &mut self.lanes[bank];
@@ -820,6 +861,7 @@ impl VaultController {
                 *head = Head { ready_at, seq, pos };
             }
         }
+        self.soonest[bank] = lane.hit.ready_at.min(lane.work.ready_at);
     }
 
     /// The protected read data path: lands any retention faults due on
@@ -886,7 +928,7 @@ impl VaultController {
         }
         self.queued -= 1;
         if lane.txns.is_empty() {
-            self.occupied.retain(|&b| b != bank);
+            self.occupied[bank / 64] &= !(1 << (bank % 64));
         }
         let now = self.now;
         let timing = self.cfg.timing;

@@ -63,12 +63,14 @@ pub use stats::MemStats;
 pub use storage::Storage;
 pub use timing::{DramTiming, BASELINE_T_REFI_PS};
 
-/// Hasher for the simulator's `u64`-keyed maps: the LSU's request and
-/// operation ids, the storage's page numbers and word addresses. The
-/// keys are counters and addresses the simulation mints itself, so one
-/// odd multiply (folded so both the bucket and the tag bits see every
-/// key bit) spreads them; SipHash's flood resistance buys nothing here
-/// and costs a lookup per request, per response and per DRAM access.
+/// Hasher for the simulator's maps keyed by `u64`s and tuples of them:
+/// the storage's page numbers and word addresses, the functional tier's
+/// `(program, pc)` blocks. The keys are counters and addresses the
+/// simulation mints itself, so one odd multiply per word (folded so both
+/// the bucket and the tag bits see every key bit) spreads them; SipHash's
+/// flood resistance buys nothing here and costs a lookup per DRAM access.
+/// Each word is mixed into what the ones before it left, so a one-word
+/// key hashes as it always has.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -78,7 +80,7 @@ impl std::hash::Hasher for IdHasher {
     }
 
     fn write_u64(&mut self, id: u64) {
-        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let h = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.0 = h ^ (h >> 32);
     }
 
@@ -106,6 +108,29 @@ pub fn ps_to_cycles(ps: u64) -> Cycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn id_hasher_folds_every_word_of_a_key() {
+        use std::hash::{Hash, Hasher};
+        let hash = |key: &dyn Fn(&mut IdHasher)| {
+            let mut h = IdHasher::default();
+            key(&mut h);
+            h.finish()
+        };
+        // One word hashes as the single multiply and fold.
+        let one = |id: u64| hash(&|h| id.hash(h));
+        let h = 0xabcd_u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        assert_eq!(one(0xabcd), h ^ (h >> 32));
+        // Pairs that share either word still hash apart.
+        let pair = |a: u64, b: u64| hash(&|h| (a, b).hash(h));
+        let mut seen = std::collections::HashSet::new();
+        for fp in [0, 1, 0x9e37_79b9, u64::MAX] {
+            for pc in 0..64 {
+                assert!(seen.insert(pair(fp, pc)), "({fp:#x}, {pc})");
+            }
+        }
+        assert_ne!(pair(1, 2), pair(2, 1));
+    }
 
     #[test]
     fn ps_conversion_rounds_up() {

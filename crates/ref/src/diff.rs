@@ -21,7 +21,7 @@ pub use vip_core::Engine;
 use vip_core::{PeArchState, PeStats, SimError, System, SystemConfig};
 use vip_isa::Reg;
 
-use crate::gen::{generate, GenConfig, Materialized, SegmentSpec, TestCase};
+use crate::gen::{dram_bytes, generate, GenConfig, Materialized, SegmentSpec, TestCase};
 use crate::interp::{RefRunError, RefSystem};
 
 /// Cycle budget for one cycle-level run; generated cases finish in a
@@ -83,7 +83,7 @@ impl fmt::Display for Divergence {
 /// Propagates the interpreter's trap/deadlock/step-limit errors.
 pub fn run_ref(m: &Materialized) -> Result<ArchSnapshot, RefRunError> {
     let sp_bytes = m.sp_init.first().map_or(4096, Vec::len);
-    let mut sys = RefSystem::new(m.programs.len(), sp_bytes);
+    let mut sys = RefSystem::new(m.programs.len(), sp_bytes, dram_bytes());
     for (addr, bytes) in &m.mem_init {
         sys.mem_mut().write(*addr, bytes);
     }

@@ -71,6 +71,29 @@ pub fn extremes(sp_bytes: usize) -> [u64; 6] {
     [0, cap - 1, cap, 1 << 32, 1 << 63, u64::MAX]
 }
 
+/// The DRAM capacity of the machine the cases run on
+/// (`SystemConfig::small_test`, one vault): transfers past it trap.
+#[must_use]
+pub fn dram_bytes() -> u64 {
+    vip_core::SystemConfig::small_test().mem.total_bytes()
+}
+
+/// What the DRAM-extremes flavour draws DRAM addresses from, given the
+/// capacity: the last bytes and words inside it, the capacity itself,
+/// and addresses far past it, up to where a transfer wraps the address
+/// space.
+#[must_use]
+pub fn dram_extremes(capacity: u64) -> [u64; 6] {
+    [
+        capacity - 64,
+        capacity - 8,
+        capacity - 1,
+        capacity,
+        1 << 63,
+        u64::MAX - 7,
+    ]
+}
+
 /// Scratch registers r1–r5 hold addresses and configuration; r6/r7 are
 /// loop state; r16–r31 carry data between segments.
 const DATA_REG_BASE: u8 = 16;
@@ -97,6 +120,11 @@ pub struct GenConfig {
     /// nearly always traps — identically on the reference and every
     /// engine, or the case diverges.
     pub extremes: bool,
+    /// The DRAM-extremes flavour: every case ends one PE's program in a
+    /// transfer or register word at an address drawn from
+    /// [`dram_extremes`], which traps wherever it reaches past the
+    /// memory — identically on the reference and every engine.
+    pub dram_extremes: bool,
 }
 
 impl Default for GenConfig {
@@ -107,6 +135,7 @@ impl Default for GenConfig {
             max_segments: 10,
             max_ring_rounds: 3,
             extremes: false,
+            dram_extremes: false,
         }
     }
 }
@@ -145,6 +174,9 @@ pub enum SegmentSpec {
     /// The last segment of one PE: an instruction with every operand
     /// register drawn from [`extremes`], which nearly always traps.
     Extreme { sub_seed: u64 },
+    /// The last segment of one PE: a DRAM transfer, or a register word,
+    /// at an address drawn from [`dram_extremes`].
+    DramExtreme { sub_seed: u64 },
 }
 
 impl SegmentSpec {
@@ -263,6 +295,11 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> TestCase {
             let sub_seed = rng.next_u64();
             specs[rng.usize_in(0..cfg.num_pes)].push(SegmentSpec::Extreme { sub_seed });
         }
+    }
+    // After the operand-extremes draws, for the same reason.
+    if cfg.dram_extremes {
+        let sub_seed = rng.next_u64();
+        specs[rng.usize_in(0..cfg.num_pes)].push(SegmentSpec::DramExtreme { sub_seed });
     }
 
     TestCase {
@@ -541,11 +578,15 @@ impl SegmentSpec {
                 let mut rng = SplitMix64::new(sub_seed);
                 emit_extreme(&mut rng, pe, sp_bytes, asm);
             }
+            SegmentSpec::DramExtreme { sub_seed } => {
+                let mut rng = SplitMix64::new(sub_seed);
+                emit_dram_extreme(&mut rng, asm);
+            }
         }
     }
 }
 
-/// Loads `value` — one of [`extremes`] — into `rd`.
+/// Loads `value` — one of [`extremes`] or [`dram_extremes`] — into `rd`.
 fn load_extreme(asm: &mut Asm, rd: Reg, value: u64) {
     if value == 1 << 63 {
         // Past `mov.imm`'s 40-bit immediate.
@@ -589,6 +630,39 @@ fn emit_extreme(rng: &mut SplitMix64, pe: usize, sp_bytes: usize, asm: &mut Asm)
             } else {
                 asm.st_sram(ty, r1, r5, r4);
             }
+        }
+    }
+}
+
+/// Emits one DRAM access at an address drawn from [`dram_extremes`]:
+/// `ld.sram` / `st.sram` of 0, 1, 2 or 8 elements from scratchpad 0,
+/// `ld.reg`, `st.reg`, or a `st.reg.ff` / `ld.reg.fe` pair on one word
+/// (filled, then drained, so a legal pair cannot park). Legal draws
+/// touch only words no other segment uses.
+fn emit_dram_extreme(rng: &mut SplitMix64, asm: &mut Asm) {
+    let [r1, r2, r3] = [1, 2, 3].map(Reg::new);
+    let addrs = dram_extremes(dram_bytes());
+    load_extreme(asm, r2, addrs[rng.below(addrs.len() as u64) as usize]);
+    let value = data_reg(rng);
+    match rng.below(5) {
+        kind @ (0 | 1) => {
+            let ty = ElemType::all()[rng.below(4) as usize];
+            asm.mov_imm(r1, 0);
+            asm.mov_imm(r3, [0, 1, 2, 8][rng.below(4) as usize]);
+            if kind == 0 {
+                asm.ld_sram(ty, r1, r2, r3);
+            } else {
+                asm.st_sram(ty, r1, r2, r3);
+            }
+        }
+        2 => {
+            asm.ld_reg(value, r2);
+        }
+        3 => {
+            asm.st_reg(value, r2);
+        }
+        _ => {
+            asm.st_reg_ff(value, r2).ld_reg_fe(data_reg(rng), r2);
         }
     }
 }
@@ -672,6 +746,28 @@ mod tests {
         }
         assert!((16..=48).contains(&extreme), "{extreme} of 64 cases");
         assert!(empties > 64, "{empties} zero-length transfers");
+    }
+
+    #[test]
+    fn the_dram_extremes_flavour_only_adds_one_segment() {
+        let plain = GenConfig {
+            extremes: true,
+            ..GenConfig::default()
+        };
+        let flavoured = GenConfig {
+            dram_extremes: true,
+            ..plain
+        };
+        for seed in 0..64 {
+            let mut with = generate(seed, &flavoured);
+            let before: usize = with.specs.iter().map(Vec::len).sum();
+            for specs in &mut with.specs {
+                specs.retain(|s| !matches!(s, SegmentSpec::DramExtreme { .. }));
+            }
+            let after: usize = with.specs.iter().map(Vec::len).sum();
+            assert_eq!(before, after + 1, "seed {seed}");
+            assert_eq!(with.specs, generate(seed, &plain).specs, "seed {seed}");
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn byte_len(elems: usize, ty: ElemType) -> usize {
 
 /// One PE of the reference machine: registers, scratchpad, PC, and the
 /// vector configuration — nothing else, because nothing else is
-/// architectural.
+/// architectural — plus the size of the DRAM it addresses.
 #[derive(Debug, Clone)]
 pub struct RefPe {
     program: Program,
@@ -100,12 +100,14 @@ pub struct RefPe {
     sp: Vec<u8>,
     vl: usize,
     mr: usize,
+    dram_bytes: u64,
 }
 
 impl RefPe {
-    /// A PE with a `bytes`-byte scratchpad and no program (halted).
+    /// A PE with a `bytes`-byte scratchpad over `dram_bytes` of DRAM, and
+    /// no program (halted).
     #[must_use]
-    pub fn new(bytes: usize) -> Self {
+    pub fn new(bytes: usize, dram_bytes: u64) -> Self {
         RefPe {
             program: Program::default(),
             pc: 0,
@@ -114,6 +116,7 @@ impl RefPe {
             sp: vec![0; bytes],
             vl: 1,
             mr: 1,
+            dram_bytes,
         }
     }
 
@@ -175,6 +178,15 @@ impl RefPe {
         Trap::check_sp_range(addr, data.len(), self.sp.len())?;
         self.sp[addr..addr + data.len()].copy_from_slice(data);
         Ok(())
+    }
+
+    /// The DRAM word a register load-store addresses through `rs`:
+    /// 8-byte aligned, then inside the memory.
+    fn reg_word(&self, rs: Reg) -> Result<u64, Trap> {
+        let dram = self.regs[rs.index()];
+        Trap::check_reg_addr(dram)?;
+        Trap::check_dram_range(dram, 8, self.dram_bytes)?;
+        Ok(dram)
     }
 
     /// Executes at most one instruction against `mem`.
@@ -306,6 +318,7 @@ impl RefPe {
                 let dram = self.regs[rs_addr.index()];
                 let len = byte_len(self.regs[rs_len.index()] as usize, ty);
                 Trap::check_sp_range(sp, len, self.sp.len())?;
+                Trap::check_dram_range(dram, len, self.dram_bytes)?;
                 let data = mem.read_vec(dram, len);
                 self.sp_write(sp, &data)?;
             }
@@ -319,21 +332,19 @@ impl RefPe {
                 let dram = self.regs[rs_addr.index()];
                 let len = byte_len(self.regs[rs_len.index()] as usize, ty);
                 let data = self.sp_read(sp, len)?;
+                Trap::check_dram_range(dram, len, self.dram_bytes)?;
                 mem.write(dram, &data);
             }
             LdReg { rd, rs_addr } => {
-                let dram = self.regs[rs_addr.index()];
-                Trap::check_reg_addr(dram)?;
+                let dram = self.reg_word(rs_addr)?;
                 self.regs[rd.index()] = mem.read_u64(dram);
             }
             StReg { rs, rs_addr } => {
-                let dram = self.regs[rs_addr.index()];
-                Trap::check_reg_addr(dram)?;
+                let dram = self.reg_word(rs_addr)?;
                 mem.write_u64(dram, self.regs[rs.index()]);
             }
             LdRegFe { rd, rs_addr } => {
-                let dram = self.regs[rs_addr.index()];
-                Trap::check_reg_addr(dram)?;
+                let dram = self.reg_word(rs_addr)?;
                 if !mem.is_full(dram) {
                     return Ok(Step::Blocked);
                 }
@@ -341,8 +352,7 @@ impl RefPe {
                 mem.set_full(dram, false);
             }
             StRegFf { rs, rs_addr } => {
-                let dram = self.regs[rs_addr.index()];
-                Trap::check_reg_addr(dram)?;
+                let dram = self.reg_word(rs_addr)?;
                 if mem.is_full(dram) {
                     return Ok(Step::Blocked);
                 }
@@ -367,11 +377,14 @@ pub struct RefSystem {
 }
 
 impl RefSystem {
-    /// `num_pes` PEs with `scratchpad_bytes` scratchpads and empty DRAM.
+    /// `num_pes` PEs with `scratchpad_bytes` scratchpads over empty DRAM
+    /// of `dram_bytes` (a transfer past it traps).
     #[must_use]
-    pub fn new(num_pes: usize, scratchpad_bytes: usize) -> Self {
+    pub fn new(num_pes: usize, scratchpad_bytes: usize, dram_bytes: u64) -> Self {
         RefSystem {
-            pes: (0..num_pes).map(|_| RefPe::new(scratchpad_bytes)).collect(),
+            pes: (0..num_pes)
+                .map(|_| RefPe::new(scratchpad_bytes, dram_bytes))
+                .collect(),
             mem: Storage::new(),
         }
     }
@@ -463,6 +476,8 @@ mod tests {
     use super::*;
     use vip_isa::Asm;
 
+    const DRAM: u64 = 1 << 28;
+
     #[test]
     fn scalar_loop_sums() {
         // Sum 0..10 with a backwards branch.
@@ -477,7 +492,7 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
 
-        let mut sys = RefSystem::new(1, 4096);
+        let mut sys = RefSystem::new(1, 4096, DRAM);
         sys.load_program(0, &p);
         sys.run(10_000).unwrap();
         assert_eq!(sys.pes()[0].reg(Reg::new(1)), 45);
@@ -501,7 +516,7 @@ mod tests {
         a.halt();
         let p = a.assemble().unwrap();
 
-        let mut sys = RefSystem::new(1, 4096);
+        let mut sys = RefSystem::new(1, 4096, DRAM);
         for i in 0..16u16 {
             let off = i as usize * 2;
             sys.pe_mut(0).sp[off..off + 2].copy_from_slice(&i.to_le_bytes());
@@ -532,7 +547,7 @@ mod tests {
 
         // Consumer first in the round-robin order: it must park, then
         // be woken by the producer.
-        let mut sys = RefSystem::new(2, 4096);
+        let mut sys = RefSystem::new(2, 4096, DRAM);
         sys.load_program(0, &cons.assemble().unwrap());
         sys.load_program(1, &prod.assemble().unwrap());
         sys.run(10_000).unwrap();
@@ -544,7 +559,7 @@ mod tests {
         cons2.mov_imm(Reg::new(1), addr as i64);
         cons2.ld_reg_fe(Reg::new(3), Reg::new(1));
         cons2.halt();
-        let mut sys = RefSystem::new(1, 4096);
+        let mut sys = RefSystem::new(1, 4096, DRAM);
         sys.load_program(0, &cons2.assemble().unwrap());
         assert_eq!(
             sys.run(10_000),
@@ -560,7 +575,7 @@ mod tests {
         a.mov_imm(Reg::new(3), 4);
         a.ld_sram(ElemType::I16, Reg::new(1), Reg::new(2), Reg::new(3));
         a.halt();
-        let mut sys = RefSystem::new(1, 4096);
+        let mut sys = RefSystem::new(1, 4096, DRAM);
         sys.load_program(0, &a.assemble().unwrap());
         match sys.run(10_000) {
             Err(RefRunError::Trap {
@@ -586,7 +601,7 @@ mod tests {
             Reg::new(2),
         );
         a.halt();
-        let mut sys = RefSystem::new(1, 4096);
+        let mut sys = RefSystem::new(1, 4096, DRAM);
         sys.load_program(0, &a.assemble().unwrap());
         let Err(RefRunError::Trap { pc: 3, trap, .. }) = sys.run(10_000) else {
             panic!("vl = 2^63 must trap at the vector op");
@@ -602,6 +617,64 @@ mod tests {
     }
 
     #[test]
+    fn dram_transfers_stay_inside_the_memory() {
+        // `st.sram` of four i32s, then a word through `ld.reg` and one
+        // through `st.reg.ff`, at `dram`: the first trap, if any.
+        let run = |dram: i64| {
+            let mut a = Asm::new();
+            a.mov_imm(Reg::new(1), 0)
+                .mov_imm(Reg::new(2), dram)
+                .mov_imm(Reg::new(3), 4)
+                .st_sram(ElemType::I32, Reg::new(1), Reg::new(2), Reg::new(3))
+                .ld_reg(Reg::new(4), Reg::new(2))
+                .st_reg_ff(Reg::new(4), Reg::new(2))
+                .halt();
+            let mut sys = RefSystem::new(1, 4096, DRAM);
+            sys.load_program(0, &a.assemble().unwrap());
+            match sys.run(100) {
+                Ok(()) => None,
+                Err(RefRunError::Trap { pc, trap, .. }) => Some((pc, trap)),
+                Err(e) => panic!("{e}"),
+            }
+        };
+        let dram_trap = |pc, addr, len| {
+            let trap = Trap::DramOutOfBounds {
+                addr,
+                len,
+                capacity: DRAM,
+            };
+            Some((pc, trap))
+        };
+        let top = DRAM as i64;
+        assert_eq!(run(top - 16), None, "the last 16 bytes are memory");
+        assert_eq!(run(top - 8), dram_trap(3, DRAM - 8, 16));
+        assert_eq!(run(top), dram_trap(3, DRAM, 16));
+        // A transfer that would wrap the address space traps like any other.
+        assert_eq!(run(-8), dram_trap(3, u64::MAX - 7, 16));
+        // The register word's own checks: alignment first, then bounds.
+        let mut a = Asm::new();
+        a.mov_imm(Reg::new(2), top)
+            .ld_reg(Reg::new(4), Reg::new(2))
+            .halt();
+        let mut sys = RefSystem::new(1, 4096, DRAM);
+        sys.load_program(0, &a.assemble().unwrap());
+        let Err(RefRunError::Trap { trap, .. }) = sys.run(100) else {
+            panic!("a word at the capacity must trap");
+        };
+        assert_eq!(trap, dram_trap(1, DRAM, 8).unwrap().1);
+        let mut a = Asm::new();
+        a.mov_imm(Reg::new(2), top + 1)
+            .ld_reg(Reg::new(4), Reg::new(2))
+            .halt();
+        let mut sys = RefSystem::new(1, 4096, DRAM);
+        sys.load_program(0, &a.assemble().unwrap());
+        let Err(RefRunError::Trap { trap, .. }) = sys.run(100) else {
+            panic!("a misaligned word must trap");
+        };
+        assert_eq!(trap, Trap::MisalignedRegAccess { addr: DRAM + 1 });
+    }
+
+    #[test]
     fn a_zero_length_transfer_is_a_no_op_up_to_the_capacity() {
         for (sp, ok) in [(0, true), (4096, true), (4097, false)] {
             let mut a = Asm::new();
@@ -610,7 +683,7 @@ mod tests {
             a.ld_sram(ElemType::I64, Reg::new(1), Reg::new(2), Reg::new(3));
             a.st_sram(ElemType::I64, Reg::new(1), Reg::new(2), Reg::new(3));
             a.halt();
-            let mut sys = RefSystem::new(1, 4096);
+            let mut sys = RefSystem::new(1, 4096, DRAM);
             sys.load_program(0, &a.assemble().unwrap());
             assert_eq!(sys.run(10_000).is_ok(), ok, "scratchpad address {sp}");
             assert!(sys.pes()[0].scratchpad().iter().all(|&b| b == 0));

@@ -78,6 +78,23 @@ fn differential_operand_extremes() {
 }
 
 #[test]
+fn differential_dram_extremes() {
+    // Every case ends one PE in a DRAM transfer or register word at the
+    // top of the memory, at its capacity, or far past it — up to where
+    // the range wraps the address space: where the reference traps,
+    // every engine must stop on the identical typed trap.
+    let cfg = GenConfig {
+        dram_extremes: true,
+        ..GenConfig::default()
+    };
+    for_each_seed("differential_dram_extremes", 0x7000, 64, |seed| {
+        if let Err(d) = fuzz_one(seed, &cfg) {
+            panic!("{d}");
+        }
+    });
+}
+
+#[test]
 fn differential_sync_heavy_cases() {
     // Bias toward full-empty traffic: many ring rounds, few segments.
     let cfg = GenConfig {

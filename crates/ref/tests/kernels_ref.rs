@@ -25,7 +25,8 @@ fn stage(sys: &mut RefSystem, layout: &FcLayout, input: &[i16], weights: &[i16],
 
 fn run_fc_on_ref(layout: &FcLayout, input: &[i16], weights: &[i16], bias: &[i16]) -> Vec<i16> {
     let pes = 4;
-    let mut sys = RefSystem::new(pes, 4096);
+    let dram_bytes = vip_core::SystemConfig::small_test().mem.total_bytes();
+    let mut sys = RefSystem::new(pes, 4096, dram_bytes);
     stage(&mut sys, layout, input, weights, bias);
     for (pe, p) in mlp::fc_tile_programs(
         layout,
