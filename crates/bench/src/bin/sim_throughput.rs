@@ -22,6 +22,16 @@
 //! cargo run --release --bin sim_throughput > BENCH_sim_throughput.json
 //! ```
 //!
+//! With `--counts` it times nothing: it runs every case once on the
+//! event-driven and the functional engines and prints their work
+//! counters (steps, skips, PE visits, vault passes, ...), one line each
+//! — the exact, host-independent record of what the engines did, pinned
+//! by `crates/bench/tests/work_counts.rs`:
+//!
+//! ```text
+//! cargo run --release --bin sim_throughput -- --counts > crates/bench/tests/data/work_counts.txt
+//! ```
+//!
 //! With `--gate` (used by CI's perf-smoke job) the process exits
 //! nonzero unless at least two of the three dense tiles keep a
 //! functional-tier speedup of at least [`GATE_MIN_FUNC_SPEEDUP`]x —
@@ -31,12 +41,8 @@
 use std::time::Instant;
 
 use vip_bench::cli::Cli;
-use vip_bench::experiments::{
-    bp_tile_sim, conv_tile_sim, fc_shape_tile_sim, mem_latency_tile_sim, vip128_sim, PreparedTile,
-    FC_TILE_LARGE,
-};
+use vip_bench::experiments::{throughput_cases, work_count_lines, PreparedTile};
 use vip_core::{Engine, FuncStats};
-use vip_mem::MemConfig;
 
 /// Timed repetitions per engine/workload pair (plus one warmup).
 const RUNS: usize = 5;
@@ -49,9 +55,6 @@ const GATE_MIN_FUNC_SPEEDUP: f64 = 5.0;
 /// `mem_latency_chase` is latency-bound by construction and measures
 /// a different ceiling.
 const DENSE_TILES: &[&str] = &["bp_tile", "cnn_conv_tile", "mlp_fc_tile"];
-
-/// Loop trips of every PE in the `vip128` case.
-const VIP128_LAPS: i64 = 8;
 
 fn run_once(tile: PreparedTile, engine: Engine) -> (u64, f64, FuncStats) {
     let start = Instant::now();
@@ -75,40 +78,28 @@ fn timed(make: impl Fn() -> PreparedTile, engine: Engine) -> (u64, f64, FuncStat
     (cycles, times[times.len() / 2], func)
 }
 
-type Case = (&'static str, fn() -> PreparedTile);
-
 fn main() {
-    let cases: &[Case] = &[
-        ("bp_tile", || bp_tile_sim(MemConfig::baseline(), 4)),
-        ("cnn_conv_tile", || {
-            conv_tile_sim(MemConfig::baseline(), 64, 64, 2)
-        }),
-        // The large FC shape: 4x the matrix of the layer-time tile, so
-        // the functional tier's block cache amortizes its decode cost
-        // across many more hits (the small tile decodes almost as many
-        // blocks as it reuses).
-        ("mlp_fc_tile", || {
-            fc_shape_tile_sim(MemConfig::baseline(), FC_TILE_LARGE)
-        }),
-        ("mem_latency_chase", || {
-            mem_latency_tile_sim(MemConfig::baseline(), 16_384)
-        }),
-        // The paper's 128-PE machine, every PE streaming: what one step
-        // of the whole machine costs (`fast_ns_per_cycle`).
-        ("vip128", || vip128_sim(VIP128_LAPS)),
-    ];
-
-    let mut cli = Cli::new("sim_throughput", "[--gate]");
-    let mut gate = false;
+    let mut cli = Cli::new("sim_throughput", "[--gate] [--counts]");
+    let (mut gate, mut counts) = (false, false);
     while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
             "--gate" => gate = true,
+            "--counts" => counts = true,
             _ => cli.usage(),
         }
     }
+    if counts {
+        for case in throughput_cases() {
+            eprintln!("counting {}", case.0);
+            for line in work_count_lines(case) {
+                println!("{line}");
+            }
+        }
+        return;
+    }
     let mut entries = Vec::new();
     let mut dense_passing = 0usize;
-    for (name, make) in cases {
+    for (name, make) in throughput_cases() {
         let (naive_cycles, naive_s, _) = timed(make, Engine::Naive);
         let (fast_cycles, fast_s, _) = timed(make, Engine::Fast);
         let (func_cycles, func_s, func) = timed(make, Engine::Functional);
@@ -122,7 +113,7 @@ fn main() {
         let fast_mcps = fast_cycles as f64 / fast_s / 1e6;
         let fast_ns_per_cycle = fast_s * 1e9 / fast_cycles as f64;
         let func_mcps = func_cycles as f64 / func_s / 1e6;
-        if DENSE_TILES.contains(name) && func_speedup >= GATE_MIN_FUNC_SPEEDUP {
+        if DENSE_TILES.contains(&name) && func_speedup >= GATE_MIN_FUNC_SPEEDUP {
             dense_passing += 1;
         }
         eprintln!(

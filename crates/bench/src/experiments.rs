@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use vip_core::{
-    cycles_to_ms, power, Engine, SimError, System, SystemConfig, SystemStats, CLOCK_HZ,
+    cycles_to_ms, power, Engine, SimError, System, SystemConfig, SystemStats, WorkCounts, CLOCK_HZ,
 };
 use vip_kernels::bp::{
     self, bp_iteration_programs, strip_program, BpExtrapolation, BpLayout, Messages, Mrf,
@@ -31,6 +31,8 @@ pub struct TileRun {
     pub cycles: u64,
     /// Full statistics snapshot.
     pub stats: SystemStats,
+    /// The host work the engine did (not architectural: engines differ).
+    pub work: WorkCounts,
 }
 
 impl TileRun {
@@ -132,6 +134,7 @@ impl PreparedTile {
         Ok(TileRun {
             cycles,
             stats: self.sys.stats(),
+            work: self.sys.work_counts(),
         })
     }
 
@@ -652,6 +655,59 @@ pub fn vip128_sim(laps: i64) -> PreparedTile {
         })
         .collect();
     PreparedTile::new(System::new(cfg), programs, 80_000_000)
+}
+
+/// Loop trips of every PE in the `vip128` throughput case.
+const VIP128_LAPS: i64 = 8;
+
+/// A named tile, staged afresh on every call.
+pub type ThroughputCase = (&'static str, fn() -> PreparedTile);
+
+/// The cases `sim_throughput` times and counts, in report order: the
+/// three dense evaluation tiles, the latency-bound pointer chase, and
+/// the paper's 128-PE machine with every PE streaming.
+#[must_use]
+pub fn throughput_cases() -> [ThroughputCase; 5] {
+    [
+        ("bp_tile", || bp_tile_sim(MemConfig::baseline(), 4)),
+        ("cnn_conv_tile", || {
+            conv_tile_sim(MemConfig::baseline(), 64, 64, 2)
+        }),
+        // The large FC shape: 4x the matrix of the layer-time tile, so
+        // the functional tier's block cache amortizes its decode cost
+        // across many more hits (the small tile decodes almost as many
+        // blocks as it reuses).
+        ("mlp_fc_tile", || {
+            fc_shape_tile_sim(MemConfig::baseline(), FC_TILE_LARGE)
+        }),
+        ("mem_latency_chase", || {
+            mem_latency_tile_sim(MemConfig::baseline(), 16_384)
+        }),
+        // What one step of the whole machine costs.
+        ("vip128", || vip128_sim(VIP128_LAPS)),
+    ]
+}
+
+/// Runs a case on the event-driven and the functional engines and
+/// returns one line per work counter — after the quiesce cycle and the
+/// instructions issued, which say what the work bought — as
+/// `sim_throughput --counts` prints them and `tests/work_counts.rs`
+/// pins them: `case engine counter value`, aligned.
+#[must_use]
+pub fn work_count_lines((name, make): ThroughputCase) -> Vec<String> {
+    let mut lines = Vec::new();
+    for engine in [Engine::Fast, Engine::Functional] {
+        let run = make().run(engine);
+        let arch = [
+            ("cycles".to_owned(), run.cycles),
+            ("instructions".to_owned(), run.stats.pe.instructions),
+        ];
+        for (counter, n) in arch.into_iter().chain(run.work.rows()) {
+            let engine = engine.label();
+            lines.push(format!("{name:<18} {engine:<10} {counter:<20} {n:>10}"));
+        }
+    }
+    lines
 }
 
 /// One layer's extrapolated numbers.

@@ -88,7 +88,7 @@ pub use lsu::{LoadStoreUnit, LsuError};
 pub use pe::{Pe, PeArchState, StallReason, TraceEvent};
 pub use scalar::ScalarRegs;
 pub use scratchpad::Scratchpad;
-pub use stats::{FuncStats, PeStats, RooflinePoint, SystemStats};
+pub use stats::{FuncStats, PeStats, RooflinePoint, SystemStats, WorkCounts};
 pub use system::{RunOutcome, System};
 pub use vector::VectorUnit;
 

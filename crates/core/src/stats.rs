@@ -1,7 +1,7 @@
 //! Simulation statistics and roofline accounting.
 
-use vip_mem::MemStats;
-use vip_noc::NocStats;
+use vip_mem::{MemStats, MemWork};
+use vip_noc::{NocStats, NocWork};
 use vip_snap::snapshot_struct;
 
 use crate::pe::StallReason;
@@ -169,6 +169,62 @@ snapshot_struct!(FuncStats {
     windows,
     drain_retries
 });
+
+/// Host work a [`System`](crate::System) did: how many steps, skips and
+/// visits its engines spent on a run, not what the modelled machine did.
+/// Counted on the paths that do the work, never by a debug-build check,
+/// so debug and release builds count the same; the counts repeat exactly
+/// run to run. Not state: never serialized, outside every statistics
+/// comparison between engines, and kept counting across a restore.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Cycles stepped, by any engine.
+    pub steps: u64,
+    /// Clock jumps of the wake-driven loops.
+    pub skips: u64,
+    /// Cycles those jumps crossed.
+    pub skipped_cycles: Cycle,
+    /// PE visits in the steps' PE phase.
+    pub pe_visits: u64,
+    /// Next-event bounds that read the vault controllers' wakes (those
+    /// whose PEs were all quiet past the next cycle).
+    pub vault_bound_reads: u64,
+    /// Next-event bounds that read the torus's wake.
+    pub torus_bound_reads: u64,
+    /// Functional stretches run.
+    pub stretches: u64,
+    /// Decoded blocks the functional tier executed.
+    pub blocks: u64,
+    /// Cycle-accurate windows the functional tier ran.
+    pub windows: u64,
+    /// The vault controllers', summed.
+    pub mem: MemWork,
+    /// The torus's.
+    pub noc: NocWork,
+}
+
+impl WorkCounts {
+    /// Every counter by name (`mem.` and `noc.` prefixed), in
+    /// declaration order.
+    #[must_use]
+    pub fn rows(&self) -> Vec<(String, u64)> {
+        let own = [
+            ("steps", self.steps),
+            ("skips", self.skips),
+            ("skipped_cycles", self.skipped_cycles),
+            ("pe_visits", self.pe_visits),
+            ("vault_bound_reads", self.vault_bound_reads),
+            ("torus_bound_reads", self.torus_bound_reads),
+            ("stretches", self.stretches),
+            ("blocks", self.blocks),
+            ("windows", self.windows),
+        ];
+        let mem = self.mem.rows().map(|(k, n)| (format!("mem.{k}"), n));
+        let noc = self.noc.rows().map(|(k, n)| (format!("noc.{k}"), n));
+        let own = own.into_iter().map(|(k, n)| (k.to_owned(), n));
+        own.chain(mem).chain(noc).collect()
+    }
+}
 
 /// A point under the performance roofline (Figure 3): work done, bytes
 /// moved, time taken.

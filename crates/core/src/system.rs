@@ -15,7 +15,7 @@ use crate::config::SystemConfig;
 use crate::error::{BlockedPe, HangReport, SimError};
 use crate::fast_func::{exec_block, BlockOutcome, FuncClock, FuncConfig};
 use crate::pe::Pe;
-use crate::stats::{FuncStats, PeStats, SystemStats};
+use crate::stats::{FuncStats, PeStats, SystemStats, WorkCounts};
 use crate::Cycle;
 
 /// How a bounded [`System::run_until`] slice ended.
@@ -211,6 +211,9 @@ pub struct System {
     func_cfg: FuncConfig,
     /// Functional-tier counters (block cache, window, drain activity).
     func_stats: FuncStats,
+    /// Host work done so far; its `mem` and `noc` parts stay zero here
+    /// (the components count their own). Not state: never serialized.
+    work: WorkCounts,
 }
 
 /// Why a functional stretch returned control to the orchestrator.
@@ -269,6 +272,7 @@ impl System {
             func_cfg: FuncConfig::default(),
             func_stats: FuncStats::default(),
             func_clock: FuncClock::default(),
+            work: WorkCounts::default(),
             cfg,
         }
     }
@@ -360,6 +364,7 @@ impl System {
     /// [`due`](Self::due) time has come, and an `Err` return has already
     /// [settled](Self::settle_pes) the sleepers' counters.
     fn step_with(&mut self, all_due: bool) -> Result<(), SimError> {
+        self.work.steps += 1;
         self.now += 1;
         let now = self.now;
         let local_lat = self.cfg.local_link_latency;
@@ -453,8 +458,7 @@ impl System {
         // stall. A visit touches only its own PE and queues, so it changes
         // no one else's due time. Every due PE is stepped even after one
         // has failed, and the lowest-PE-id error is the one reported.
-        let mut received = 0;
-        let mut emitted = 0;
+        let (mut visited, mut received, mut emitted) = (0, 0, 0);
         let mut first_err: Option<SimError> = None;
         for i in 0..self.pes.len() {
             if !all_due && self.due[i] > now {
@@ -469,6 +473,7 @@ impl System {
                 );
                 continue;
             }
+            visited += 1;
             let pe = &mut self.pes[i];
             let queue = &mut self.to_pe[i];
             if !all_due {
@@ -526,6 +531,7 @@ impl System {
         // is snapshotted, and the two orders differ where it saturates.
         self.inflight_msgs = self.inflight_msgs.saturating_sub(received) + emitted;
         self.active.queued += emitted;
+        self.work.pe_visits += visited;
         if let Some(e) = first_err {
             if !all_due {
                 self.settle_pes(now);
@@ -637,7 +643,7 @@ impl System {
     /// non-empty ingress queue implies the vault's transaction queue is
     /// full (`step` drains ingress while space remains), so that vault's
     /// own next event covers it.
-    fn next_event(&self) -> Option<Cycle> {
+    fn next_event(&mut self) -> Option<Cycle> {
         let floor = self.now + 1;
         // PEs first: during compute phases some PE is ready every cycle,
         // and `floor` is an immediate exit.
@@ -645,7 +651,9 @@ impl System {
         if next <= floor {
             return Some(floor);
         }
+        self.work.vault_bound_reads += 1;
         next = next.min(self.hmc.next_event().max(floor));
+        self.work.torus_bound_reads += 1;
         if let Some(c) = self.net.next_event() {
             next = next.min(c.max(floor));
         }
@@ -683,6 +691,8 @@ impl System {
     fn skip_to(&mut self, to: Cycle) {
         debug_assert!(to >= self.now);
         debug_assert!(self.due.iter().all(|&due| due > to));
+        self.work.skips += 1;
+        self.work.skipped_cycles += to - self.now;
         self.hmc.skip_to(to);
         self.net.skip_to(to);
         self.now = to;
@@ -980,6 +990,7 @@ impl System {
     /// PEs executed anything, and the busiest PE's work-unit total —
     /// the quantity the clock advance extrapolates from.
     fn functional_stretch(&mut self) -> (StretchEnd, Vec<bool>, u64) {
+        self.work.stretches += 1;
         let n = self.pes.len();
         let quantum = self.func_cfg.quantum.max(1);
         let budget = self.func_cfg.stretch_work.max(1);
@@ -988,6 +999,7 @@ impl System {
         // One-entry memo over the cache: a dense kernel's self-looping
         // block hits here without touching the hash map.
         let mut memo: Option<(u64, usize, Arc<Block>)> = None;
+        let mut blocks = 0;
         let end = 'stretch: loop {
             let mut progressed = false;
             let mut live = 0usize;
@@ -1021,6 +1033,7 @@ impl System {
                             &memo.insert((fp, pc, b)).2
                         }
                     };
+                    blocks += 1;
                     let outcome =
                         exec_block(&mut self.pes[i].func_parts(), block, self.hmc.storage_mut());
                     match outcome {
@@ -1060,6 +1073,7 @@ impl System {
                 break StretchEnd::Deadlock;
             }
         };
+        self.work.blocks += blocks;
         let max_done = done.iter().copied().max().unwrap_or(0);
         (end, ran, max_done)
     }
@@ -1072,6 +1086,7 @@ impl System {
     fn accurate_window(&mut self, max_cycles: Cycle) -> Result<(), SimError> {
         let t0 = self.now;
         self.func_stats.windows += 1;
+        self.work.windows += 1;
         let warmup = self.func_cfg.warmup_cycles.max(1);
         let sample = self
             .func_cfg
@@ -1339,6 +1354,17 @@ impl System {
         self.recount_quiesce_counters();
         self.active = self.scan_active();
         Ok(())
+    }
+
+    /// The host work this system's engines have done so far, the vault
+    /// controllers' and the torus's included (see [`WorkCounts`]).
+    #[must_use]
+    pub fn work_counts(&self) -> WorkCounts {
+        WorkCounts {
+            mem: self.hmc.work(),
+            noc: self.net.work(),
+            ..self.work
+        }
     }
 
     /// Statistics snapshot: every PE's counters merged, plus the memory

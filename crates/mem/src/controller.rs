@@ -5,7 +5,7 @@ use crate::addr::DecodedAddr;
 use crate::bank::Bank;
 use crate::config::{MemConfig, RowPolicy};
 use crate::req::{MemRequest, MemResponse, QueueFullError, RequestKind};
-use crate::stats::MemStats;
+use crate::stats::{MemStats, MemWork};
 use crate::storage::Storage;
 use crate::timing::BASELINE_T_REFI_PS;
 use crate::Cycle;
@@ -236,6 +236,9 @@ pub struct VaultController {
     /// computed under; a flip since then (by anyone) may have released
     /// or parked a transaction, so neither holds.
     fe_seen: u64,
+    /// Host work done so far. Not state: never serialized, and a
+    /// restore leaves it counting on.
+    work: MemWork,
 }
 
 impl VaultController {
@@ -277,6 +280,7 @@ impl VaultController {
             wake: 0,
             cmd_wake: 0,
             fe_seen: 0,
+            work: MemWork::default(),
         }
     }
 
@@ -319,6 +323,12 @@ impl VaultController {
         }
     }
 
+    /// The host work this controller has done (see [`MemWork`]).
+    #[must_use]
+    pub fn work(&self) -> MemWork {
+        self.work
+    }
+
     /// Enqueues a transaction.
     ///
     /// # Errors
@@ -352,6 +362,7 @@ impl VaultController {
             "request at {:#x} routed to vault {} but maps to vault {}",
             req.addr, self.vault, decoded.vault
         );
+        self.work.transactions += 1;
         // The request stays inside one granule (asserted above) and a
         // granule inside one row of one bank (every mapping's property,
         // tested in `addr`): whatever overlaps it is in this bank's lane.
@@ -431,6 +442,7 @@ impl VaultController {
     /// out of line so that a quiet tick is a compare and two counters.
     #[inline(never)]
     fn active_tick(&mut self, storage: &mut Storage, out: &mut Vec<MemResponse>) {
+        self.work.active_ticks += 1;
         let now = self.now;
         if now >= self.next_done {
             self.retire(out);
@@ -785,6 +797,7 @@ impl VaultController {
             "vault {}: the bank summary disagrees with the lanes",
             self.vault
         );
+        self.work.passes += 1;
         let now = self.now;
         let (mut hit, mut work) = (Head::NONE, Head::NONE);
         let (mut hit_bank, mut work_bank) = (0, 0);
@@ -792,11 +805,13 @@ impl VaultController {
         let (mut first, mut first_bank, mut second) = (Cycle::MAX, usize::MAX, Cycle::MAX);
         for word in 0..self.occupied.len() {
             let mut banks = self.occupied[word];
+            self.work.banks_walked += u64::from(banks.count_ones());
             while banks != 0 {
                 let bank = word * 64 + banks.trailing_zeros() as usize;
                 banks &= banks - 1;
                 let mut soonest = self.soonest[bank];
                 if soonest <= now {
+                    self.work.lanes_opened += 1;
                     if self.lanes[bank].dirty {
                         self.rehead(bank, storage);
                     }

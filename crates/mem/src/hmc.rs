@@ -3,7 +3,7 @@
 use crate::config::MemConfig;
 use crate::controller::VaultController;
 use crate::req::{MemRequest, MemResponse, QueueFullError};
-use crate::stats::MemStats;
+use crate::stats::{MemStats, MemWork};
 use crate::storage::Storage;
 use crate::Cycle;
 use vip_faults::DramFaultConfig;
@@ -205,6 +205,17 @@ impl Hmc {
         let mut total = MemStats::default();
         for v in &self.vaults {
             total.merge(&v.stats());
+        }
+        total
+    }
+
+    /// The host work every vault controller has done, summed (see
+    /// [`MemWork`]).
+    #[must_use]
+    pub fn work(&self) -> MemWork {
+        let mut total = MemWork::default();
+        for v in &self.vaults {
+            total.merge(&v.work());
         }
         total
     }

@@ -59,7 +59,7 @@ pub use controller::VaultController;
 pub use hmc::Hmc;
 pub use remap::BitShuffle;
 pub use req::{MemRequest, MemResponse, QueueFullError, ReqId, RequestKind};
-pub use stats::MemStats;
+pub use stats::{MemStats, MemWork};
 pub use storage::Storage;
 pub use timing::{DramTiming, BASELINE_T_REFI_PS};
 

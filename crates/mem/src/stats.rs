@@ -121,6 +121,47 @@ snapshot_struct!(MemStats {
     ecc_uncorrectable
 });
 
+/// Host work a vault controller did: what its ticks cost the simulator,
+/// not what the modelled vault did. Never serialized and outside every
+/// statistics comparison between engines; the counts repeat exactly run
+/// to run, so a checked-in table of them pins an algorithmic change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemWork {
+    /// Ticks that were not quiet: retirement or the command side ran.
+    pub active_ticks: u64,
+    /// FR-FCFS scheduling passes.
+    pub passes: u64,
+    /// Occupied banks those passes walked.
+    pub banks_walked: u64,
+    /// Lanes those passes opened (their bank could act, or was dirty).
+    pub lanes_opened: u64,
+    /// Transactions enqueued.
+    pub transactions: u64,
+}
+
+impl MemWork {
+    /// The counters by name, in declaration order.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
+        [
+            ("active_ticks", self.active_ticks),
+            ("passes", self.passes),
+            ("banks_walked", self.banks_walked),
+            ("lanes_opened", self.lanes_opened),
+            ("transactions", self.transactions),
+        ]
+    }
+
+    /// Adds another controller's counts.
+    pub fn merge(&mut self, other: &MemWork) {
+        self.active_ticks += other.active_ticks;
+        self.passes += other.passes;
+        self.banks_walked += other.banks_walked;
+        self.lanes_opened += other.lanes_opened;
+        self.transactions += other.transactions;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

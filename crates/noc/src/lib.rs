@@ -35,7 +35,7 @@ mod stats;
 mod torus;
 
 pub use routing::Direction;
-pub use stats::NocStats;
+pub use stats::{NocStats, NocWork};
 pub use torus::{InjectError, Packet, Torus, TorusConfig};
 
 /// One clock cycle of the shared 1.25 GHz clock.

@@ -81,6 +81,23 @@ snapshot_struct!(NocStats {
     delivery_failures
 });
 
+/// Host work a [`Torus`](crate::Torus) did: what its ticks cost the
+/// simulator, not what the modelled network did. Never serialized and
+/// outside every statistics comparison between engines.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NocWork {
+    /// Flights examined by ticks, one per flight per tick.
+    pub flight_visits: u64,
+}
+
+impl NocWork {
+    /// The counters by name, in declaration order.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, u64); 1] {
+        [("flight_visits", self.flight_visits)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::routing::{hop_count, next_hop};
-use crate::stats::NocStats;
+use crate::stats::{NocStats, NocWork};
 use crate::Cycle;
 use vip_faults::{crc::crc32, fault_roll, fault_value, FaultDomain, NocFaultConfig};
 use vip_snap::{snapshot_struct, Reader, SnapError, Snapshot, Writer};
@@ -168,6 +168,8 @@ pub struct Torus<T> {
     delivered: VecDeque<(usize, Packet<T>)>,
     failed: VecDeque<Packet<T>>,
     stats: NocStats,
+    /// Host work done so far. Not state: never serialized.
+    work: NocWork,
 }
 
 impl<T> Torus<T> {
@@ -185,6 +187,7 @@ impl<T> Torus<T> {
             delivered: VecDeque::new(),
             failed: VecDeque::new(),
             stats: NocStats::default(),
+            work: NocWork::default(),
         }
     }
 
@@ -275,6 +278,7 @@ impl<T> Torus<T> {
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.elapsed_cycles = self.now;
+        self.work.flight_visits += self.flights.len() as u64;
         let mut i = 0;
         while i < self.flights.len() {
             if self.flights[i].ready_at > self.now {
@@ -432,6 +436,12 @@ impl<T> Torus<T> {
             next = Some(next.map_or(c, |n| n.min(c)));
         }
         next
+    }
+
+    /// The host work this network has done (see [`NocWork`]).
+    #[must_use]
+    pub fn work(&self) -> NocWork {
+        self.work
     }
 
     /// Jumps the network clock to `to`. Callers must have established
