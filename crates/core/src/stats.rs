@@ -187,9 +187,10 @@ pub struct WorkCounts {
     /// PE visits in the steps' PE phase.
     pub pe_visits: u64,
     /// Next-event bounds that read the vault controllers' wakes (those
-    /// whose PEs were all quiet past the next cycle).
+    /// the torus's wake left past the next cycle).
     pub vault_bound_reads: u64,
-    /// Next-event bounds that read the torus's wake.
+    /// Next-event bounds that read the torus's wake (those whose PEs and
+    /// link queues were all quiet past the next cycle).
     pub torus_bound_reads: u64,
     /// Functional stretches run.
     pub stretches: u64,

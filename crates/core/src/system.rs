@@ -354,19 +354,29 @@ impl System {
     /// lowest-PE-id failure wins, so all stepping engines report the
     /// same error for the same program and fault seed.
     pub fn step(&mut self) -> Result<(), SimError> {
-        self.step_with(true)
+        self.step_with(true).map(drop)
     }
 
     /// The one stepping core. `all_due` is the skip policy: with it
     /// every PE is visited and the wake bookkeeping is left alone;
     /// without it (the run loops that called
     /// [`wake_all`](Self::wake_all)) phase 4a visits only the PEs whose
-    /// [`due`](Self::due) time has come, and an `Err` return has already
-    /// [settled](Self::settle_pes) the sleepers' counters.
-    fn step_with(&mut self, all_due: bool) -> Result<(), SimError> {
+    /// [`due`](Self::due) time has come, an `Err` return has already
+    /// [settled](Self::settle_pes) the sleepers' counters, and `Ok`
+    /// carries the next-event bound: the first cycle after this one on
+    /// which anything can happen. The phases take it as a running
+    /// minimum over what they already touch — every PE's due time, every
+    /// non-empty link and egress queue's head — and only when all of
+    /// those are quiet past the next cycle does it read the torus's and
+    /// the vaults' cached wakes. It equals the from-scratch
+    /// [`scan_next_event`](Self::scan_next_event), which debug builds
+    /// check after every such step. With `all_due` it is `now + 1`.
+    fn step_with(&mut self, all_due: bool) -> Result<Cycle, SimError> {
         self.work.steps += 1;
         self.now += 1;
         let now = self.now;
+        // The next-event bound, before the `now + 1` floor.
+        let mut next = Cycle::MAX;
         let local_lat = self.cfg.local_link_latency;
         let pes_per_vault = self.cfg.pes_per_vault;
 
@@ -443,7 +453,15 @@ impl System {
                     .inject(vault, pe / pes_per_vault, bytes, SysMsg::Resp { pe, resp })
                     .expect("checked can_inject");
             }
-            if local.is_empty() && ingress.is_empty() && egress.is_empty() {
+            // A non-empty ingress queue waits on the vault's own next
+            // event (the transaction queue is full); a completion left
+            // in egress on the port, which stays busy for the whole step.
+            if let Some(&(ready, _)) = local.front() {
+                next = next.min(ready);
+            }
+            if !egress.is_empty() {
+                next = next.min(self.net.inject_ready_at(vault));
+            } else if local.is_empty() && ingress.is_empty() {
                 self.active.vaults.remove(vault);
             }
         }
@@ -471,6 +489,7 @@ impl System {
                     "PE {i}: asleep until {} but due at {now}",
                     self.due[i]
                 );
+                next = next.min(self.due[i]);
                 continue;
             }
             visited += 1;
@@ -521,6 +540,7 @@ impl System {
 
             if !all_due {
                 self.due[i] = due_time(|room| pe.next_due(now, room), &self.pe_egress[i], queue);
+                next = next.min(self.due[i]);
             }
 
             if first_err.is_none() {
@@ -540,39 +560,85 @@ impl System {
         }
 
         // 4b. Dispatch the oldest pending request of each PE with one
-        // onto its uplink or the torus, in PE-id order.
+        // onto its uplink or the torus, in PE-id order. A head left bound
+        // for the torus waits on its vault's injection port, which later
+        // PEs of the same vault may still take: the walk reads the port
+        // once it has passed them (ids are grouped by vault).
+        let mut port_wait = None;
         let mut walk = Walk::default();
         while let Some(pe_id) = walk.next(&self.active.egress) {
             let (vault, dst) = (pe_id / pes_per_vault, self.active.dst[pe_id]);
+            if let Some(v) = port_wait.filter(|&v| v != vault) {
+                next = next.min(self.net.inject_ready_at(v));
+                port_wait = None;
+            }
             let local = dst == vault;
-            if local && self.uplink_busy[pe_id] > now || !local && !self.net.can_inject(vault) {
-                continue;
+            if local && self.uplink_busy[pe_id] <= now || !local && self.net.can_inject(vault) {
+                let egress = &mut self.pe_egress[pe_id];
+                let req = egress.pop_front().expect("a member of the egress set");
+                if egress.len() == EGRESS_DEPTH - 1 {
+                    // The slot an emission may be asleep waiting for.
+                    self.due[pe_id] = self.due[pe_id].min(now + 1);
+                    next = next.min(now + 1);
+                }
+                match egress.front() {
+                    Some(head) => self.active.dst[pe_id] = self.cfg.mem.vault_of(head.addr),
+                    None => self.active.egress.remove(pe_id),
+                }
+                self.active.queued -= 1;
+                if local {
+                    let flits = 1 + req_bytes(&req).div_ceil(8) as u64;
+                    self.uplink_busy[pe_id] = now + flits;
+                    let link = &mut self.to_vault_local[vault];
+                    if link.is_empty() {
+                        // The new head; behind one, it is not the next event.
+                        next = next.min(now + flits + local_lat);
+                    }
+                    link.push_back((now + flits + local_lat, req));
+                    self.active.vaults.insert(vault);
+                } else {
+                    let bytes = req_bytes(&req);
+                    self.net
+                        .inject(vault, dst, bytes, SysMsg::Req(req))
+                        .expect("checked can_inject");
+                }
+                if self.pe_egress[pe_id].is_empty() {
+                    continue;
+                }
             }
-            let egress = &mut self.pe_egress[pe_id];
-            let req = egress.pop_front().expect("a member of the egress set");
-            if egress.len() == EGRESS_DEPTH - 1 {
-                // The slot an emission may be asleep waiting for.
-                self.due[pe_id] = self.due[pe_id].min(now + 1);
-            }
-            match egress.front() {
-                Some(head) => self.active.dst[pe_id] = self.cfg.mem.vault_of(head.addr),
-                None => self.active.egress.remove(pe_id),
-            }
-            self.active.queued -= 1;
-            if local {
-                let flits = 1 + req_bytes(&req).div_ceil(8) as u64;
-                self.uplink_busy[pe_id] = now + flits;
-                self.to_vault_local[vault].push_back((now + flits + local_lat, req));
-                self.active.vaults.insert(vault);
+            // The head left waits on its link.
+            if self.active.dst[pe_id] == vault {
+                next = next.min(self.uplink_busy[pe_id]);
             } else {
-                let bytes = req_bytes(&req);
-                self.net
-                    .inject(vault, dst, bytes, SysMsg::Req(req))
-                    .expect("checked can_inject");
+                port_wait = Some(vault);
             }
         }
+        if let Some(v) = port_wait {
+            next = next.min(self.net.inject_ready_at(v));
+        }
         debug_assert_eq!(self.active, self.scan_active(), "stale active sets");
-        Ok(())
+        if all_due {
+            return Ok(now + 1);
+        }
+
+        // The rest of the machine, only while everything above is quiet
+        // past the next cycle: the torus's wake, then the vaults'.
+        let floor = now + 1;
+        next = next.max(floor);
+        if next > floor {
+            self.work.torus_bound_reads += 1;
+            next = next.min(self.net.wake().unwrap_or(Cycle::MAX));
+            if next > floor {
+                self.work.vault_bound_reads += 1;
+                next = next.min(self.hmc.next_event());
+            }
+        }
+        debug_assert_eq!(
+            next,
+            self.scan_next_event(),
+            "the step's next-event bound disagrees with the machine"
+        );
+        Ok(next)
     }
 
     /// The active sets recomputed from the queues themselves (an empty
@@ -632,9 +698,10 @@ impl System {
     /// A sound lower bound on the next cycle (strictly after `now`) at
     /// which any component can make observable progress: a PE issues or
     /// emits, a queued message matures or unblocks, a vault schedules a
-    /// DRAM command or refreshes, or a packet moves on the torus. Only
-    /// meaningful inside a wake-driven run loop, right after a step: the
-    /// PE and `to_pe` candidates are read from [`due`](Self::due).
+    /// DRAM command or refreshes, or a packet moves on the torus;
+    /// `Cycle::MAX` if nothing ever can. Only meaningful inside a
+    /// wake-driven run loop, right after a step: the PE and `to_pe`
+    /// candidates are read from [`due`](Self::due).
     ///
     /// Sound means never *late*: stepping every cycle in `(now, bound)`
     /// would change nothing but per-cycle counters (which
@@ -643,17 +710,17 @@ impl System {
     /// non-empty ingress queue implies the vault's transaction queue is
     /// full (`step` drains ingress while space remains), so that vault's
     /// own next event covers it.
-    fn next_event(&mut self) -> Option<Cycle> {
+    ///
+    /// Computed from the queues, the due times and the torus's flights
+    /// one by one: the debug-build oracle for the bound
+    /// [`step_with`](Self::step_with) returns.
+    fn scan_next_event(&self) -> Cycle {
         let floor = self.now + 1;
-        // PEs first: during compute phases some PE is ready every cycle,
-        // and `floor` is an immediate exit.
         let mut next = self.due.iter().copied().min().unwrap_or(Cycle::MAX);
         if next <= floor {
-            return Some(floor);
+            return floor;
         }
-        self.work.vault_bound_reads += 1;
         next = next.min(self.hmc.next_event().max(floor));
-        self.work.torus_bound_reads += 1;
         if let Some(c) = self.net.next_event() {
             next = next.min(c.max(floor));
         }
@@ -674,22 +741,18 @@ impl System {
             };
             next = next.min(c.max(floor));
         }
-        if next == Cycle::MAX {
-            None
-        } else {
-            Some(next)
-        }
+        next
     }
 
     /// Jumps the clock to `to`, replaying the per-cycle counters a
     /// cycle-by-cycle run of the intervening (provably event-free)
-    /// cycles would have produced. Only valid when
-    /// [`next_event`](System::next_event) bounds the skip — which puts
-    /// every PE's due time past `to`: they sleep through the jump like
-    /// through any other cycle they are not due, and their counters are
-    /// replayed when they wake.
+    /// cycles would have produced. Only valid when the last step's
+    /// next-event bound lies past `to` — which puts every PE's due time
+    /// past it too: they sleep through the jump like through any other
+    /// cycle they are not due, and their counters are replayed when they
+    /// wake.
     fn skip_to(&mut self, to: Cycle) {
-        debug_assert!(to >= self.now);
+        debug_assert!(to > self.now);
         debug_assert!(self.due.iter().all(|&due| due > to));
         self.work.skips += 1;
         self.work.skipped_cycles += to - self.now;
@@ -770,38 +833,16 @@ impl System {
         pause_at: Cycle,
         max_cycles: Cycle,
     ) -> Result<Option<RunOutcome>, SimError> {
-        // In dense phases (an event every cycle — e.g. a streaming LSU
-        // keeping its vault saturated) the O(system) `next_event` scan
-        // buys nothing, so poll it under exponential backoff: each
-        // fruitless scan doubles the plain steps taken before the next
-        // one (capped at 63), and any successful skip resets the
-        // backoff. Delaying a skip never changes behaviour — stepping
-        // through an event-free window is what the skip replays. The
-        // backoff counters are plain locals: pausing here and resuming
-        // (even in a fresh process, via a snapshot) restarts them at
-        // zero, which only re-times the scans, never the simulation.
-        let mut quiet_streak: u32 = 0;
-        let mut backoff: u64 = 0;
         while self.now < pause_at {
-            self.step_with(false)?;
+            let next = self.step_with(false)?;
             if self.unhalted == 0 && self.inflight_msgs == 0 && self.is_quiesced() {
                 return Ok(Some(RunOutcome::Quiesced(self.now)));
             }
-            if backoff > 0 {
-                backoff -= 1;
-                continue;
-            }
-            if let Some(next) = self.next_event() {
-                // Nothing can happen strictly before `next`: land one
-                // cycle short and let the next `step` take it.
-                let target = (next - 1).min(pause_at);
-                if target > self.now {
-                    self.skip_to(target);
-                    quiet_streak = 0;
-                } else {
-                    quiet_streak = (quiet_streak + 1).min(6);
-                    backoff = (1 << quiet_streak) - 1;
-                }
+            // Nothing can happen strictly before `next`: land one cycle
+            // short and let the next step take it.
+            let target = (next - 1).min(pause_at);
+            if target > self.now {
+                self.skip_to(target);
             }
         }
         if pause_at < max_cycles {
@@ -939,14 +980,13 @@ impl System {
             if self.now >= deadline {
                 break Ok(false);
             }
-            if let Err(e) = self.step_with(false) {
-                break Err(e);
-            }
-            if let Some(next) = self.next_event() {
-                let target = (next - 1).min(deadline);
-                if target > self.now {
-                    self.skip_to(target);
-                }
+            let next = match self.step_with(false) {
+                Ok(next) => next,
+                Err(e) => break Err(e),
+            };
+            let target = (next - 1).min(deadline);
+            if target > self.now {
+                self.skip_to(target);
             }
         };
         if drained.is_ok() {

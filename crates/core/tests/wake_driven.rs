@@ -209,6 +209,22 @@ fn build() -> System {
     build_with(cfg(), None)
 }
 
+/// PE 1 alone chasing a ring whose links alternate vaults, every other
+/// PE without a program: each load into vault 1 crosses the torus both
+/// ways, and between loads nothing moves but the one flight, so the
+/// torus's wake is what ends those skips.
+fn build_cross_vault_chase() -> System {
+    let cfg = cfg();
+    let v1 = cfg.mem.vault_base(1);
+    let mut sys = System::new(cfg);
+    let link = |i: u64| (if i.is_multiple_of(2) { v1 } else { 0 }) + 0x6_0000 + i * 0x1040;
+    for i in 0..16 {
+        sys.hmc_mut().host_write_u64(link(i), link((i + 1) % 16));
+    }
+    sys.load_program(1, &pointer_chase(link(0), 24));
+    sys
+}
+
 /// Everything a caller can read, compared field by field so a mismatch
 /// names the PE.
 fn assert_same(event: &System, naive: &System, what: &str) {
@@ -257,6 +273,55 @@ fn a_full_egress_queue_reads_the_same_on_both_engines() {
             .vault_base(if k.is_multiple_of(2) { 1 } else { 0 });
         let stored = sys.hmc().host_read(base + 0x5_0000 + k * 0x1000, 1024);
         assert!(stored == ramp, "store {k}");
+    }
+}
+
+#[test]
+fn a_chase_across_the_torus_reads_the_same_on_both_engines() {
+    pause_everywhere(build_cross_vault_chase);
+    let mut sys = build_cross_vault_chase();
+    sys.run(LIMIT).unwrap();
+    let work = sys.work_counts();
+    assert!(sys.stats().noc.packets >= 24, "{:?}", sys.stats().noc);
+    assert!(work.skips > 0 && work.noc.flight_visits > 0, "{work:?}");
+    // Some bounds stopped at the torus: a flight was about to move.
+    assert!(work.torus_bound_reads > work.vault_bound_reads, "{work:?}");
+}
+
+#[test]
+fn a_slice_paused_on_a_skip_target_resumes_bit_identically() {
+    // The cycles the event engine jumps to are the ones it does not step
+    // but steps the cycle after; a fresh run to `k` steps exactly the
+    // cycles up to `k` the whole run steps, so the step counts of runs
+    // to every `k` name them. Pausing on one lands the clock where the
+    // skip would have, and the next slice must take the event on the
+    // very next cycle — in place, or from an image on a fresh machine.
+    let build = build_cross_vault_chase;
+    let mut whole = build();
+    let total = whole.run(LIMIT).unwrap();
+    let steps: Vec<u64> = (0..=total)
+        .map(|k| {
+            let mut sys = build();
+            sys.run_until(k, LIMIT).unwrap();
+            sys.work_counts().steps
+        })
+        .collect();
+    let targets: Vec<u64> = (1..total)
+        .filter(|&k| {
+            let k = k as usize;
+            steps[k] == steps[k - 1] && steps[k + 1] == steps[k] + 1
+        })
+        .collect();
+    assert!(targets.len() >= 24, "{} skip targets", targets.len());
+    for k in targets {
+        let mut paused = build();
+        assert_eq!(paused.run_until(k, LIMIT).unwrap(), RunOutcome::Paused(k));
+        let mut restored = System::new(cfg());
+        restored.restore_snapshot(&paused.save_snapshot()).unwrap();
+        for sys in [&mut paused, &mut restored] {
+            assert_eq!(sys.run(LIMIT).unwrap(), total, "paused at {k}");
+            assert_same(sys, &whole, &format!("paused at {k}"));
+        }
     }
 }
 

@@ -541,6 +541,7 @@ impl VaultController {
     }
 
     /// [`next_event`](Self::next_event) without the `Option`.
+    #[inline]
     pub(crate) fn wake_bound(&self, storage: &Storage) -> Cycle {
         if self.wake != 0 && self.fe_seen == storage.fe_epoch() {
             self.wake.max(self.now + 1)

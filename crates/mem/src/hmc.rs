@@ -119,7 +119,9 @@ impl Hmc {
 
     /// A sound lower bound on the next cycle any vault can act (see
     /// [`VaultController::next_event`]). There always is one: refresh
-    /// fires every tREFI even when the stack is idle.
+    /// fires every tREFI even when the stack is idle. Inlined: the
+    /// event engine reads it on every step that is otherwise quiet.
+    #[inline]
     #[must_use]
     pub fn next_event(&self) -> Cycle {
         self.vaults

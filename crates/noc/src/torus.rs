@@ -168,6 +168,11 @@ pub struct Torus<T> {
     delivered: VecDeque<(usize, Packet<T>)>,
     failed: VecDeque<Packet<T>>,
     stats: NocStats,
+    /// The earliest cycle a flight can move (before the `now + 1`
+    /// floor; `Cycle::MAX` with nothing in flight): the minimum the last
+    /// tick took over the flights it visited, lowered by every injection
+    /// since. Derived: rebuilt by `restore_state`.
+    wake: Cycle,
     /// Host work done so far. Not state: never serialized.
     work: NocWork,
 }
@@ -187,6 +192,7 @@ impl<T> Torus<T> {
             delivered: VecDeque::new(),
             failed: VecDeque::new(),
             stats: NocStats::default(),
+            wake: Cycle::MAX,
             work: NocWork::default(),
         }
     }
@@ -234,6 +240,7 @@ impl<T> Torus<T> {
         }
         let flits = self.cfg.flits(payload_bytes);
         self.inject_busy[src] = self.now + flits;
+        self.wake = self.wake.min(self.now + flits);
         let uid = self.stats.packets;
         self.stats.packets += 1;
         self.stats.flits += flits;
@@ -274,14 +281,21 @@ impl<T> Torus<T> {
         Some(((at.1 * self.cfg.width + at.0) * 4 + dir.index(), next))
     }
 
-    /// Advances the network one cycle.
+    /// Advances the network one cycle, noting on the way the earliest
+    /// cycle each remaining flight can move next (see [`wake`](Self::wake)).
+    /// A flight that waits on a busy link or ejection port reads the
+    /// port's final reservation for this cycle: a port taken this cycle
+    /// stays busy past it, so no flight after the one that took it can
+    /// have found it free.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.elapsed_cycles = self.now;
         self.work.flight_visits += self.flights.len() as u64;
+        let mut wake = Cycle::MAX;
         let mut i = 0;
         while i < self.flights.len() {
             if self.flights[i].ready_at > self.now {
+                wake = wake.min(self.flights[i].ready_at);
                 i += 1;
                 continue;
             }
@@ -298,6 +312,7 @@ impl<T> Torus<T> {
                         self.delivered.push_back((node, flight.packet));
                         continue; // do not advance i: swap_remove
                     }
+                    wake = wake.min(self.eject_busy[node]);
                     i += 1;
                 }
                 Some((link, next)) => {
@@ -322,10 +337,17 @@ impl<T> Torus<T> {
                             }
                         }
                     }
+                    wake = wake.min(self.flight_wake(i));
                     i += 1;
                 }
             }
         }
+        self.wake = wake;
+        debug_assert_eq!(
+            self.wake(),
+            self.next_event(),
+            "the tick's wake bound disagrees with its flights"
+        );
         debug_assert!(
             (self.flights.iter().zip(&self.routes))
                 .all(|(f, &r)| r == self.route(f.at, f.packet.dst)),
@@ -413,29 +435,42 @@ impl<T> Torus<T> {
         self.inject_busy[node]
     }
 
+    /// When `flights[i]` can next move: its pipeline latency matures,
+    /// or the link/ejection port it is blocked on frees up.
+    fn flight_wake(&self, i: usize) -> Cycle {
+        let flight = &self.flights[i];
+        if flight.ready_at > self.now {
+            return flight.ready_at;
+        }
+        match self.routes[i] {
+            None => self.eject_busy[flight.packet.dst],
+            Some((link, _)) => self.link_busy[link],
+        }
+    }
+
     /// A sound lower bound on the next cycle any in-flight packet can
     /// make progress: its pipeline latency matures, or the link/ejection
     /// port it is blocked on frees up. `None` when nothing is in flight.
     ///
     /// Called after [`tick`](Self::tick); a flight processed this cycle
     /// is either waiting (`ready_at > now`) or was blocked by a busy
-    /// resource whose free-time is strictly in the future.
+    /// resource whose free-time is strictly in the future. Computed from
+    /// the flights, one by one; [`wake`](Self::wake) is the same bound
+    /// read off what the last tick noted.
     #[must_use]
     pub fn next_event(&self) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        for (flight, route) in self.flights.iter().zip(&self.routes) {
-            let c = if flight.ready_at > self.now {
-                flight.ready_at
-            } else {
-                match route {
-                    None => self.eject_busy[flight.packet.dst],
-                    Some((link, _)) => self.link_busy[*link],
-                }
-            };
-            let c = c.max(self.now + 1);
-            next = Some(next.map_or(c, |n| n.min(c)));
-        }
-        next
+        (0..self.flights.len())
+            .map(|i| self.flight_wake(i).max(self.now + 1))
+            .min()
+    }
+
+    /// [`next_event`](Self::next_event) at the cost of a compare: the
+    /// minimum the last tick took while it visited every flight, lowered
+    /// by each injection since. Debug builds hold every tick's to the
+    /// flight-by-flight scan.
+    #[must_use]
+    pub fn wake(&self) -> Option<Cycle> {
+        (self.wake != Cycle::MAX).then(|| self.wake.max(self.now + 1))
     }
 
     /// The host work this network has done (see [`NocWork`]).
@@ -553,6 +588,10 @@ impl<T: Snapshot> Torus<T> {
         self.routes = (self.flights.iter())
             .map(|f| self.route(f.at, f.packet.dst))
             .collect();
+        self.wake = (0..self.flights.len())
+            .map(|i| self.flight_wake(i))
+            .min()
+            .unwrap_or(Cycle::MAX);
         self.delivered = VecDeque::restore(r)?;
         self.failed = VecDeque::restore(r)?;
         self.stats = NocStats::restore(r)?;
@@ -910,7 +949,9 @@ mod tests {
         // retransmission re-routes from the source), random clock skips
         // to one short of the next event, and a mid-run restore of the
         // routed network onto a used one: the deliveries, failures, next
-        // event and state bytes must match the reference walk every cycle.
+        // event and state bytes must match the reference walk every cycle,
+        // and the cached `wake` its next event after every injection and
+        // tick.
         let label = "cached_routes_walk_like_routing_every_cycle";
         vip_rng::for_each_seed(label, 0x70_05, 6, |seed| {
             let mut rng = vip_rng::SplitMix64::new(seed);
@@ -937,10 +978,13 @@ mod tests {
                     used.restore_state(&mut Reader::new(&image)).unwrap();
                     routed = used;
                 }
+                let injected = reference_next_event(&reference);
+                assert_eq!(routed.wake(), injected, "cycle {cycle}: injected");
                 routed.tick();
                 reference_tick(&mut reference);
                 let next = reference_next_event(&reference);
                 assert_eq!(routed.next_event(), next, "cycle {cycle}");
+                assert_eq!(routed.wake(), next, "cycle {cycle}: wake");
                 if let Some(next) = next.filter(|_| rng.below(8) == 0) {
                     routed.skip_to(next - 1);
                     reference.skip_to(next - 1);
