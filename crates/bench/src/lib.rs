@@ -21,6 +21,7 @@
 pub mod autotune;
 pub mod cli;
 pub mod experiments;
+pub mod golden;
 pub mod harness;
 pub mod report;
 pub mod runner;
