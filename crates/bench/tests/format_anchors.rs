@@ -141,8 +141,8 @@ fn multi_vault_image_with_flights_is_anchored() {
     ];
     for (pause_at, want, v3_crc) in anchors {
         let mut sys = cross_vault_system();
-        let outcome = sys
-            .run_until(pause_at, 200_000)
+        let outcome = Engine::Fast
+            .advance(&mut sys, pause_at, 200_000)
             .expect("paused run succeeds");
         assert!(matches!(outcome, RunOutcome::Paused(_)), "{outcome:?}");
         let noc = sys.stats().noc;

@@ -38,8 +38,8 @@ fn assert_restore_is_invisible(
     if let Some(f) = faults {
         first.set_fault_config(f);
     }
-    match first
-        .run_until(pause_at, limit)
+    match Engine::Fast
+        .advance(&mut first, pause_at, limit)
         .expect("paused run succeeds")
     {
         RunOutcome::Paused(_) => {}
@@ -146,7 +146,9 @@ fn bp_tile_image_bytes_are_anchored() {
     ];
     for (pause_at, queued, bytes, crc, v3_crc) in anchors {
         let (mut sys, limit) = bp_tile().into_system();
-        let outcome = sys.run_until(pause_at, limit).expect("paused run succeeds");
+        let outcome = Engine::Fast
+            .advance(&mut sys, pause_at, limit)
+            .expect("paused run succeeds");
         assert!(matches!(outcome, RunOutcome::Paused(_)), "{outcome:?}");
         assert_eq!(sys.hmc().pending(0), queued, "cycle {pause_at}");
         let image = sys.save_snapshot();
@@ -170,7 +172,9 @@ fn bp_tile_image_bytes_are_anchored() {
 #[test]
 fn restore_rejects_a_mismatched_configuration() {
     let (mut sys, _) = bp_tile().into_system();
-    sys.run_until(5_000, 80_000_000).expect("runs");
+    Engine::Fast
+        .advance(&mut sys, 5_000, 80_000_000)
+        .expect("runs");
     let snapshot = sys.save_snapshot();
 
     // Same tile on a different memory configuration: the structural

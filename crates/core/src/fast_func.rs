@@ -30,7 +30,8 @@
 //! accurate windows — and stall/active-cycle breakdowns are not
 //! maintained. Anything that needs exact timing (live fault injection,
 //! trap reporting, hang diagnosis) drops back to the cycle-accurate
-//! model; `System::run_functional` owns that orchestration.
+//! model; the functional engine's pass through `System::advance`
+//! owns that orchestration.
 //!
 //! Execution within a block is transactional with respect to traps: an
 //! instruction reads all sources (performing the checks, in reference

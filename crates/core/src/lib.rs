@@ -66,6 +66,7 @@
 //! ```
 
 mod arc;
+mod compat;
 mod config;
 mod engine;
 mod error;

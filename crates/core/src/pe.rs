@@ -319,6 +319,12 @@ impl Pe {
         self.halted
     }
 
+    /// Whether the front end will issue nothing more: halted, or frozen
+    /// by the functional engine's drain until the thaw.
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.halted || self.frozen
+    }
+
     /// Whether the PE still has loads/stores or vector work in flight.
     #[must_use]
     pub fn is_quiesced(&self, now: Cycle) -> bool {

@@ -5,7 +5,7 @@
 //! interoperability, a run restored at every pause repeating the run
 //! paused in place, and a sanity bound on the extrapolated clock.
 
-use vip_core::{FuncConfig, RunOutcome, SimError, System, SystemConfig};
+use vip_core::{Engine, FuncConfig, RunOutcome, SimError, System, SystemConfig};
 use vip_isa::{Asm, ElemType, Program, Reg, VerticalOp};
 
 fn r(i: u8) -> Reg {
@@ -56,7 +56,7 @@ fn dense_loop_matches_accurate_state_and_counters() {
     let mut accurate = seeded_system(&p, 2);
     let mut functional = seeded_system(&p, 2);
     accurate.run(4_000_000).unwrap();
-    functional.run_functional(4_000_000).unwrap();
+    Engine::Functional.run(&mut functional, 4_000_000).unwrap();
 
     for pe in 0..2 {
         assert_eq!(
@@ -95,7 +95,7 @@ fn cycle_estimate_tracks_the_accurate_clock() {
     let mut accurate = seeded_system(&p, 4);
     let mut functional = seeded_system(&p, 4);
     let exact = accurate.run(40_000_000).unwrap();
-    let est = functional.run_functional(40_000_000).unwrap();
+    let est = Engine::Functional.run(&mut functional, 40_000_000).unwrap();
     let err = (est as f64 - exact as f64).abs() / exact as f64;
     assert!(
         err < 0.15,
@@ -131,9 +131,9 @@ fn trapping_programs_report_the_identical_error() {
             sys.load_program(0, p);
             sys.pe_mut(0).scratchpad_mut().write(0, &[1; 64]).unwrap();
             let err = match mode {
-                0 => sys.run_naive(100_000),
+                0 => Engine::Naive.run(&mut sys, 100_000),
                 1 => sys.run(100_000),
-                _ => sys.run_functional(100_000),
+                _ => Engine::Functional.run(&mut sys, 100_000),
             }
             .unwrap_err();
             (err, sys.stats().pe, sys.pe(0).arch_state().scratchpad)
@@ -216,7 +216,7 @@ fn full_empty_handoff_between_functional_pes() {
                 quantum: 8,
                 drain_cycles: 5_000,
             });
-            sys.run_functional(4_000_000).unwrap();
+            Engine::Functional.run(&mut sys, 4_000_000).unwrap();
         } else {
             sys.run(4_000_000).unwrap();
         }
@@ -271,7 +271,7 @@ fn functional_deadlock_is_diagnosed_as_a_hang() {
         sys.load_program(0, &program);
         let err = if functional {
             sys.set_func_config(DEADLOCK_KNOBS);
-            sys.run_functional(200_000).unwrap_err()
+            Engine::Functional.run(&mut sys, 200_000).unwrap_err()
         } else {
             sys.run(200_000).unwrap_err()
         };
@@ -296,10 +296,13 @@ fn functional_deadlock_is_diagnosed_as_a_hang() {
 fn mid_run_functional_snapshot_resumes_under_any_engine() {
     let p = dense_loop(20_000);
     let mut reference = seeded_system(&p, 3);
-    reference.run_naive(40_000_000).unwrap();
+    Engine::Naive.run(&mut reference, 40_000_000).unwrap();
 
     let mut paused = seeded_system(&p, 3);
-    match paused.run_functional_until(60_000, 40_000_000).unwrap() {
+    match Engine::Functional
+        .advance(&mut paused, 60_000, 40_000_000)
+        .unwrap()
+    {
         RunOutcome::Paused(at) => assert!(at >= 60_000),
         RunOutcome::Quiesced(c) => panic!("quiesced at {c} before the pause"),
     }
@@ -309,9 +312,15 @@ fn mid_run_functional_snapshot_resumes_under_any_engine() {
         let mut resumed = seeded_system(&p, 3);
         resumed.restore_snapshot(&image).unwrap();
         match finish {
-            0 => resumed.run_functional(40_000_000).map(|_| ()).unwrap(),
+            0 => Engine::Functional
+                .run(&mut resumed, 40_000_000)
+                .map(|_| ())
+                .unwrap(),
             1 => resumed.run(40_000_000).map(|_| ()).unwrap(),
-            _ => resumed.run_naive(40_000_000).map(|_| ()).unwrap(),
+            _ => Engine::Naive
+                .run(&mut resumed, 40_000_000)
+                .map(|_| ())
+                .unwrap(),
         }
         for pe in 0..3 {
             assert_eq!(
@@ -332,7 +341,7 @@ fn mid_run_functional_snapshot_resumes_under_any_engine() {
 fn duty_cycle_knobs_do_not_change_results() {
     let p = dense_loop(600);
     let mut base = seeded_system(&p, 2);
-    base.run_functional(4_000_000).unwrap();
+    Engine::Functional.run(&mut base, 4_000_000).unwrap();
 
     let mut tweaked = seeded_system(&p, 2);
     tweaked.set_func_config(FuncConfig {
@@ -342,7 +351,7 @@ fn duty_cycle_knobs_do_not_change_results() {
         quantum: 64,
         drain_cycles: 2_000,
     });
-    tweaked.run_functional(4_000_000).unwrap();
+    Engine::Functional.run(&mut tweaked, 4_000_000).unwrap();
 
     for pe in 0..2 {
         assert_eq!(base.pe(pe).arch_state(), tweaked.pe(pe).arch_state());
@@ -359,7 +368,7 @@ fn duty_cycle_knobs_do_not_change_results() {
 fn empty_and_instant_programs_quiesce() {
     let mut sys = System::new(SystemConfig::small_test());
     sys.load_program(0, &Asm::new().halt().assemble().unwrap());
-    let at = sys.run_functional(10_000).unwrap();
+    let at = Engine::Functional.run(&mut sys, 10_000).unwrap();
     assert!(sys.pe(0).is_halted());
     assert!(at <= 10_000);
 }
@@ -396,9 +405,10 @@ fn sliced(
     };
     let mut sys = with_knobs();
     let mut spare = with_knobs();
-    let _ = spare.run_functional(limit);
+    let _ = Engine::Functional.run(&mut spare, limit);
     for pauses in 0.. {
-        let image = match sys.run_functional_until(sys.now() + slice, limit) {
+        let pause_at = sys.now() + slice;
+        let image = match Engine::Functional.advance(&mut sys, pause_at, limit) {
             Ok(RunOutcome::Paused(_)) => sys.save_snapshot(),
             end => return (end.map(|_| sys.now()), pauses, sys),
         };

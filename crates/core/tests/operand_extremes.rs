@@ -10,7 +10,7 @@
 //! length. The expected traps are worked out here in 128-bit
 //! arithmetic, independently of the simulator's own resolvers.
 
-use vip_core::{FuncConfig, PeArchState, PeStats, SimError, System, SystemConfig};
+use vip_core::{Engine, FuncConfig, PeArchState, PeStats, SimError, System, SystemConfig};
 use vip_isa::{Asm, ElemType, HorizontalOp, Program, Reg, Trap, VerticalOp};
 
 const CAP: u64 = 4096;
@@ -66,9 +66,9 @@ fn run_everywhere(program: &Program, regs: &[(u8, u64)]) -> Outcome {
     let mut outcomes = engines.iter().enumerate().map(|(engine, name)| {
         let mut sys = staged(program, regs);
         let result = match engine {
-            0 => sys.run_naive(1_000_000),
+            0 => Engine::Naive.run(&mut sys, 1_000_000),
             1 => sys.run(1_000_000),
-            2 => sys.run_functional(1_000_000),
+            2 => Engine::Functional.run(&mut sys, 1_000_000),
             _ => {
                 sys.set_func_config(FuncConfig {
                     warmup_cycles: 10,
@@ -77,7 +77,7 @@ fn run_everywhere(program: &Program, regs: &[(u8, u64)]) -> Outcome {
                     quantum: 64,
                     drain_cycles: 2_000,
                 });
-                let result = sys.run_functional(1_000_000);
+                let result = Engine::Functional.run(&mut sys, 1_000_000);
                 assert!(
                     sys.stats().func.functional_instructions > 0,
                     "the block executor never engaged"

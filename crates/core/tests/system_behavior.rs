@@ -1,7 +1,7 @@
 //! Focused behavioural tests of the system model: fences, hazards,
 //! structural limits, deadlock detection, and address-mapping modes.
 
-use vip_core::{RunOutcome, SimError, StallReason, System, SystemConfig};
+use vip_core::{Engine, RunOutcome, SimError, StallReason, System, SystemConfig};
 use vip_isa::{assemble, Asm, ElemType, Reg, VerticalOp};
 use vip_mem::AddressMapping;
 
@@ -161,7 +161,10 @@ fn host_release_of_a_parked_pe_is_engine_independent() {
     };
 
     let mut event = parked();
-    assert_eq!(event.run_until(500, 10_000), Ok(RunOutcome::Paused(500)));
+    assert_eq!(
+        Engine::Fast.advance(&mut event, 500, 10_000),
+        Ok(RunOutcome::Paused(500))
+    );
     let image = event.save_snapshot();
     release(&mut event);
     let cycles = event.run(10_000).unwrap();
@@ -169,7 +172,7 @@ fn host_release_of_a_parked_pe_is_engine_independent() {
 
     let mut naive = parked();
     assert_eq!(
-        naive.run_naive_until(500, 10_000),
+        Engine::Naive.advance(&mut naive, 500, 10_000),
         Ok(RunOutcome::Paused(500))
     );
     assert_eq!(
@@ -178,7 +181,7 @@ fn host_release_of_a_parked_pe_is_engine_independent() {
         "derived state is not in the image"
     );
     release(&mut naive);
-    let cycles = naive.run_naive(10_000).unwrap();
+    let cycles = Engine::Naive.run(&mut naive, 10_000).unwrap();
     assert_eq!(finish(&mut naive, cycles), expect);
 
     let mut restored = parked();

@@ -1,7 +1,7 @@
 //! Pause-everywhere differential for wake-driven stepping.
 //!
-//! `run`/`run_until` visit only the PEs that are due and replay a
-//! sleeper's per-cycle counters when it wakes; `run_naive_until` (public
+//! The event engine visits only the PEs that are due and replays a
+//! sleeper's per-cycle counters when it wakes; the naive engine (public
 //! `step`) visits every PE every cycle and is the reference. Nothing a
 //! caller can read — `stats()` down to every per-cause stall counter,
 //! each PE's own `stats()`, the snapshot bytes, the error and what the
@@ -12,7 +12,7 @@
 //! due" from scratch) run underneath; CI also runs this file in
 //! `--release`, the build without them.
 
-use vip_core::{FuncConfig, RunOutcome, SimError, StallReason, System, SystemConfig};
+use vip_core::{Engine, FuncConfig, RunOutcome, SimError, StallReason, System, SystemConfig};
 use vip_faults::{FaultConfig, NocFaultConfig};
 use vip_isa::{Asm, ElemType, HorizontalOp, Program, Reg, VerticalOp};
 
@@ -242,7 +242,7 @@ fn assert_same(event: &System, naive: &System, what: &str) {
 #[test]
 fn the_mix_reaches_every_sleep_state() {
     let mut sys = build();
-    let cycles = sys.run_naive(LIMIT).unwrap();
+    let cycles = Engine::Naive.run(&mut sys, LIMIT).unwrap();
     assert!((1_000..20_000).contains(&cycles), "{cycles}");
     let stats = sys.stats();
     for reason in StallReason::all() {
@@ -302,7 +302,7 @@ fn a_slice_paused_on_a_skip_target_resumes_bit_identically() {
     let steps: Vec<u64> = (0..=total)
         .map(|k| {
             let mut sys = build();
-            sys.run_until(k, LIMIT).unwrap();
+            Engine::Fast.advance(&mut sys, k, LIMIT).unwrap();
             sys.work_counts().steps
         })
         .collect();
@@ -315,7 +315,10 @@ fn a_slice_paused_on_a_skip_target_resumes_bit_identically() {
     assert!(targets.len() >= 24, "{} skip targets", targets.len());
     for k in targets {
         let mut paused = build();
-        assert_eq!(paused.run_until(k, LIMIT).unwrap(), RunOutcome::Paused(k));
+        assert_eq!(
+            Engine::Fast.advance(&mut paused, k, LIMIT).unwrap(),
+            RunOutcome::Paused(k)
+        );
         let mut restored = System::new(cfg());
         restored.restore_snapshot(&paused.save_snapshot()).unwrap();
         for sys in [&mut paused, &mut restored] {
@@ -335,14 +338,14 @@ fn restoring_mid_stream_onto_a_used_machine_reads_the_same() {
     let total = whole.run(LIMIT).unwrap();
     for (k, at) in (20..420u64).step_by(19).enumerate() {
         let mut donor = build_streaming();
-        donor.run_until(at, LIMIT).unwrap();
+        Engine::Fast.advance(&mut donor, at, LIMIT).unwrap();
         let mut used = build_streaming();
-        used.run_until(at + 37, LIMIT).unwrap();
+        Engine::Fast.advance(&mut used, at + 37, LIMIT).unwrap();
         used.restore_snapshot(&donor.save_snapshot()).unwrap();
         let end = if k.is_multiple_of(2) {
             used.run(LIMIT)
         } else {
-            used.run_naive(LIMIT)
+            Engine::Naive.run(&mut used, LIMIT)
         };
         assert_eq!(end.unwrap(), total, "restored at {at}");
         assert_same(&used, &whole, &format!("restored at {at}"));
@@ -354,7 +357,7 @@ fn restoring_mid_stream_onto_a_used_machine_reads_the_same() {
 /// quiescence, against one naive machine walked forward a cycle at a
 /// time.
 fn pause_everywhere(build: fn() -> System) {
-    let total = build().run_naive(LIMIT).unwrap();
+    let total = Engine::Naive.run(&mut build(), LIMIT).unwrap();
     // One naive machine walks forward a cycle at a time; a fresh event
     // machine runs to each pause from reset. Every cycle of the first
     // 500 (all eight programs start, stall and sleep in there), then a
@@ -366,13 +369,13 @@ fn pause_everywhere(build: fn() -> System) {
     let mut naive = build();
     for k in pauses {
         let mut event = build();
-        let got = event.run_until(k, LIMIT).unwrap();
+        let got = Engine::Fast.advance(&mut event, k, LIMIT).unwrap();
         // A quiesced machine asked to run on steps once more; leave the
         // reference where it quiesced.
         let want = if naive.now() == total {
             RunOutcome::Quiesced(total)
         } else {
-            naive.run_naive_until(k, LIMIT).unwrap()
+            Engine::Naive.advance(&mut naive, k, LIMIT).unwrap()
         };
         assert_eq!(got, want, "pause {k}");
         assert_eq!(
@@ -404,7 +407,11 @@ fn the_papers_128_pe_machine_reads_the_same_on_both_engines() {
     let mut event = build();
     let mut naive = build();
     let total = event.run(LIMIT).unwrap();
-    assert_eq!(naive.run_naive(LIMIT).unwrap(), total, "quiesce cycle");
+    assert_eq!(
+        Engine::Naive.run(&mut naive, LIMIT).unwrap(),
+        total,
+        "quiesce cycle"
+    );
     assert_same(&event, &naive, "128 PEs");
     let stats = event.stats();
     assert!(stats.noc.packets > 0, "odd PEs cross the torus");
@@ -416,7 +423,7 @@ fn chained_slices_equal_the_whole_run() {
     let mut whole = build();
     let total = whole.run(LIMIT).unwrap();
     let mut naive = build();
-    assert_eq!(naive.run_naive(LIMIT).unwrap(), total);
+    assert_eq!(Engine::Naive.run(&mut naive, LIMIT).unwrap(), total);
     assert_same(&whole, &naive, "whole run");
 
     // Slices of every small length, the engine alternating, every third
@@ -431,9 +438,9 @@ fn chained_slices_equal_the_whole_run() {
         slice += 1;
         at += 1 + slice % 23;
         let outcome = if slice.is_multiple_of(2) {
-            sliced.run_naive_until(at, LIMIT)
+            Engine::Naive.advance(&mut sliced, at, LIMIT)
         } else {
-            sliced.run_until(at, LIMIT)
+            Engine::Fast.advance(&mut sliced, at, LIMIT)
         }
         .unwrap();
         if let RunOutcome::Quiesced(end) = outcome {
@@ -454,14 +461,14 @@ fn chained_slices_equal_the_whole_run() {
 fn assert_same_failure(build: impl Fn() -> System, limit: u64) -> SimError {
     let (mut event, mut naive) = (build(), build());
     let got = event.run(limit).unwrap_err();
-    let want = naive.run_naive(limit).unwrap_err();
+    let want = Engine::Naive.run(&mut naive, limit).unwrap_err();
     assert_eq!(got, want);
     assert_same(&event, &naive, "after the error");
     // And stopped short of it first: the error is the same one.
     let mut paused = build();
     let before = event.now() - 1;
     assert_eq!(
-        paused.run_until(before, limit).unwrap(),
+        Engine::Fast.advance(&mut paused, before, limit).unwrap(),
         RunOutcome::Paused(before)
     );
     assert_eq!(paused.run(limit).unwrap_err(), want);
@@ -535,7 +542,7 @@ fn the_functional_tiers_frozen_drains_charge_what_they_did() {
         drain_cycles: 400,
     };
     sys.set_func_config(knobs);
-    let cycles = sys.run_functional(LIMIT).unwrap();
+    let cycles = Engine::Functional.run(&mut sys, LIMIT).unwrap();
     let stats = sys.stats();
     assert!(stats.func.drain_retries > 0 && stats.func.windows > 3);
     let stalls: Vec<u64> = StallReason::all()
@@ -560,7 +567,7 @@ fn the_functional_tiers_frozen_drains_charge_what_they_did() {
     // succeeds — and at a cycle where a frozen PE's LSU has a request to
     // emit that no completion will wake it for.)
     let mut donor = build();
-    donor.run_until(1_300, LIMIT).unwrap();
+    Engine::Fast.advance(&mut donor, 1_300, LIMIT).unwrap();
     let image = donor.save_snapshot();
     let mut fresh = System::new(cfg());
     let mut used = sys;
@@ -570,7 +577,7 @@ fn the_functional_tiers_frozen_drains_charge_what_they_did() {
             drain_cycles: 5_000,
             ..knobs
         });
-        machine.run_functional(LIMIT).unwrap();
+        Engine::Functional.run(machine, LIMIT).unwrap();
     }
     assert_eq!(fresh.stats().func.drain_retries, 0);
     // (All but the block-cache counters, which say the used machine's

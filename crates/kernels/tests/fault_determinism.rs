@@ -7,7 +7,7 @@
 
 use std::fmt::Debug;
 
-use vip_core::{FuncConfig, System, SystemConfig, SystemStats};
+use vip_core::{Engine, FuncConfig, System, SystemConfig, SystemStats};
 use vip_faults::FaultConfig;
 use vip_isa::Program;
 use vip_kernels::bp::{
@@ -37,7 +37,9 @@ fn run_case<R>(
     match func {
         Some(cfg) => {
             sys.set_func_config(cfg);
-            sys.run_functional(max).expect("kernel completes");
+            Engine::Functional
+                .run(&mut sys, max)
+                .expect("kernel completes");
         }
         None => {
             sys.run(max).expect("kernel completes");

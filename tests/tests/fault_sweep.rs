@@ -6,7 +6,7 @@
 //! every outcome — including the deliberately-provoked failure paths —
 //! is a typed error reproducible from the seed.
 
-use vip_core::{SimError, System, SystemConfig, SystemStats};
+use vip_core::{Engine, SimError, System, SystemConfig, SystemStats};
 use vip_faults::{DramFaultConfig, FaultConfig, NocFaultConfig, PeFaultConfig};
 use vip_isa::{assemble, Program, Reg};
 
@@ -199,7 +199,7 @@ fn sweep_outcomes_are_independent_of_the_stepping_engine() {
         sys.set_reg(0, r(4), 0x40);
         sys.set_reg(0, r(5), ROUNDS);
         if naive {
-            sys.run_naive(2_000_000).unwrap();
+            Engine::Naive.run(&mut sys, 2_000_000).unwrap();
         } else {
             sys.run(2_000_000).unwrap();
         }
