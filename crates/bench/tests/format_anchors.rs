@@ -2,9 +2,9 @@
 //! `snapshot_roundtrip::bp_tile_image_bytes_are_anchored` cannot see: a
 //! multi-vault machine image with packets on the torus, a fleet
 //! checkpoint with its journal segment and done-record, a bench-runner
-//! `.done` row, and the fault configuration's canonical encoding (which
-//! names durable run directories) — plus the typed refusal of the
-//! previous version's files.
+//! `.done` row, the fault configuration's canonical encoding (which
+//! names durable run directories) and an image of pages that hold a few
+//! words each — plus the typed refusal of the previous version's files.
 //!
 //! A round trip only proves save and restore agree with each other;
 //! these prove the bytes are still the ones `FORMAT_VERSION` 4 builds
@@ -166,6 +166,34 @@ fn multi_vault_image_with_flights_is_anchored() {
     let stats = sys.stats();
     assert!(stats.noc.retries > 0, "no link fault ever fired");
     assert_eq!(stats.noc.packets, stats.noc.delivered);
+}
+
+/// (g) A machine image whose storage pages hold a few words each: the
+/// latency chase's staging, one pointer per DRAM row and so one word per
+/// 4 KiB page, plus a page that took 17 words one at a time, a page of
+/// 16, and a zero-valued word alone on its page. Every page is on the
+/// wire as its 4 KiB image, however the store holds it; pinned before
+/// storage learned to keep such pages small.
+#[test]
+fn a_machine_image_of_sparse_pages_is_anchored() {
+    let (mut sys, limit) =
+        experiments::mem_latency_tile_sim(MemConfig::baseline(), 64).into_system();
+    let far = 0x80_0000;
+    for i in 0..17 {
+        sys.hmc_mut().host_write_u64(far + i * 72, 0x5eed_0000 + i);
+    }
+    for i in 0..16 {
+        sys.hmc_mut()
+            .host_write_u64(far + 0x1000 + i * 8, i.wrapping_mul(0x9e37_79b9));
+    }
+    sys.hmc_mut().host_write_u64(far + 0x2ff8, 0);
+    assert_sig(&sys.save_snapshot(), (296_281, 0xf32b_996a), "staged chase");
+    sys.run(limit).expect("the chase quiesces");
+    assert_sig(
+        &sys.save_snapshot(),
+        (296_289, 0x0bd8_c607),
+        "finished chase",
+    );
 }
 
 /// Chaos hot enough that a short run crashes, hangs, quarantines and
