@@ -194,6 +194,23 @@ mod tests {
                 }
             }
 
+            // Sliced, a hang is reported at the limit, never past it (the
+            // functional engine's drains stop there too), with every PE
+            // able to issue again: filled, the word lets PE 0 finish.
+            let mut sys = parked();
+            let result = loop {
+                let pause_at = sys.now() + 500;
+                match engine.advance(&mut sys, pause_at, 10_000) {
+                    Ok(RunOutcome::Paused(_)) => {}
+                    other => break other,
+                }
+            };
+            assert_eq!(hang_limit(result), Some(10_000), "{engine}");
+            assert!(sys.now() <= 10_000, "{engine}: hung at {}", sys.now());
+            sys.hmc_mut().host_set_full(0x100, true);
+            assert!(engine.run(&mut sys, LIMIT).is_ok(), "{engine}: still stuck");
+            assert!(sys.pe(0).is_halted(), "{engine}");
+
             assert_eq!(Engine::parse(engine.label()), Some(engine));
             assert_eq!(engine.to_string(), engine.label());
         }

@@ -904,21 +904,23 @@ impl System {
     }
 
     /// Steps the cycle-accurate model with every PE's issue frozen until
-    /// nothing is in flight, or `limit` cycles pass. Freezing keeps
-    /// in-flight work (LSU completions, vector drains, queued traffic)
-    /// retiring without letting front ends issue more, so the drain
-    /// converges whenever no request is parked on a full-empty word.
+    /// nothing is in flight, `cycles` cycles pass, or the clock reaches
+    /// the run's `limit` (so a drain that cannot finish leaves its hang
+    /// to the loop head, at the limit, as on the exact engines). Freezing
+    /// keeps in-flight work (LSU completions, vector drains, queued
+    /// traffic) retiring without letting front ends issue more, so the
+    /// drain converges whenever no request is parked on a full-empty word.
     /// Frozen PEs count as stopped, so the run loop quiesces once the
     /// machine is idle. The drain then runs on to one cycle short of the
-    /// last step's next event (a vault refresh; `limit` at most): every
-    /// pinned functional cycle estimate (the golden reports,
+    /// last step's next event (a vault refresh; the deadline at most):
+    /// every pinned functional cycle estimate (the golden reports,
     /// `work_counts.txt`) holds those idle cycles, and dropping them is a
     /// change of its own. Everything is settled before the thaw (a frozen
     /// PE charges no stall for the cycles it slept, a thawed one would).
     /// Returns whether the machine reached idle; PEs are always thawed.
-    fn drain_to_idle(&mut self, limit: Cycle) -> Result<bool, SimError> {
+    fn drain_to_idle(&mut self, cycles: Cycle, limit: Cycle) -> Result<bool, SimError> {
         let t0 = self.now;
-        let deadline = t0.saturating_add(limit.max(1));
+        let deadline = t0.saturating_add(cycles.max(1)).min(limit);
         for pe in &mut self.pes {
             pe.set_frozen(true);
         }
@@ -1141,7 +1143,7 @@ impl System {
                 }
             }
         }
-        while !self.machine_idle() && !self.drain_to_idle(self.func_cfg.drain_cycles)? {
+        while !self.machine_idle() && !self.drain_to_idle(self.func_cfg.drain_cycles, limit)? {
             // Something is parked (a full-empty request from an earlier
             // window).
             self.func_stats.drain_retries += 1;
