@@ -386,6 +386,14 @@ pub fn figure4_style(style: VectorMachineStyle) -> f64 {
 pub struct Fig5Point {
     /// Configuration label ("open page", …).
     pub config: &'static str,
+    /// What the configuration measured, or why it cannot run the
+    /// figure's schedule.
+    pub measured: Result<Fig5Measure, String>,
+}
+
+/// What one Figure 5 configuration measured.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig5Measure {
     /// Achieved machine bandwidth, GB/s.
     pub bandwidth_gbs: f64,
     /// Extrapolated full-workload runtime, ms.
@@ -393,24 +401,37 @@ pub struct Fig5Point {
 }
 
 /// Figure 5a: one full-HD BP-M iteration under the eight memory
-/// configurations.
+/// configurations, every one staged under the schedule the baseline
+/// configuration resolves ([`TileClass::schedule`]), so rows differ in
+/// memory only. A configuration that schedule does not validate on is
+/// reported as such, not run under another.
 #[must_use]
 pub fn figure5_bp() -> Vec<Fig5Point> {
+    let class = bp_tile(1);
+    let sched = class.schedule(
+        &SystemConfig::single_vault(MemConfig::baseline()),
+        &schedule_store::dir(),
+    );
     MemConfig::figure5_sweep()
         .into_iter()
-        .map(|cfg| {
-            let name = cfg.name;
-            let run = bp_tile_run(cfg, 1);
-            let ex = BpExtrapolation {
-                tile_pixels: (BP_TILE.0 * BP_TILE.1) as u64,
-                tile_cycles: run.cycles,
-                vaults: VAULTS,
-            };
-            Fig5Point {
-                config: name,
-                bandwidth_gbs: run.machine_bandwidth_gbs(),
-                time_ms: ex.frame_ms(1920 * 1080, 1),
-            }
+        .map(|mem| {
+            let config = mem.name;
+            let measured = class
+                .validate(&SystemConfig::single_vault(mem.clone()), &sched)
+                .map_err(|why| why.to_string())
+                .map(|()| {
+                    let run = tile_sim_scheduled(mem, class, 1, &sched).run(Engine::Fast);
+                    let ex = BpExtrapolation {
+                        tile_pixels: (BP_TILE.0 * BP_TILE.1) as u64,
+                        tile_cycles: run.cycles,
+                        vaults: VAULTS,
+                    };
+                    Fig5Measure {
+                        bandwidth_gbs: run.machine_bandwidth_gbs(),
+                        time_ms: ex.frame_ms(1920 * 1080, 1),
+                    }
+                });
+            Fig5Point { config, measured }
         })
         .collect()
 }
@@ -430,8 +451,10 @@ pub fn figure5_cnn() -> Vec<Fig5Point> {
             let run = conv_tile_run(cfg, 64, 8, 2);
             Fig5Point {
                 config: name,
-                bandwidth_gbs: run.machine_bandwidth_gbs(),
-                time_ms: base_ms * run.cycles as f64 / base.cycles as f64,
+                measured: Ok(Fig5Measure {
+                    bandwidth_gbs: run.machine_bandwidth_gbs(),
+                    time_ms: base_ms * run.cycles as f64 / base.cycles as f64,
+                }),
             }
         })
         .collect()

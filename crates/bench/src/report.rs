@@ -299,12 +299,17 @@ pub fn figure5_table(title: &str, rows: &[Fig5Point]) -> String {
         "config", "bandwidth (GB/s)", "time (ms)"
     );
     for p in rows {
-        let bar = "#".repeat((p.bandwidth_gbs / 5.0) as usize);
-        let _ = writeln!(
-            s,
-            "{:<14} {:>16.1} {:>12.2}  {bar}",
-            p.config, p.bandwidth_gbs, p.time_ms
-        );
+        let _ = match &p.measured {
+            Ok(m) => writeln!(
+                s,
+                "{:<14} {:>16.1} {:>12.2}  {}",
+                p.config,
+                m.bandwidth_gbs,
+                m.time_ms,
+                "#".repeat((m.bandwidth_gbs / 5.0) as usize)
+            ),
+            Err(why) => writeln!(s, "{:<14} not run: {why}", p.config),
+        };
     }
     s
 }
@@ -349,7 +354,7 @@ pub fn rtl_table(r: &experiments::RtlReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{Fig5Point, RooflineEntry, RtlReport};
+    use crate::experiments::{Fig5Measure, Fig5Point, RooflineEntry, RtlReport};
 
     #[test]
     fn table1_lists_every_platform() {
@@ -397,14 +402,24 @@ mod tests {
 
     #[test]
     fn figure5_table_scales_bars() {
-        let rows = vec![Fig5Point {
-            config: "open page",
-            bandwidth_gbs: 250.0,
-            time_ms: 5.0,
-        }];
+        let rows = vec![
+            Fig5Point {
+                config: "open page",
+                measured: Ok(Fig5Measure {
+                    bandwidth_gbs: 250.0,
+                    time_ms: 5.0,
+                }),
+            },
+            Fig5Point {
+                config: "tiny",
+                measured: Err("8-PE split on a 4-PE machine".into()),
+            },
+        ];
         let t = figure5_table("T", &rows);
         assert!(t.contains("open page"));
         assert!(t.contains("250.0"));
+        assert!(t.contains(&"#".repeat(50)));
+        assert!(t.contains("tiny           not run: 8-PE split on a 4-PE machine"));
     }
 
     #[test]
