@@ -249,6 +249,9 @@ impl VaultController {
     /// Panics if `cfg` fails [`MemConfig::validate`].
     #[must_use]
     pub fn new(vault: usize, cfg: MemConfig) -> Self {
+        // Invariant: the geometry arithmetic below assumes a validated
+        // configuration; an invalid one is refused before any of it.
+        #[allow(clippy::expect_used)]
         cfg.validate().expect("valid memory configuration");
         let banks = vec![Bank::new(); cfg.banks_per_vault];
         let lane = |_| Lane {
@@ -642,19 +645,13 @@ impl VaultController {
     /// configuration.
     pub fn save_state(&self, w: &mut Writer) {
         self.banks.save(w);
-        w.usize(self.queued);
-        let mut from = 0;
-        for _ in 0..self.queued {
-            // Lanes are `seq`-ordered: each one's next is its first
-            // transaction not yet written.
-            let next = self
-                .lanes
-                .iter()
-                .filter_map(|lane| lane.txns.iter().find(|t| t.seq >= from))
-                .min_by_key(|t| t.seq)
-                .expect("`queued` counts the lanes' transactions");
-            next.save(w);
-            from = next.seq + 1;
+        // The lanes merged back into arrival order (`seq`s are unique).
+        let mut queue: Vec<&Txn> = self.lanes.iter().flat_map(|lane| &lane.txns).collect();
+        queue.sort_unstable_by_key(|t| t.seq);
+        debug_assert_eq!(queue.len(), self.queued, "`queued` counts the lanes");
+        w.usize(queue.len());
+        for txn in queue {
+            txn.save(w);
         }
         self.completions.save(w);
         w.u64(self.now);
@@ -1048,6 +1045,18 @@ impl VaultController {
 mod tests {
     use super::*;
     use vip_rng::{for_each_seed, SplitMix64};
+
+    /// The boundary of `new`'s invariant: the shift-and-mask geometry
+    /// needs power-of-two banks, so 12 is refused where 16 builds.
+    #[test]
+    #[should_panic(expected = "valid memory configuration")]
+    fn a_controller_refuses_an_invalid_geometry() {
+        let mut cfg = MemConfig::baseline();
+        cfg.banks_per_vault = 16;
+        let _ = VaultController::new(0, cfg.clone());
+        cfg.banks_per_vault = 12;
+        let _ = VaultController::new(0, cfg);
+    }
 
     fn run_until_idle(
         vc: &mut VaultController,

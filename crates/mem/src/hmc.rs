@@ -34,6 +34,9 @@ impl Hmc {
     /// Panics if `cfg` fails [`MemConfig::validate`].
     #[must_use]
     pub fn new(cfg: MemConfig) -> Self {
+        // Invariant: a stack is built from a validated configuration
+        // only, so it has at least one vault; an invalid one is refused.
+        #[allow(clippy::expect_used)]
         cfg.validate().expect("valid memory configuration");
         let vaults = (0..cfg.vaults)
             .map(|v| VaultController::new(v, cfg.clone()))
@@ -119,8 +122,10 @@ impl Hmc {
 
     /// A sound lower bound on the next cycle any vault can act (see
     /// [`VaultController::next_event`]). There always is one: refresh
-    /// fires every tREFI even when the stack is idle. Inlined: the
-    /// event engine reads it on every step that is otherwise quiet.
+    /// fires every tREFI even when the stack is idle, and a validated
+    /// stack has a vault (without one, nothing ever happens: `MAX`).
+    /// Inlined: the event engine reads it on every step that is
+    /// otherwise quiet.
     #[inline]
     #[must_use]
     pub fn next_event(&self) -> Cycle {
@@ -128,7 +133,7 @@ impl Hmc {
             .iter()
             .map(|v| v.wake_bound(&self.storage))
             .min()
-            .expect("a validated stack has at least one vault")
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Jumps every vault's clock to `to`, replaying per-cycle counters
@@ -259,6 +264,23 @@ impl Hmc {
 mod tests {
     use super::*;
     use crate::req::MemRequest;
+
+    /// The boundary of `new`'s invariant: one vault is the fewest a
+    /// stack builds with, and it always has a next event.
+    #[test]
+    fn a_one_vault_stack_always_has_a_next_event() {
+        let mut cfg = MemConfig::baseline();
+        cfg.vaults = 1;
+        assert!(Hmc::new(cfg).next_event() < Cycle::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid memory configuration")]
+    fn a_stack_without_vaults_is_refused() {
+        let mut cfg = MemConfig::baseline();
+        cfg.vaults = 0;
+        let _ = Hmc::new(cfg);
+    }
 
     #[test]
     fn requests_fan_out_across_vaults() {
