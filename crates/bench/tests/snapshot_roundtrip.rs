@@ -8,6 +8,7 @@ use vip_bench::experiments::{self, PreparedTile};
 use vip_core::{Engine, RunOutcome, System, SystemConfig};
 use vip_faults::{DramFaultConfig, FaultConfig, NocFaultConfig};
 use vip_mem::MemConfig;
+use vip_snap::Writer;
 
 fn finish(sys: &mut System, limit: u64, engine: Engine) -> u64 {
     engine
@@ -165,6 +166,38 @@ fn bp_tile_image_bytes_are_anchored() {
             vip_snap::crc32(&v3),
             v3_crc,
             "cycle {pause_at} as version 3"
+        );
+    }
+}
+
+/// A machine image nested in a larger one (a fleet checkpoint) is
+/// encoded once, in place, through `Writer::nested` and
+/// `System::save_into` — to exactly the bytes of its `save_snapshot`
+/// image written length-prefixed, between other fields. The machine is
+/// a BP tile paused mid-run with transactions queued in its vault.
+#[test]
+fn a_nested_image_is_the_length_prefixed_snapshot() {
+    for pause_at in [20_000, 22_000] {
+        let (mut sys, limit) = bp_tile().into_system();
+        let outcome = Engine::Fast
+            .advance(&mut sys, pause_at, limit)
+            .expect("paused run succeeds");
+        assert!(matches!(outcome, RunOutcome::Paused(_)), "{outcome:?}");
+        assert!(
+            sys.hmc().pending(0) > 0,
+            "cycle {pause_at}: no traffic in flight"
+        );
+        let mut copied = Writer::new();
+        copied.u8(0xa5);
+        copied.bytes(&sys.save_snapshot());
+        copied.u8(0x5a);
+        let mut in_place = Writer::new();
+        in_place.u8(0xa5);
+        in_place.nested(|w| sys.save_into(w));
+        in_place.u8(0x5a);
+        assert!(
+            in_place.into_bytes() == copied.into_bytes(),
+            "cycle {pause_at}: the nested image differs"
         );
     }
 }

@@ -1212,25 +1212,32 @@ impl System {
     #[must_use]
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        write_header(&mut w, self.cfg.snapshot_fingerprint());
+        self.save_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Appends the [`save_snapshot`](System::save_snapshot) image to
+    /// `w`, so an image embedded in a larger one (a fleet checkpoint,
+    /// through [`Writer::nested`]) is encoded once, in place.
+    pub fn save_into(&self, w: &mut Writer) {
+        write_header(w, self.cfg.snapshot_fingerprint());
         w.u64(self.now);
         w.usize(self.pes.len());
         for pe in &self.pes {
-            pe.save_state(&mut w);
+            pe.save_state(w);
         }
-        self.hmc.save_state(&mut w);
-        self.net.save_state(&mut w);
-        self.pe_egress.save(&mut w);
-        self.uplink_busy.save(&mut w);
-        self.downlink_busy.save(&mut w);
-        self.to_vault_local.save(&mut w);
-        self.vault_ingress.save(&mut w);
-        self.vault_egress.save(&mut w);
-        self.to_pe.save(&mut w);
+        self.hmc.save_state(w);
+        self.net.save_state(w);
+        self.pe_egress.save(w);
+        self.uplink_busy.save(w);
+        self.downlink_busy.save(w);
+        self.to_vault_local.save(w);
+        self.vault_ingress.save(w);
+        self.vault_egress.save(w);
+        self.to_pe.save(w);
         w.usize(self.inflight_msgs);
-        self.func_stats.save(&mut w);
-        self.func_clock.save(&mut w);
-        w.into_bytes()
+        self.func_stats.save(w);
+        self.func_clock.save(w);
     }
 
     /// Restores a [`save_snapshot`](System::save_snapshot) image onto

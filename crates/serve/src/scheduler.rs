@@ -1404,7 +1404,7 @@ fn restore_parked(r: &mut Reader<'_>, ctx: &Ctx<'_>) -> Result<Parked, SnapError
 
 fn save_running(running: &Running, w: &mut Writer) {
     save_job(&running.meta, w);
-    w.bytes(&running.sys.save_snapshot());
+    w.nested(|w| running.sys.save_into(w));
     running.end.save(w);
 }
 
@@ -1637,9 +1637,11 @@ fn try_serve_durable(
         cache: &cache,
         workload,
     };
-    let mut fleet = match &ckpt {
+    // The loaded checkpoint is consumed here: it is freed before the
+    // first event, not held through the segment.
+    let mut fleet = match ckpt {
         Some(bytes) => {
-            restore_fleet(bytes, &ctx, fingerprint).map_err(|e| DurableError::Corrupt {
+            restore_fleet(&bytes, &ctx, fingerprint).map_err(|e| DurableError::Corrupt {
                 path: store.latest_ckpt_path(),
                 source: e,
             })?

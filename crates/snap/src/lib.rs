@@ -50,15 +50,25 @@
 //! `save_state`/`restore_state` methods built from the same pieces: they
 //! restore *into* the host and validate the image against its geometry.
 //!
-//! Images reach disk through [`atomic_write`], the workspace's one
+//! Images reach disk through [`atomic_write`] (or its parts form,
+//! [`atomic_write_parts`]), the workspace's one
 //! write-to-temp-then-rename.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every snapshot file or buffer.
@@ -211,6 +221,18 @@ impl Writer {
     /// exact length from context, e.g. a fixed page size).
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
+    }
+
+    /// Writes a length-prefixed byte string that `encode` writes in
+    /// place: the same bytes as [`bytes`](Self::bytes) of what `encode`
+    /// would write to a writer of its own, without that writer. Reserves
+    /// the `u64` length, runs `encode`, then patches the length.
+    pub fn nested(&mut self, encode: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u64(0);
+        encode(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -714,8 +736,26 @@ pub fn read_journal_header(buf: &[u8], expected_fingerprint: u64) -> Result<usiz
     Ok(JOURNAL_HEADER_LEN)
 }
 
+/// The head of a CRC frame around `payload`: `u32 payload length |
+/// u32 CRC-32(payload)`. `None` when the length does not fit its `u32`.
+/// A writer that has the payload in hand writes this head and then the
+/// payload, with no framed copy.
+#[must_use]
+pub fn frame_head(payload: &[u8]) -> Option<[u8; FRAME_OVERHEAD]> {
+    let len = frame_len(payload.len())?;
+    let mut head = [0; FRAME_OVERHEAD];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Some(head)
+}
+
+/// A payload length as the frame head's `u32`, if it fits.
+fn frame_len(len: usize) -> Option<u32> {
+    u32::try_from(len).ok()
+}
+
 /// Wraps one journal record payload in a CRC frame:
-/// `u32 payload length | u32 CRC-32(payload) | payload`.
+/// [`frame_head`] then the payload.
 ///
 /// # Panics
 ///
@@ -723,10 +763,13 @@ pub fn read_journal_header(buf: &[u8], expected_fingerprint: u64) -> Result<usiz
 /// single scheduler events, orders of magnitude smaller.
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("journal frame payload fits u32");
+    // Invariant: callers frame single scheduler events here; a payload
+    // of unbounded size (a fleet checkpoint) goes through the total
+    // `frame_head` instead.
+    #[allow(clippy::expect_used)]
+    let head = frame_head(payload).expect("journal frame payload fits u32");
     let mut out = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&head);
     out.extend_from_slice(payload);
     out
 }
@@ -847,8 +890,23 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 ///
 /// Propagates any I/O failure from the write or the rename.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    atomic_write_parts(path, &[bytes])
+}
+
+/// [`atomic_write`] of the concatenation of `parts`, written one after
+/// another without joining them first — a frame head and the megabytes
+/// it frames, say.
+///
+/// # Errors
+///
+/// Propagates any I/O failure from the write or the rename.
+pub fn atomic_write_parts(path: &Path, parts: &[&[u8]]) -> io::Result<()> {
     let tmp = tmp_sibling(path);
-    fs::write(&tmp, bytes)?;
+    let mut file = fs::File::create(&tmp)?;
+    for part in parts {
+        file.write_all(part)?;
+    }
+    drop(file);
     fs::rename(&tmp, path)
 }
 
@@ -890,6 +948,37 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"hello");
         assert_eq!(r.raw(2).unwrap(), &[9, 9]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn nested_writes_the_bytes_of_a_length_prefixed_copy() {
+        let pool = vip_rng::SplitMix64::new(0x0e57).bytes(300);
+        for len in [0, 1, 8, 255, 300] {
+            let body = &pool[..len];
+            let mut copied = Writer::new();
+            copied.u16(0xbeef);
+            copied.bytes(body);
+            copied.bytes(&[]);
+            copied.u8(7);
+            let mut in_place = Writer::new();
+            in_place.u16(0xbeef);
+            in_place.nested(|w| w.raw(body));
+            in_place.nested(|_| {});
+            in_place.u8(7);
+            assert_eq!(in_place.into_bytes(), copied.into_bytes(), "len {len}");
+        }
+        // Nested inside nested: each length covers its own span only.
+        let mut inner = Writer::new();
+        inner.bytes(b"abc");
+        inner.u32(9);
+        let mut copied = Writer::new();
+        copied.bytes(&inner.into_bytes());
+        let mut in_place = Writer::new();
+        in_place.nested(|w| {
+            w.nested(|w| w.raw(b"abc"));
+            w.u32(9);
+        });
+        assert_eq!(in_place.into_bytes(), copied.into_bytes());
     }
 
     #[test]
@@ -1316,6 +1405,23 @@ mod tests {
             assert!(scan.frames.len() <= 1, "flipped frame survived");
             assert!(scan.torn);
         }
+    }
+
+    #[test]
+    fn a_frame_is_its_head_then_its_payload() {
+        for payload in [&b""[..], b"x", b"dispatch 0 -> dev2"] {
+            let head = frame_head(payload).unwrap();
+            assert_eq!(head[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(head[4..], crc32(payload).to_le_bytes());
+            assert_eq!(frame(payload), [&head[..], payload].concat());
+        }
+    }
+
+    #[test]
+    fn a_frame_length_fits_u32_up_to_its_largest_value() {
+        assert_eq!(frame_len(u32::MAX as usize), Some(u32::MAX));
+        assert_eq!(frame_len(u32::MAX as usize + 1), None);
+        assert_eq!(frame_len(0), Some(0));
     }
 
     #[test]
