@@ -4,6 +4,8 @@
 use crate::addr::DecodedAddr;
 use crate::bank::Bank;
 use crate::config::{MemConfig, RowPolicy};
+#[cfg(debug_assertions)]
+use crate::protocol::CommandLog;
 use crate::req::{MemRequest, MemResponse, QueueFullError, RequestKind};
 use crate::stats::{MemStats, MemWork};
 use crate::storage::Storage;
@@ -239,6 +241,10 @@ pub struct VaultController {
     /// Host work done so far. Not state: never serialized, and a
     /// restore leaves it counting on.
     work: MemWork,
+    /// Debug builds: every command issued, checked against Table III
+    /// as it issues (see `protocol`).
+    #[cfg(debug_assertions)]
+    log: CommandLog,
 }
 
 impl VaultController {
@@ -262,6 +268,8 @@ impl VaultController {
         };
         let next_refresh = cfg.timing.t_refi();
         VaultController {
+            #[cfg(debug_assertions)]
+            log: CommandLog::new(vault, &cfg.timing, banks.len()),
             vault,
             cfg,
             lanes: banks.iter().map(lane).collect(),
@@ -634,6 +642,8 @@ impl VaultController {
         // Any refresh that was mid-flight completed within the span.
         self.refresh_until = self.refresh_until.min(to);
         (self.wake, self.cmd_wake) = (0, 0);
+        #[cfg(debug_assertions)]
+        self.log.idle_until(to);
     }
 
     /// Serializes every piece of mutable controller state: bank state
@@ -724,6 +734,8 @@ impl VaultController {
         (self.completions, self.done_order, self.done_base) = (completions, order.into(), 0);
         self.next_done = self.earliest_completion();
         (self.wake, self.cmd_wake) = (0, 0);
+        #[cfg(debug_assertions)]
+        self.log.restored(&self.banks, self.next_refresh);
         Ok(())
     }
 
@@ -737,6 +749,8 @@ impl VaultController {
             // Every bank's deadlines moved, and the precharges leading
             // here closed rows behind the heads' backs.
             self.dirty_all();
+            #[cfg(debug_assertions)]
+            self.log.refresh(now);
             self.refresh_until = until;
             self.next_refresh += self.cfg.timing.t_refi();
             self.refresh_pending = false;
@@ -772,8 +786,10 @@ impl VaultController {
     fn issue_precharge_for_refresh(&mut self) {
         let now = self.now;
         let timing = self.cfg.timing;
-        if let Some(bank) = self.banks.iter_mut().find(|b| b.can_precharge(now)) {
-            bank.precharge(now, &timing);
+        if let Some(bank) = self.banks.iter().position(|b| b.can_precharge(now)) {
+            self.banks[bank].precharge(now, &timing);
+            #[cfg(debug_assertions)]
+            self.log.precharge(bank, now);
         }
     }
 
@@ -838,9 +854,13 @@ impl VaultController {
             let bank = &mut self.banks[work_bank];
             if bank.open_row().is_some() {
                 bank.precharge(now, &timing);
+                #[cfg(debug_assertions)]
+                self.log.precharge(work_bank, now);
                 self.stats.row_conflicts += 1;
             } else {
                 bank.activate(now, txn.decoded.row, &timing);
+                #[cfg(debug_assertions)]
+                self.log.activate(work_bank, now, txn.decoded.row);
                 txn.caused_act = true;
                 self.stats.row_misses += 1;
             }
@@ -965,6 +985,13 @@ impl VaultController {
         );
         self.bus_free_at = burst_end;
         self.banks[txn.decoded.bank].column_issued(last_cmd, &timing);
+        #[cfg(debug_assertions)]
+        {
+            let write = matches!(txn.req.kind, RequestKind::Write | RequestKind::FeStore);
+            let write_end = write.then_some(burst_end);
+            let (bank, row) = (txn.decoded.bank, txn.decoded.row);
+            self.log.column(bank, (now, last_cmd), row, write_end);
+        }
 
         if !txn.caused_act {
             self.stats.row_hits += 1;
@@ -1027,6 +1054,8 @@ impl VaultController {
                 _ => burst_end,
             };
             self.banks[txn.decoded.bank].auto_precharge_at(pre_at, &timing);
+            #[cfg(debug_assertions)]
+            self.log.precharge(txn.decoded.bank, pre_at);
         }
 
         self.next_done = self.next_done.min(burst_end);
@@ -1187,6 +1216,48 @@ mod tests {
             vc.tick(&mut storage, &mut out);
         }
         assert_eq!(vc.stats().refreshes, 3);
+    }
+
+    /// Debug builds log every command the controller issues: one
+    /// ACTIVATE per row miss, one column per transaction, one REFRESH per
+    /// refresh — under both row policies, through refreshes and row
+    /// conflicts — and the log found every one legal.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn every_issued_command_reaches_the_protocol_log() {
+        for cfg in [MemConfig::baseline(), MemConfig::closed_page()] {
+            let mut storage = Storage::new();
+            let mut vc = VaultController::new(0, cfg.clone());
+            let mut rng = SplitMix64::new(0x10_9c0d);
+            let mut sent = 0;
+            let mut out = Vec::new();
+            for _ in 0..20_000 {
+                if rng.next_u64().is_multiple_of(4) {
+                    let row = rng.next_u64() % 3;
+                    let bank = (rng.next_u64() % 4) as usize;
+                    let addr = at(&cfg, bank, row, rng.next_u64() % 8);
+                    let req = if rng.next_u64().is_multiple_of(2) {
+                        MemRequest::read(sent, addr, 32)
+                    } else {
+                        MemRequest::write(sent, addr, vec![7; 32])
+                    };
+                    if vc.enqueue(req).is_ok() {
+                        sent += 1;
+                    }
+                }
+                vc.tick(&mut storage, &mut out);
+            }
+            run_until_idle(&mut vc, &mut storage, 10_000);
+            let s = vc.stats();
+            let conflicts = s.row_conflicts > 0 || cfg.policy == RowPolicy::ClosedPage;
+            assert!(s.refreshes > 5 && conflicts, "{:?}: {s:?}", cfg.policy);
+            assert_eq!(
+                vc.log.commands(),
+                (s.row_misses, sent, s.refreshes),
+                "{:?}",
+                cfg.policy
+            );
+        }
     }
 
     #[test]
@@ -1440,11 +1511,15 @@ mod tests {
                     Some(open) if open == row => continue,
                     Some(_) if bank.can_precharge(now) => {
                         bank.precharge(now, &timing);
+                        #[cfg(debug_assertions)]
+                        self.log.precharge(bank_idx, now);
                         self.stats.row_conflicts += 1;
                         return;
                     }
                     None if bank.can_activate(now) => {
                         bank.activate(now, row, &timing);
+                        #[cfg(debug_assertions)]
+                        self.log.activate(bank_idx, now, row);
                         self.lanes[bank_idx].txns[pos].caused_act = true;
                         self.stats.row_misses += 1;
                         return;

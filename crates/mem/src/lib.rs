@@ -57,6 +57,8 @@ mod bank;
 mod config;
 mod controller;
 mod hmc;
+#[cfg(debug_assertions)]
+mod protocol;
 mod remap;
 mod req;
 mod stats;
